@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import DegenerateSampleError, ParameterDomainError, VqeBenchError
+from ..errors import VqeBenchError
 from .catalog import family_catalog
 from .config import load_config
 from .reports import analyze_runs, rank_runs
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (ParameterDomainError, VqeBenchError) as exc:
+    except VqeBenchError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -96,7 +96,7 @@ def _cmd_rank(args) -> int:
         summary = rank_runs(
             records, tuple(args.reference), args.out, alpha=args.alpha
         )
-    except (DegenerateSampleError, VqeBenchError) as exc:
+    except VqeBenchError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     for opt in summary["optimizers"]:
@@ -129,7 +129,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -234,15 +234,8 @@ def rank_runs(records, reference, out_dir, alpha: float = 0.05) -> dict:
         summary["friedman"] = fried.to_dict()
 
         k = len(optimizers)
-        raw = np.full((k, k), np.nan)
-        pairs = []
-        flat = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                p = wilcoxon_signed_rank(values[:, i], values[:, j]).p
-                pairs.append((i, j))
-                flat.append(p)
-                raw[i, j] = raw[j, i] = p
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        flat = [wilcoxon_signed_rank(values[:, i], values[:, j]).p for i, j in pairs]
         adjusted = np.full((k, k), np.nan)
         for (i, j), adj in zip(pairs, p_adjust(np.array(flat), method="holm")):
             adjusted[i, j] = adjusted[j, i] = adj

@@ -5,8 +5,9 @@ import numpy as np
 
 from ..errors import ParameterDomainError
 from .direct import cobyla_minimize, nelder_mead_minimize, powell_minimize
-from .gradient import bfgs_minimize, eval_budget, finite_difference_gradient, slsqp_minimize
+from .gradient import bfgs_minimize, finite_difference_gradient, slsqp_minimize
 from .result import OPTIMIZER_KINDS, IsomaParams, OptimizerSpec, OptResult
+from .session import eval_budget
 from .soma import isoma_minimize
 
 _DISPATCH = {

@@ -7,15 +7,14 @@ import math
 import numpy as np
 
 from .result import OptResult, OptimizerSpec
-from .session import BudgetExhausted, CostSession
+from .session import LINE_EVAL_CAP, TR_MAX_RAY, BudgetExhausted, CostSession, eval_budget
 
 # Nelder-Mead coefficients
 REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
 SIMPLEX_SPREAD_TOL = 1e-10
 INITIAL_SIMPLEX_SCALE = 0.05
 
-# Powell line-minimization caps
-LINE_EVAL_CAP = 80
+# Powell line minimization
 BRACKET_GROW = 1.618033988749895
 BRACKET_MAX_STEPS = 20
 BRENT_MAX_ITER = 50
@@ -26,21 +25,8 @@ TR_RHO_BEG = 0.5
 TR_RHO_END = 1e-8
 
 
-def _finish(session, converged, extras=None):
-    return OptResult(
-        theta_best=session.best_theta,
-        f_best=session.best_f,
-        n_evals=session.n_evals,
-        converged=converged,
-        trace=session.trace,
-        extras=extras or {},
-    )
-
-
 def nelder_mead_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
     """Downhill simplex with standard reflect/expand/contract/shrink moves."""
-    from .gradient import eval_budget
-
     theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
     session = CostSession(cost, max_evals=eval_budget("nelder_mead", dim, spec))
@@ -86,7 +72,7 @@ def nelder_mead_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResu
                         values[i] = session(simplex[i])
     except BudgetExhausted:
         pass
-    return _finish(session, converged)
+    return session.result(converged)
 
 
 def _bracket(fn, f0):
@@ -187,8 +173,6 @@ class _LineCapReached(Exception):
 def powell_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
     """Powell's direction-set method with Brent line minimizations and
     direction replacement after each cycle."""
-    from .gradient import eval_budget
-
     theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
     session = CostSession(cost, max_evals=eval_budget("powell", dim, spec))
@@ -226,7 +210,7 @@ def powell_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
                         directions[-1] = new_dir
     except BudgetExhausted:
         pass
-    return _finish(session, converged)
+    return session.result(converged)
 
 
 def cobyla_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
@@ -237,8 +221,6 @@ def cobyla_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
     along the model step, a fallback ray along the direction of recent
     progress, and a geometry refresh or radius shrink on failure.
     """
-    from .gradient import eval_budget
-
     theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
     session = CostSession(cost, max_evals=eval_budget("cobyla", dim, spec))
@@ -288,10 +270,7 @@ def cobyla_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
                 )
     except BudgetExhausted:
         pass
-    return _finish(session, converged)
-
-
-TR_MAX_RAY = 6
+    return session.result(converged)
 
 
 def _tr_ray(session, x_best, f_best, direction, rho):

@@ -4,12 +4,10 @@ from __future__ import annotations
 import numpy as np
 
 from .result import OptResult, OptimizerSpec
-from .session import BudgetExhausted, CostSession
+from .session import MAX_BACKTRACKS, BudgetExhausted, CostSession, eval_budget
 
-MAX_BACKTRACKS = 30
 GRAD_NORM_TOL = 1e-8
 ARMIJO_C1 = 1e-4
-CURVATURE_C2 = 0.9
 
 
 def finite_difference_gradient(cost, theta, h: float = 1e-6) -> np.ndarray:
@@ -23,29 +21,9 @@ def finite_difference_gradient(cost, theta, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def eval_budget(kind: str, dim: int, spec: OptimizerSpec) -> int:
-    """Documented hard evaluation cap for each algorithm."""
-    if kind in ("bfgs", "slsqp"):
-        # initial f + grad, then per iteration: backtracks + new gradient
-        return 1 + 2 * dim + spec.maxiter * (MAX_BACKTRACKS + 1 + 2 * dim)
-    if kind == "nelder_mead":
-        return (dim + 1) + spec.maxiter * (dim + 2)
-    if kind == "powell":
-        # per cycle: dim+1 line minimizations, each capped, plus one probe
-        from .direct import LINE_EVAL_CAP
-
-        return 1 + spec.maxiter * ((dim + 1) * LINE_EVAL_CAP + 1)
-    if kind == "cobyla":
-        from .direct import TR_MAX_RAY
-
-        return (dim + 1) + spec.maxiter * (2 * TR_MAX_RAY + 1)
-    if kind == "isoma":
-        return spec.isoma.max_fes
-    raise ValueError(kind)
-
-
 def _line_search(session, x, f, g, direction):
-    """Backtracking search for the Armijo condition (first Wolfe condition).
+    """Backtracking search for the Armijo sufficient-decrease condition only
+    (no curvature condition).
 
     Returns (alpha, x_new, f_new) or None after MAX_BACKTRACKS halvings.
     """
@@ -58,17 +36,6 @@ def _line_search(session, x, f, g, direction):
             return alpha, x_new, f_new
         alpha *= 0.5
     return None
-
-
-def _finish(session, converged, extras=None):
-    return OptResult(
-        theta_best=session.best_theta,
-        f_best=session.best_f,
-        n_evals=session.n_evals,
-        converged=converged,
-        trace=session.trace,
-        extras=extras or {},
-    )
 
 
 def bfgs_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
@@ -84,14 +51,14 @@ def bfgs_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
         g = finite_difference_gradient(session, theta0, h)
         x = theta0.copy()
         if np.linalg.norm(g) < GRAD_NORM_TOL:
-            return _finish(session, True, {"h_inv": h_inv})
+            return session.result(True)
         for _ in range(spec.maxiter):
             direction = -h_inv @ g
             if float(g @ direction) >= 0.0:
                 direction = -g  # reset on loss of descent
             step = _line_search(session, x, f, g, direction)
             if step is None:
-                return _finish(session, False, {"h_inv": h_inv})
+                return session.result(False)
             _, x_new, f_new = step
             g_new = finite_difference_gradient(session, x_new, h)
             s = x_new - x
@@ -105,12 +72,12 @@ def bfgs_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
             f_change = abs(f_new - f)
             x, f, g = x_new, f_new, g_new
             if f_change <= spec.ftol * max(1.0, abs(f_new)):
-                return _finish(session, True, {"h_inv": h_inv})
+                return session.result(True)
             if np.linalg.norm(g) < GRAD_NORM_TOL:
-                return _finish(session, True, {"h_inv": h_inv})
-        return _finish(session, False, {"h_inv": h_inv})
+                return session.result(True)
+        return session.result(False)
     except BudgetExhausted:
-        return _finish(session, False, {"h_inv": h_inv})
+        return session.result(False)
 
 
 def slsqp_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
@@ -126,7 +93,7 @@ def slsqp_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
         g = finite_difference_gradient(session, theta0, h)
         x = theta0.copy()
         if np.linalg.norm(g) < GRAD_NORM_TOL:
-            return _finish(session, True)
+            return session.result(True)
         for _ in range(spec.maxiter):
             try:
                 direction = np.linalg.solve(b_mat, -g)
@@ -138,7 +105,7 @@ def slsqp_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
                 direction = -g
             step = _line_search(session, x, f, g, direction)
             if step is None:
-                return _finish(session, False)
+                return session.result(False)
             _, x_new, f_new = step
             g_new = finite_difference_gradient(session, x_new, h)
             s = x_new - x
@@ -156,9 +123,9 @@ def slsqp_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
             f_change = abs(f_new - f)
             x, f, g = x_new, f_new, g_new
             if f_change <= spec.ftol * max(1.0, abs(f_new)):
-                return _finish(session, True)
+                return session.result(True)
             if np.linalg.norm(g) < GRAD_NORM_TOL:
-                return _finish(session, True)
-        return _finish(session, False)
+                return session.result(True)
+        return session.result(False)
     except BudgetExhausted:
-        return _finish(session, False)
+        return session.result(False)

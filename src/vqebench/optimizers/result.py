@@ -66,4 +66,3 @@ class OptResult:
     n_evals: int
     converged: bool
     trace: list[tuple[int, float]]
-    extras: dict = field(default_factory=dict)

@@ -47,10 +47,4 @@ def isoma_minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator) 
                 fitness[j] = best_f
     except BudgetExhausted:
         pass
-    return OptResult(
-        theta_best=session.best_theta,
-        f_best=session.best_f,
-        n_evals=session.n_evals,
-        converged=True,
-        trace=session.trace,
-    )
+    return session.result(True)

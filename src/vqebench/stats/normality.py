@@ -105,19 +105,37 @@ def levene_like_test(groups: list[np.ndarray], center: str = "mean") -> TestResu
     return anova_oneway(scores)
 
 
+def sums_of_squares(values, codes: np.ndarray, k: int) -> tuple[float, float]:
+    """Between- and within-group sums of squares of the rows of an (n,) or
+    (n, d) array, for integer group codes 0..k-1.
+
+    Deviations from the group means are squared directly, not through
+    Σx² − ΣS²/n: equal values give an exact zero and values clustered far
+    from the origin keep their digits.  For d > 1 these are the Euclidean
+    PERMANOVA sums of squares (distances to group and grand centroids).
+    """
+    values = np.asarray(values, dtype=float)
+    values = values.reshape(values.shape[0], -1)
+    counts = np.bincount(codes, minlength=k)
+    sums = [np.bincount(codes, weights=column, minlength=k) for column in values.T]
+    means = np.column_stack(sums) / counts[:, None]
+    ss_within = float(np.sum((values - means[codes]) ** 2))
+    ss_between = float(np.sum(counts[:, None] * (means - values.mean(axis=0)) ** 2))
+    return ss_between, ss_within
+
+
+def f_ratio(ss_between: float, ss_within: float, df: tuple[int, int]) -> float:
+    """One-way F; identical scores give 0, zero within-group spread gives inf."""
+    if ss_within <= 0.0:
+        return 0.0 if ss_between <= 0.0 else float("inf")
+    return (ss_between / df[0]) / (ss_within / df[1])
+
+
 def anova_oneway(groups: list[np.ndarray]) -> TestResult:
     """Classic one-way ANOVA F test; identical scores give F=0, p=1."""
+    sizes = [np.size(g) for g in groups]
     k = len(groups)
-    sizes = [g.size for g in groups]
-    total_n = sum(sizes)
-    grand = np.concatenate(groups).mean()
-    ss_between = sum(n_i * (g.mean() - grand) ** 2 for n_i, g in zip(sizes, groups))
-    ss_within = sum(((g - g.mean()) ** 2).sum() for g in groups)
-    df = (k - 1, total_n - k)
-    if ss_within <= 0.0:
-        if ss_between <= 0.0:
-            return TestResult(statistic=0.0, df=df, p=1.0)
-        return TestResult(statistic=float("inf"), df=df, p=0.0)
-    f_stat = (ss_between / df[0]) / (ss_within / df[1])
-    p = float(sps.f.sf(f_stat, *df))
-    return TestResult(statistic=float(f_stat), df=df, p=p)
+    codes = np.repeat(np.arange(k), sizes)
+    df = (k - 1, codes.size - k)
+    f_stat = f_ratio(*sums_of_squares(np.concatenate(groups), codes, k), df)
+    return TestResult(statistic=f_stat, df=df, p=float(sps.f.sf(f_stat, *df)))

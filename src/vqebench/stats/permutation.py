@@ -1,18 +1,26 @@
 """Permutation tests on Euclidean distances: PERMANOVA and PERMDISP.
 
+Both are one-way F tests on shared sums of squares.  For Euclidean distances
+the PERMANOVA pseudo-F from the distance matrix equals the ANOVA F of the
+centroid sums of squares (within: squared distances of points to their group
+centroid; between: group sizes times squared distances of group centroids to
+the grand centroid; Anderson 2001), so no distance matrix is built.  PERMDISP
+is the ANOVA F of the distances to the group centroids (Anderson 2006).
+
 p-values use the (1 + count) / (1 + n_perm) estimator under random
 permutations; when every distinct label assignment can be enumerated within
 the permutation budget, the exact exhaustive p-value is reported instead.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from math import factorial
 
 import numpy as np
-from sympy.utilities.iterables import multiset_permutations
 
 from ..errors import ParameterDomainError
-from .normality import anova_oneway
+from .normality import f_ratio, sums_of_squares
+from .ranks import p_adjust
 from .types import PairwiseMatrix, TestResult
 
 __all__ = ["permanova", "permdisp", "pairwise_posthoc"]
@@ -33,21 +41,43 @@ def _n_assignments(codes: np.ndarray) -> int:
     return total
 
 
-def _permutation_p(stat_fn, codes, f_obs, n_perm, rng):
+def _assignments(counts):
+    """Every distinct labelling with the given group sizes: group 0 takes
+    each combination of all positions, group 1 each combination of the
+    positions still free, and so on."""
+    labels = np.empty(int(sum(counts)), dtype=int)
+
+    def fill(free, g):
+        if g == len(counts):
+            yield labels.copy()
+            return
+        for chosen in combinations(free, int(counts[g])):
+            labels[list(chosen)] = g
+            yield from fill([i for i in free if i not in chosen], g + 1)
+
+    return fill(list(range(labels.size)), 0)
+
+
+def _f_stat(values, codes, k):
+    return f_ratio(*sums_of_squares(values, codes, k), (k - 1, codes.size - k))
+
+
+def _permutation_p(values, codes, f_obs, n_perm, rng):
     """Exact p over all assignments if enumerable within budget, else MC."""
+    k = int(codes.max()) + 1
     if _n_assignments(codes) <= n_perm:
         count = 0
         total = 0
-        for perm in multiset_permutations(codes.tolist()):
+        for perm in _assignments(np.bincount(codes)):
             total += 1
-            if stat_fn(np.array(perm)) >= f_obs - 1e-12:
+            if _f_stat(values, perm, k) >= f_obs - 1e-12:
                 count += 1
         return count / total, total, True
     count = 0
     shuffled = codes.copy()
     for _ in range(n_perm):
         rng.shuffle(shuffled)
-        if stat_fn(shuffled) >= f_obs - 1e-12:
+        if _f_stat(values, shuffled, k) >= f_obs - 1e-12:
             count += 1
     return (1 + count) / (1 + n_perm), n_perm, False
 
@@ -58,44 +88,26 @@ def _check_groups(codes):
         raise ParameterDomainError("need at least two groups")
     if np.any(counts < 2):
         raise ParameterDomainError("every group needs at least two observations")
-    return counts
 
 
 def permanova(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
-    """Pseudo-F test of equal group centroids from the Euclidean distance
-    matrix (Gower identity), with permutation of group labels."""
+    """Pseudo-F test of equal group centroids under Euclidean distance, with
+    permutation of group labels."""
     points = np.asarray(points, dtype=float)
     uniq, codes = _encode_labels(labels)
     _check_groups(codes)
     if rng is None:
         rng = np.random.default_rng(0)
-    n_obs = points.shape[0]
     k = len(uniq)
-    diff = points[:, None, :] - points[None, :, :]
-    d_sq = np.einsum("ijk,ijk->ij", diff, diff)
-    ss_total = d_sq[np.triu_indices(n_obs, k=1)].sum() / n_obs
-
-    def pseudo_f(perm_codes):
-        ss_within = 0.0
-        for g in range(k):
-            idx = np.flatnonzero(perm_codes == g)
-            block = d_sq[np.ix_(idx, idx)]
-            ss_within += block.sum() / (2.0 * idx.size)
-        ss_between = ss_total - ss_within
-        if ss_within <= 0.0:
-            return np.inf if ss_between > 1e-12 else 0.0
-        return (ss_between / (k - 1)) / (ss_within / (n_obs - k))
-
-    f_obs = pseudo_f(codes)
-    ss_within_obs = 0.0
-    for g in range(k):
-        idx = np.flatnonzero(codes == g)
-        ss_within_obs += d_sq[np.ix_(idx, idx)].sum() / (2.0 * idx.size)
-    r2 = 0.0 if ss_total <= 0.0 else 1.0 - ss_within_obs / ss_total
-    p, n_used, exact = _permutation_p(pseudo_f, codes, f_obs, n_perm, rng)
+    df = (k - 1, codes.size - k)
+    ss_between, ss_within = sums_of_squares(points, codes, k)
+    f_obs = f_ratio(ss_between, ss_within, df)
+    ss_total = ss_between + ss_within
+    r2 = 0.0 if ss_total <= 0.0 else ss_between / ss_total
+    p, n_used, exact = _permutation_p(points, codes, f_obs, n_perm, rng)
     return TestResult(
         statistic=float(f_obs),
-        df=(k - 1, n_obs - k),
+        df=df,
         p=float(p),
         extras={"r2": float(r2), "n_perm": n_used, "exact": exact},
     )
@@ -115,17 +127,11 @@ def permdisp(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
         idx = np.flatnonzero(codes == g)
         centroid = points[idx].mean(axis=0)
         dists[idx] = np.linalg.norm(points[idx] - centroid, axis=1)
-
-    def f_of(perm_codes):
-        groups = [dists[perm_codes == g] for g in range(k)]
-        return anova_oneway(groups).statistic
-
-    result_obs = anova_oneway([dists[codes == g] for g in range(k)])
-    f_obs = result_obs.statistic
-    p, n_used, exact = _permutation_p(f_of, codes, f_obs, n_perm, rng)
+    f_obs = _f_stat(dists, codes, k)
+    p, n_used, exact = _permutation_p(dists, codes, f_obs, n_perm, rng)
     return TestResult(
         statistic=float(f_obs),
-        df=result_obs.df,
+        df=(k - 1, codes.size - k),
         p=float(p),
         extras={"n_perm": n_used, "exact": exact},
     )
@@ -141,11 +147,9 @@ def pairwise_posthoc(
 ) -> PairwiseMatrix:
     """Two-group tests for every unordered pair of labels, with a joint
     multiple-comparison adjustment across all pairs."""
-    from .ranks import p_adjust
-
     if test not in ("permanova", "permdisp"):
         raise ParameterDomainError(f"unknown pairwise test {test!r}")
-    if adjust not in ("bh", "holm", "none"):
+    if adjust not in ("bh", "holm"):
         raise ParameterDomainError(f"unknown adjustment {adjust!r}")
     points = np.asarray(points, dtype=float)
     uniq, codes = _encode_labels(labels)
@@ -171,11 +175,7 @@ def pairwise_posthoc(
             p_raw[i, j] = p_raw[j, i] = value
     p_adjusted = np.full((k, k), np.nan)
     valid = [v for v in raw_values if np.isfinite(v)]
-    if adjust == "none":
-        adjusted_valid = valid
-    else:
-        adjusted_valid = list(p_adjust(np.array(valid), method=adjust))
-    it = iter(adjusted_valid)
+    it = iter(p_adjust(np.array(valid), method=adjust))
     for (i, j), raw in zip(pairs, raw_values):
         adj = next(it) if np.isfinite(raw) else np.nan
         p_adjusted[i, j] = p_adjusted[j, i] = adj

@@ -117,3 +117,19 @@ def test_rank_missing_runs_exits_3(tmp_path, capsys):
     assert main(
         ["rank", "--runs", str(tmp_path / "none.csv"), "--reference", "0", "0"]
     ) == 3
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "rank"])
+def test_unwritable_output_exits_3(tmp_path, capsys, command):
+    runs = tmp_path / "runs.csv"
+    write_records(synthetic_records(), runs)
+    blocker = tmp_path / "file"  # a regular file used as a parent directory
+    blocker.write_text("")
+    argv = {
+        "run": ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "missing" / "x.csv")],
+        "analyze": ["analyze", "--runs", str(runs), "--per-optimizer", str(blocker / "sub"), "--n-perm", "9"],
+        "rank": ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(blocker / "r")],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vqebench
 from vqebench.errors import ParameterDomainError
 from vqebench.stats import pairwise_posthoc, permanova, permdisp
 
@@ -214,3 +219,60 @@ def test_pairwise_adjusted_not_below_raw(rng):
         pm = pairwise_posthoc(points, labels, adjust=adjust, n_perm=99, rng=rng)
         mask = ~np.isnan(pm.p_raw)
         assert np.all(pm.p_adjusted[mask] >= pm.p_raw[mask] - 1e-12)
+
+
+# --- pinned p-values ---------------------------------------------------------
+
+def _pinned_inputs():
+    """Three seeded groups of 10 (every pair takes the Monte-Carlo path) and
+    three groups of 3 (C(9; 3,3,3) = 1680 assignments, enumerated)."""
+    mc = np.random.default_rng(7).normal(size=(30, 2))
+    mc[10:20] = 1.5 * mc[10:20] + [0.4, 0.2]
+    mc[20:] = 0.5 * mc[20:] - [0.3, 0.0]
+    ex = np.random.default_rng(8).normal(size=(9, 2))
+    ex[3:6] += 1.0
+    ex[6:] *= 2.0
+    return {
+        "mc": (mc, [g for g in "abc" for _ in range(10)], 999),
+        "ex": (ex, [g for g in "abc" for _ in range(3)], 2000),
+    }
+
+
+@pytest.mark.parametrize(
+    "test_fn,case,n_groups,p,n_used,exact",
+    [
+        (permanova, "mc", 2, 0.688, 999, False),
+        (permanova, "ex", 3, 0.014285714285714285, 1680, True),
+        (permdisp, "mc", 2, 0.089, 999, False),
+        (permdisp, "ex", 3, 0.17142857142857143, 1680, True),
+    ],
+)
+def test_pinned_p_values(test_fn, case, n_groups, p, n_used, exact):
+    points, labels, n_perm = _pinned_inputs()[case]
+    n = len(labels) * n_groups // 3
+    res = test_fn(points[:n], labels[:n], n_perm=n_perm, rng=np.random.default_rng(3))
+    assert res.p == p
+    assert (res.extras["n_perm"], res.extras["exact"]) == (n_used, exact)
+
+
+@pytest.mark.parametrize(
+    "test,case,p_raw,p_adjusted",
+    [
+        ("permanova", "mc", [0.688, 0.467, 0.404], [0.688, 0.688, 0.688]),
+        ("permanova", "ex", [0.1, 0.1, 0.4], [0.15000000000000002, 0.15000000000000002, 0.4]),
+        ("permdisp", "mc", [0.089, 0.024, 0.002], [0.089, 0.036000000000000004, 0.006]),
+        ("permdisp", "ex", [0.1, 0.3, 0.4], [0.30000000000000004, 0.4, 0.4]),
+    ],
+)
+def test_pinned_pairwise_p_values(test, case, p_raw, p_adjusted):
+    points, labels, n_perm = _pinned_inputs()[case]
+    pm = pairwise_posthoc(points, labels, test=test, n_perm=n_perm, rng=np.random.default_rng(3))
+    upper = np.triu_indices(3, k=1)
+    assert pm.p_raw[upper].tolist() == p_raw
+    assert pm.p_adjusted[upper].tolist() == p_adjusted
+
+
+def test_cli_import_leaves_out_sympy():
+    code = "import sys, vqebench.harness.cli; assert 'sympy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
