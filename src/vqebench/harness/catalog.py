@@ -29,7 +29,12 @@ def _shots(n_m, noise=None):
 def family_catalog() -> list[FamilySpec]:
     """The full benchmark catalog: one ideal family, four shot-noise levels,
     and four intensities each of dephasing, depolarizing, T2-limited thermal
-    relaxation, and short-T1 thermal relaxation."""
+    relaxation, and short-T1 thermal relaxation.
+
+    Dephasing (`DP-x%`) attaches to `rz` gates only.  The bundled toy ansatz
+    (`ry ry cx prot`) has no `rz`, so there `DP-x%` adds no channel: it is
+    `SN-6144` under another name and random stream.
+    """
     families = [FamilySpec("ideal", EstimatorSpec(mode="exact"))]
     for n_m in (256, 512, 1024, 6144):
         families.append(FamilySpec(f"SN-{n_m}", _shots(n_m)))

@@ -59,46 +59,30 @@ def _cmd_run(args) -> int:
     except VqeBenchError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        done = [0]
+    done = [0]
 
-        def progress(record):
-            done[0] += 1
-            print(
-                f"[{done[0]}] {record.family} / {record.optimizer} / seed {record.seed}: "
-                f"e_sa={record.e_sa:.6g} evals={record.n_evals}",
-                file=sys.stderr,
-            )
+    def progress(record):
+        done[0] += 1
+        print(
+            f"[{done[0]}] {record.family} / {record.optimizer} / seed {record.seed}: "
+            f"e_sa={record.e_sa:.6g} evals={record.n_evals}",
+            file=sys.stderr,
+        )
 
-        run_experiment(cfg, out_path=args.out, jobs=args.jobs, progress=progress)
-    except VqeBenchError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    run_experiment(cfg, out_path=args.out, jobs=args.jobs, progress=progress)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        records = read_records(args.runs)
-        optimizers = analyze_runs(
-            records, args.out_dir, n_perm=args.n_perm, seed=args.seed
-        )
-    except VqeBenchError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    records = read_records(args.runs)
+    optimizers = analyze_runs(records, args.out_dir, n_perm=args.n_perm, seed=args.seed)
     print(f"analyzed {len(optimizers)} optimizers into {args.out_dir}")
     return EXIT_OK
 
 
 def _cmd_rank(args) -> int:
-    try:
-        records = read_records(args.runs)
-        summary = rank_runs(
-            records, tuple(args.reference), args.out, alpha=args.alpha
-        )
-    except VqeBenchError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    records = read_records(args.runs)
+    summary = rank_runs(records, tuple(args.reference), args.out, alpha=args.alpha)
     for opt in summary["optimizers"]:
         m = summary["metrics"][opt]
         place = summary.get("tied_places", {}).get(opt, "-")
@@ -131,7 +115,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:  # an output path that cannot be written
+    except (VqeBenchError, OSError) as exc:  # bad input data or an unwritable output path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

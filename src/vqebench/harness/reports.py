@@ -16,14 +16,13 @@ from ..stats import (
     box_m_test,
     distance_metrics,
     friedman_test,
+    holm_wilcoxon_matrix,
     levene_like_test,
     mardia_test,
-    p_adjust,
     pairwise_posthoc,
     permanova,
     permdisp,
     tied_rank_groups,
-    wilcoxon_signed_rank,
 )
 
 _MIN_GROUP = 3  # points per family needed for the multivariate battery
@@ -233,13 +232,8 @@ def rank_runs(records, reference, out_dir, alpha: float = 0.05) -> dict:
         fried = friedman_test(values)
         summary["friedman"] = fried.to_dict()
 
-        k = len(optimizers)
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        flat = [wilcoxon_signed_rank(values[:, i], values[:, j]).p for i, j in pairs]
-        adjusted = np.full((k, k), np.nan)
-        for (i, j), adj in zip(pairs, p_adjust(np.array(flat), method="holm")):
-            adjusted[i, j] = adjusted[j, i] = adj
-        _write_matrix_csv(out_dir / "wilcoxon_pairs.csv", optimizers, adjusted)
+        holm = holm_wilcoxon_matrix(values)
+        _write_matrix_csv(out_dir / "wilcoxon_pairs.csv", optimizers, holm)
 
         places = tied_rank_groups(values, alpha=alpha)
         summary["tied_places"] = {opt: int(p) for opt, p in zip(optimizers, places)}

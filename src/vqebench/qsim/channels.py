@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DimensionError, InvalidChannelError, ParameterDomainError
 from .density import embed_operator, n_qubits_of
-from .pauli import PAULI_1Q
+from .pauli import pauli_string_matrix
 
 TRACE_PRESERVATION_TOL = 1e-10
 
@@ -51,14 +51,11 @@ def kraus_depolarizing(p: float, arity: int = 1) -> KrausChannel:
     n_paulis = d * d
     ops = []
     for labels in product("IXYZ", repeat=arity):
-        mat = PAULI_1Q[labels[0]]
-        for c in labels[1:]:
-            mat = np.kron(mat, PAULI_1Q[c])
         if all(c == "I" for c in labels):
             weight = 1.0 - p + p / n_paulis
         else:
             weight = p / n_paulis
-        ops.append(math.sqrt(weight) * mat)
+        ops.append(math.sqrt(weight) * pauli_string_matrix("".join(labels)))
     return KrausChannel(tuple(ops), arity=arity)
 
 
@@ -105,8 +102,9 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
             f"channel arity {channel.arity} does not match {len(qubits)} target qubits"
         )
     n = n_qubits_of(rho)
-    out = np.zeros_like(rho)
-    for op in channel.operators:
-        full = embed_operator(op, qubits, n)
-        out += full @ rho @ full.conj().T
-    return out
+    return kraus_sum(rho, [embed_operator(op, qubits, n) for op in channel.operators])
+
+
+def kraus_sum(rho: np.ndarray, ops) -> np.ndarray:
+    """sum_i E_i rho E_i^dag for full-space operators E_i."""
+    return sum(op @ rho @ op.conj().T for op in ops)

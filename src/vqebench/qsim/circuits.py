@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError
-from .pauli import PAULI_1Q
+from .pauli import PAULI_1Q, pauli_string_matrix
 
 SINGLE_QUBIT_KINDS = frozenset({"x", "y", "z", "h", "rx", "ry", "rz"})
 PARAMETRIC_KINDS = frozenset({"rx", "ry", "rz", "prot"})
@@ -16,10 +16,13 @@ GATE_KINDS = SINGLE_QUBIT_KINDS | {"cx", "prot"}
 DEFAULT_DURATION_1Q_NS = 50.0
 DEFAULT_DURATION_MULTIQ_NS = 150.0
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_CX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_FIXED_UNITARIES = {
+    "x": PAULI_1Q["X"],
+    "y": PAULI_1Q["Y"],
+    "z": PAULI_1Q["Z"],
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
 
 
 @dataclass(frozen=True)
@@ -59,36 +62,25 @@ class Gate:
             )
             object.__setattr__(self, "duration_ns", default)
 
+    def generator(self) -> np.ndarray:
+        """Pauli generator P of a parametric gate, exp(-i theta/2 P)."""
+        string = self.pauli_string if self.kind == "prot" else self.kind[1]
+        return pauli_string_matrix(string.upper())
+
     def unitary(self, theta: float | None = None) -> np.ndarray:
         """Local unitary on the gate's own qubits (tensor order as listed)."""
-        k = self.kind
-        if k in ("x", "y", "z"):
-            return PAULI_1Q[k.upper()].copy()
-        if k == "h":
-            return _H.copy()
-        if k == "cx":
-            return _CX.copy()
+        if self.kind in _FIXED_UNITARIES:
+            return _FIXED_UNITARIES[self.kind].copy()
         if theta is None:
-            raise ParameterDomainError(f"gate {k!r} needs a parameter value")
-        half = theta / 2.0
-        if k == "rx":
-            return np.array(
-                [[math.cos(half), -1j * math.sin(half)], [-1j * math.sin(half), math.cos(half)]],
-                dtype=complex,
-            )
-        if k == "ry":
-            return np.array(
-                [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]],
-                dtype=complex,
-            )
-        if k == "rz":
-            return np.diag([np.exp(-1j * half), np.exp(1j * half)])
-        # prot: exp(-i theta/2 P)
-        pauli = PAULI_1Q[self.pauli_string[0].upper()]
-        for c in self.pauli_string[1:].upper():
-            pauli = np.kron(pauli, PAULI_1Q[c])
-        dim = pauli.shape[0]
-        return math.cos(half) * np.eye(dim, dtype=complex) - 1j * math.sin(half) * pauli
+            raise ParameterDomainError(f"gate {self.kind!r} needs a parameter value")
+        return rotation(theta, self.generator())
+
+
+def rotation(theta: float, generator: np.ndarray) -> np.ndarray:
+    """exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P for a Pauli string P."""
+    half = theta / 2.0
+    identity = np.eye(len(generator), dtype=complex)
+    return math.cos(half) * identity - 1j * math.sin(half) * generator
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,6 @@ def embed_operator(op: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
         raise DimensionError(f"operator shape {op.shape} does not match {k} qubits")
     if len(set(qubits)) != k or any(not 0 <= q < n_qubits for q in qubits):
         raise DimensionError(f"bad qubit list {qubits} for {n_qubits} qubits")
-    if k == n_qubits and list(qubits) == list(range(n_qubits)):
-        return op
     rest = [q for q in range(n_qubits) if q not in qubits]
     full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
     # Axis i of the tensor currently holds (list(qubits)+rest)[i]; permute so

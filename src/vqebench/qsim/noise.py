@@ -44,9 +44,6 @@ class NoiseRule:
         else:
             raise ParameterDomainError(f"unknown noise rule kind {self.kind!r}")
 
-    def matches(self, gate: Gate) -> bool:
-        return gate.kind in self.gate_kinds
-
     def channel_applications(self, gate: Gate) -> list[tuple[KrausChannel, tuple[int, ...]]]:
         """Channels to apply after `gate`, each with its target qubits.
 
@@ -68,5 +65,5 @@ class NoiseModel:
 
     def applications_for(self, gate: Gate):
         for rule in self.rules:
-            if rule.matches(gate):
+            if gate.kind in rule.gate_kinds:
                 yield from rule.channel_applications(gate)

@@ -1,13 +1,14 @@
 """Noisy density-matrix circuit evolution and expectation estimators."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError
-from .channels import apply_channel
-from .circuits import Circuit, Gate
+from .channels import kraus_sum
+from .circuits import Circuit, rotation
 from .density import embed_operator, n_qubits_of
 from .noise import NoiseModel
 from .pauli import PauliSum
@@ -58,18 +59,31 @@ def evolve_circuit(
             f"state has {n} qubits but circuit expects {circuit.n_qubits}"
         )
     rho = rho0
-    for gate in circuit.gates:
-        rho = _apply_gate(rho, gate, theta, n)
-        if noise is not None:
-            for channel, qubits in noise.applications_for(gate):
-                rho = apply_channel(rho, channel, qubits)
+    for param_index, op, channels in _schedule(circuit, noise):
+        if param_index is not None:
+            op = rotation(float(theta[param_index]), op)
+        rho = kraus_sum(rho, (op,))
+        for kraus in channels:
+            rho = kraus_sum(rho, kraus)
     return rho
 
 
-def _apply_gate(rho: np.ndarray, gate: Gate, theta: np.ndarray, n: int) -> np.ndarray:
-    value = None if gate.param_index is None else float(theta[gate.param_index])
-    u = embed_operator(gate.unitary(value), gate.qubits, n)
-    return u @ rho @ u.conj().T
+@functools.lru_cache(maxsize=64)
+def _schedule(circuit: Circuit, noise: NoiseModel | None) -> tuple:
+    """Per gate, in the full space: its parameter index, its unitary (a
+    rotation's Pauli generator instead) and the Kraus operators of each channel
+    attached after it.  maxsize covers the catalog's noise models for a circuit."""
+    n = circuit.n_qubits
+    steps = []
+    for gate in circuit.gates:
+        local = gate.unitary() if gate.param_index is None else gate.generator()
+        applications = () if noise is None else noise.applications_for(gate)
+        channels = tuple(
+            tuple(embed_operator(op, qubits, n) for op in channel.operators)
+            for channel, qubits in applications
+        )
+        steps.append((gate.param_index, embed_operator(local, gate.qubits, n), channels))
+    return tuple(steps)
 
 
 def expectation_exact(rho: np.ndarray, hamiltonian: PauliSum) -> float:
@@ -108,7 +122,7 @@ def expectation_shots(
         for q, c in enumerate(string):
             if c in _BASIS_ROTATIONS:
                 u = embed_operator(_BASIS_ROTATIONS[c], (q,), n)
-                rotated = u @ rotated @ u.conj().T
+                rotated = kraus_sum(rotated, (u,))
         probs = np.real(np.diag(rotated)).clip(min=0.0)
         probs = probs / probs.sum()
         # eigenvalue of outcome b: product of (-1)^bit over non-identity qubits

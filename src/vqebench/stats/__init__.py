@@ -4,7 +4,13 @@ from .ellipse import bootstrap_ellipse
 from .metrics import CellMetrics, OptimizerMetrics, distance_metrics
 from .normality import anova_oneway, box_m_test, levene_like_test, mardia_test
 from .permutation import pairwise_posthoc, permanova, permdisp
-from .ranks import friedman_test, p_adjust, tied_rank_groups, wilcoxon_signed_rank
+from .ranks import (
+    friedman_test,
+    holm_wilcoxon_matrix,
+    p_adjust,
+    tied_rank_groups,
+    wilcoxon_signed_rank,
+)
 from .types import Ellipse, PairwiseMatrix, Sample2D, TestResult
 
 __all__ = [
@@ -19,6 +25,7 @@ __all__ = [
     "box_m_test",
     "distance_metrics",
     "friedman_test",
+    "holm_wilcoxon_matrix",
     "levene_like_test",
     "mardia_test",
     "p_adjust",

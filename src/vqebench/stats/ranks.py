@@ -119,6 +119,18 @@ def p_adjust(p_values, method: str) -> np.ndarray:
     return adjusted
 
 
+def holm_wilcoxon_matrix(values: np.ndarray) -> np.ndarray:
+    """Holm-adjusted p-values of the Wilcoxon signed-rank test between every
+    pair of columns, as a symmetric k x k matrix with a NaN diagonal."""
+    k = values.shape[1]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    raw = [wilcoxon_signed_rank(values[:, i], values[:, j]).p for i, j in pairs]
+    adjusted = np.full((k, k), np.nan)
+    for (i, j), p in zip(pairs, p_adjust(np.array(raw), method="holm")):
+        adjusted[i, j] = adjusted[j, i] = p
+    return adjusted
+
+
 def tied_rank_groups(per_category_values: np.ndarray, alpha: float = 0.05) -> np.ndarray:
     """Assign each method a place (1 = best); methods that do not differ
     significantly share a place.
@@ -133,16 +145,7 @@ def tied_rank_groups(per_category_values: np.ndarray, alpha: float = 0.05) -> np
     gate = friedman_test(values)
     if gate.p >= alpha:
         return places
-    raw = []
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            raw.append(wilcoxon_signed_rank(values[:, i], values[:, j]).p)
-            pairs.append((i, j))
-    adjusted = p_adjust(np.array(raw), method="holm")
-    differs = np.zeros((k, k), dtype=bool)
-    for (i, j), p in zip(pairs, adjusted):
-        differs[i, j] = differs[j, i] = p < alpha
+    differs = holm_wilcoxon_matrix(values) < alpha
     order = np.argsort(values.mean(axis=0), kind="stable")
     group: list[int] = []
     next_place = 1

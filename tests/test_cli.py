@@ -133,3 +133,14 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:")
+
+
+def test_run_beyond_dense_capacity_exits_3(tmp_path, capsys):
+    ham = tmp_path / "big.ham"
+    ham.write_text("1.0 " + "Z" * 9 + "\n")
+    circ = tmp_path / "big.circ"
+    circ.write_text("ry 0 t0\nry 8 t1\n")
+    cfg = write_config(tmp_path, hamiltonian_path=str(ham), circuit_path=str(circ))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:")

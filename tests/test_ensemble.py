@@ -56,6 +56,12 @@ def test_reference_energies_capacity():
         reference_energies(big)
 
 
+def test_context_capacity():
+    big = PauliSum.from_terms([(1.0, "Z" * 9)])
+    with pytest.raises(CapacityError):
+        EnsembleContext(big, parse_circuit("ry 8 t0", n_qubits=9), 0, 1, EstimatorSpec())
+
+
 def test_reference_pair_sum():
     assert ReferencePair(-2.0, -0.5).e_sa == pytest.approx(-2.5)
 

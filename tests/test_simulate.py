@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vqebench.errors import DimensionError, ParameterDomainError
 from vqebench.qsim import (
@@ -13,10 +14,14 @@ from vqebench.qsim import (
     PauliSum,
     basis_state,
     check_density,
+    embed_operator,
     evolve_circuit,
     expectation,
     expectation_exact,
     expectation_shots,
+    kraus_depolarizing,
+    kraus_phase_damping,
+    kraus_thermal_relaxation,
     parse_circuit,
     pure_state,
     purity,
@@ -170,3 +175,119 @@ def test_estimator_spec_validation():
         EstimatorSpec(mode="approx")
     with pytest.raises(ParameterDomainError):
         EstimatorSpec(mode="shots", n_m=0)
+
+
+# --- reference evolution over every gate kind ------------------------------
+
+_REF_PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+_REF_FIXED = {
+    "x": _REF_PAULI["X"],
+    "y": _REF_PAULI["Y"],
+    "z": _REF_PAULI["Z"],
+    "h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+}
+#: Every gate kind on three qubits, multi-qubit targets out of order.
+_ALL_KINDS_CIRCUIT = """
+x 0
+y 1
+z 2
+h 0
+rx 1 t0
+ry 2 t1
+rz 0 t2
+cx 2 0
+prot XZ t3 2 1
+prot YX t4 0 2
+"""
+_1Q = frozenset({"x", "y", "z", "h", "rx", "ry", "rz"})
+_ALL = _1Q | {"cx", "prot"}
+
+
+def _per_qubit(make):
+    return lambda gate: [(make(gate), (q,)) for q in gate.qubits]
+
+
+def _whole_gate(make):
+    return lambda gate: [(make(gate), gate.qubits)]
+
+
+#: rule -> the channels it must attach after each gate it matches
+_NOISE_CASES = {
+    "ideal": (None, None),
+    "phase_damping": (
+        NoiseRule(frozenset({"rx", "rz", "cx", "prot"}), "phase_damping", lam=0.3),
+        _per_qubit(lambda g: kraus_phase_damping(0.3)),
+    ),
+    "depolarizing_1q": (
+        NoiseRule(_1Q, "depolarizing", p=0.2),
+        _whole_gate(lambda g: kraus_depolarizing(0.2, 1)),
+    ),
+    "depolarizing_2q": (
+        NoiseRule(frozenset({"cx", "prot"}), "depolarizing", p=0.4),
+        _whole_gate(lambda g: kraus_depolarizing(0.4, 2)),
+    ),
+    "thermal_relaxation": (
+        NoiseRule(_ALL, "thermal_relaxation", t1_ns=300.0, t2_ns=200.0),
+        _per_qubit(lambda g: kraus_thermal_relaxation(g.duration_ns, 300.0, 200.0)),
+    ),
+}
+
+
+def _reference_evolution(rho, circuit, theta, rule, attach):
+    """Gate by gate: the embedded unitary (expm of the Pauli generator for
+    rotations), then sum_i E_i rho E_i^dag for each attached channel."""
+    n = circuit.n_qubits
+    for gate in circuit.gates:
+        if gate.kind in _REF_FIXED:
+            local = _REF_FIXED[gate.kind].astype(complex)
+        else:
+            string = gate.pauli_string if gate.kind == "prot" else gate.kind[1].upper()
+            generator = np.array([[1.0]])
+            for c in string:
+                generator = np.kron(generator, _REF_PAULI[c])
+            local = scipy.linalg.expm(-0.5j * theta[gate.param_index] * generator)
+        u = embed_operator(local, gate.qubits, n)
+        rho = u @ rho @ u.conj().T
+        if rule is None or gate.kind not in rule.gate_kinds:
+            continue
+        for channel, qubits in attach(gate):
+            full = [embed_operator(op, qubits, n) for op in channel.operators]
+            rho = sum(e @ rho @ e.conj().T for e in full)
+    return rho
+
+
+@pytest.mark.parametrize("case", sorted(_NOISE_CASES))
+def test_evolution_matches_reference_on_every_gate_kind(case, rng):
+    rule, attach = _NOISE_CASES[case]
+    noise = None if rule is None else NoiseModel((rule,))
+    circuit = parse_circuit(_ALL_KINDS_CIRCUIT, n_qubits=3)
+    assert {g.kind for g in circuit.gates} == _ALL
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho0 = a @ a.conj().T / np.trace(a @ a.conj().T)
+    for _ in range(3):
+        theta = rng.uniform(-math.pi, math.pi, size=circuit.n_params)
+        got = evolve_circuit(rho0, circuit, theta, noise)
+        want = _reference_evolution(rho0, circuit, theta, rule, attach)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circuit):
+    calls = []
+
+    def counting(p, arity=1):
+        calls.append(arity)
+        return kraus_depolarizing(p, arity)
+
+    monkeypatch.setattr("vqebench.qsim.noise.kraus_depolarizing", counting)
+    # a model no other test builds, so the simulator has not seen it yet
+    noise = NoiseModel((NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),))
+    for theta in np.linspace(-1.0, 1.0, 15).reshape(5, 3):
+        evolve_circuit(basis_state(0, 2), toy_circuit, theta, noise)
+    matched = [len(g.qubits) for g in toy_circuit.gates if g.kind in {"ry", "cx"}]
+    assert calls == matched == [1, 1, 2]
