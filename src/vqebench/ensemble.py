@@ -64,13 +64,13 @@ class ReferencePair:
 
 
 def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None) -> float:
-    """Sum of the Hamiltonian expectations over the two evolved states."""
+    """Sum of the Hamiltonian expectations over the two evolved states,
+    evolved and measured as one stack."""
     n = ctx.ansatz.n_qubits
-    total = 0.0
-    for idx in (ctx.phi_a, ctx.phi_b):
-        rho = evolve_circuit(basis_state(idx, n), ctx.ansatz, theta, ctx.estimator.noise)
-        total += expectation(rho, ctx.hamiltonian, ctx.estimator, rng)
-    return total
+    initial = np.stack([basis_state(ctx.phi_a, n), basis_state(ctx.phi_b, n)])
+    rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
+    e_a, e_b = expectation(rhos, ctx.hamiltonian, ctx.estimator, rng)
+    return float(0.0 + e_a + e_b)
 
 
 def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
@@ -79,24 +79,18 @@ def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
 
     Expectations are taken exactly; the estimator's noise model still applies
     to state preparation.  The cross term is recovered from two auxiliary
-    superposition preparations via the polarization identity.
+    superposition preparations via the polarization identity; all four
+    preparations are evolved as one stack.
     """
     n = ctx.ansatz.n_qubits
-    noise = ctx.estimator.noise
-    h = ctx.hamiltonian
-
-    def prepared(vec):
-        return evolve_circuit(pure_state(vec), ctx.ansatz, theta, noise)
-
     e_a = np.zeros(2 ** n)
     e_b = np.zeros(2 ** n)
     e_a[ctx.phi_a] = 1.0
     e_b[ctx.phi_b] = 1.0
-
-    m_aa = expectation_exact(prepared(e_a), h)
-    m_bb = expectation_exact(prepared(e_b), h)
-    plus = expectation_exact(prepared((e_a + e_b) / np.sqrt(2.0)), h)
-    imag = expectation_exact(prepared(e_a.astype(complex) + 1j * e_b), h)
+    preparations = (e_a, e_b, (e_a + e_b) / np.sqrt(2.0), e_a.astype(complex) + 1j * e_b)
+    initial = np.stack([pure_state(vec) for vec in preparations])
+    rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
+    m_aa, m_bb, plus, imag = expectation_exact(rhos, ctx.hamiltonian)
 
     re_ab = plus - 0.5 * (m_aa + m_bb)
     im_ab = 0.5 * (m_aa + m_bb) - imag

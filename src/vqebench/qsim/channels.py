@@ -106,5 +106,6 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
 
 
 def kraus_sum(rho: np.ndarray, ops) -> np.ndarray:
-    """sum_i E_i rho E_i^dag for full-space operators E_i."""
+    """sum_i E_i rho E_i^dag for full-space operators E_i; rho may be a
+    (k, d, d) stack of states."""
     return sum(op @ rho @ op.conj().T for op in ops)

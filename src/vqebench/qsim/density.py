@@ -44,7 +44,8 @@ def check_density(rho: np.ndarray) -> None:
 
 
 def n_qubits_of(rho: np.ndarray) -> int:
-    dim = rho.shape[0]
+    """Qubit count of a density matrix or of a (k, d, d) stack of them."""
+    dim = rho.shape[-1]
     n = dim.bit_length() - 1
     if 2 ** n != dim:
         raise DimensionError(f"dimension {dim} is not a power of two")

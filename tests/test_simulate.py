@@ -26,6 +26,13 @@ from vqebench.qsim import (
     pure_state,
     purity,
 )
+from vqebench.qsim import simulate
+
+
+def _random_density(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
 
 
 def test_empty_circuit_identity():
@@ -160,6 +167,14 @@ def test_expectation_shots_y_basis():
     assert got == pytest.approx(1.0)
 
 
+def test_expectation_exact_stack_matches_per_state(rng):
+    h = PauliSum.from_terms([(0.5, "ZZ"), (0.25, "XI"), (-0.4, "YX"), (0.1, "II")])
+    stack = np.stack([_random_density(rng, 4) for _ in range(3)])
+    got = expectation_exact(stack, h)
+    assert got.shape == (3,)
+    assert all(got[i] == expectation_exact(stack[i], h) for i in range(3))
+
+
 def test_expectation_dispatch():
     z = PauliSum.from_terms([(1.0, "Z")])
     zero = basis_state(0, 1)
@@ -291,3 +306,135 @@ def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circui
         evolve_circuit(basis_state(0, 2), toy_circuit, theta, noise)
     matched = [len(g.qubits) for g in toy_circuit.gates if g.kind in {"ry", "cx"}]
     assert calls == matched == [1, 1, 2]
+
+
+@pytest.mark.parametrize("case", sorted(_NOISE_CASES))
+def test_stacked_evolution_equals_per_state(case, rng):
+    rule, _ = _NOISE_CASES[case]
+    noise = None if rule is None else NoiseModel((rule,))
+    circuit = parse_circuit(_ALL_KINDS_CIRCUIT, n_qubits=3)
+    stack = np.stack([_random_density(rng, 8) for _ in range(3)])
+    for _ in range(3):
+        theta = rng.uniform(-math.pi, math.pi, size=circuit.n_params)
+        got = evolve_circuit(stack, circuit, theta, noise)
+        assert got.shape == stack.shape
+        for rho, want in zip(stack, got):
+            assert np.array_equal(evolve_circuit(rho, circuit, theta, noise), want)
+
+
+# --- shot readout: same random stream as per-term rng.choice ----------------
+
+_SQRT2 = np.sqrt(2.0)
+_REF_READOUT = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / _SQRT2,
+}
+
+
+def _choice_estimator(rho, hamiltonian, n_m, rng):
+    """The per-term rng.choice estimator, one state at a time, kept as the
+    reference for the stacked readout."""
+    n = hamiltonian.n_qubits
+    total = 0.0
+    for coeff, string in hamiltonian:
+        if set(string) == {"I"}:
+            total += coeff
+            continue
+        rotated = rho
+        for q, c in enumerate(string):
+            if c in _REF_READOUT:
+                u = embed_operator(_REF_READOUT[c], (q,), n)
+                rotated = u @ rotated @ u.conj().T
+        probs = np.real(np.diag(rotated)).clip(min=0.0)
+        probs = probs / probs.sum()
+        signs = np.ones(hamiltonian.dim)
+        for q, c in enumerate(string):
+            if c != "I":
+                bit = (np.arange(hamiltonian.dim) >> (n - 1 - q)) & 1
+                signs *= 1.0 - 2.0 * bit
+        outcomes = rng.choice(hamiltonian.dim, size=n_m, p=probs)
+        total += coeff * float(np.mean(signs[outcomes]))
+    return total
+
+
+#: X, Y, Z and identity terms, the identity between measured terms
+_READOUT_HAMILTONIANS = {
+    1: [(0.7, "X"), (-0.2, "I"), (0.3, "Y"), (-1.1, "Z")],
+    2: [(0.5, "XY"), (0.25, "ZI"), (-0.75, "II"), (0.4, "YY"), (-0.6, "IX"), (1.5, "ZZ")],
+    3: [(0.3, "XIZ"), (-0.9, "III"), (0.2, "YXY"), (0.8, "ZZI"), (-0.45, "IYX")],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_m", [1, 7, 256, 6144])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_shots_equal_per_term_choice(n, n_m, k):
+    gen = np.random.default_rng(100 * n + k)
+    d = 2 ** n
+    hamiltonians = [
+        PauliSum.from_terms(_READOUT_HAMILTONIANS[n]),
+        PauliSum.from_terms([(-0.35, "I" * n)]),
+    ]
+    # random mixed states, and basis states whose outcome probabilities tie
+    states = [np.stack([_random_density(gen, d) for _ in range(k)])]
+    states.append(np.stack([basis_state(i, n) for i in range(k)]))
+    for h in hamiltonians:
+        for stack in states:
+            ours, ref = np.random.default_rng(n_m), np.random.default_rng(n_m)
+            got = expectation_shots(stack, h, n_m, ours)
+            want = np.array([_choice_estimator(rho, h, n_m, ref) for rho in stack])
+            assert got.shape == (k,)
+            assert np.all(got == want)
+            assert ours.random() == ref.random()
+            # a single state gives the same value as a float
+            single = expectation_shots(stack[0], h, n_m, np.random.default_rng(n_m))
+            assert isinstance(single, float) and single == want[0]
+
+
+def test_readout_rotations_built_once(monkeypatch, rng):
+    calls = []
+
+    def counting(op, qubits, n_qubits):
+        calls.append(tuple(qubits))
+        return embed_operator(op, qubits, n_qubits)
+
+    monkeypatch.setattr("vqebench.qsim.simulate.embed_operator", counting)
+    simulate._readout.cache_clear()
+    simulate._basis_rotation.cache_clear()
+    # every X/Y basis on every qubit, several terms per basis rotation
+    h = PauliSum.from_terms(
+        [(0.3, "XYX"), (0.2, "YXY"), (0.1, "XXZ"), (0.4, "YYI"), (0.5, "ZXY"), (0.6, "ZZZ")]
+    )
+    stack = np.stack([_random_density(rng, 8) for _ in range(2)])
+    for _ in range(20):
+        expectation_shots(stack, h, 64, rng)
+        expectation_shots(stack[0], h, 64, rng)
+    assert len(calls) == 2 * h.n_qubits
+
+
+# --- non-finite states --------------------------------------------------------
+
+def test_expectation_shots_nan_state_gives_nan():
+    z = PauliSum.from_terms([(1.0, "Z"), (0.5, "X")])
+    rng = np.random.default_rng(0)
+    assert math.isnan(expectation_shots(np.full((2, 2), np.nan + 0j), z, 16, rng))
+    assert math.isnan(expectation_shots(np.zeros((2, 2), dtype=complex), z, 16, rng))
+    stack = np.stack([np.full((2, 2), np.nan + 0j), basis_state(0, 1)])
+    got = expectation_shots(stack, z, 16, rng)
+    assert math.isnan(got[0]) and np.isfinite(got[1])
+
+
+def test_nan_state_in_session_is_a_cost_evaluation_error(toy_hamiltonian, toy_circuit):
+    from vqebench.ensemble import EnsembleContext, sa_cost
+    from vqebench.errors import CostEvaluationError
+    from vqebench.optimizers.session import CostSession
+
+    ctx = EnsembleContext(
+        toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec(mode="shots", n_m=64)
+    )
+    rng = np.random.default_rng(0)
+    session = CostSession(lambda theta: sa_cost(theta, ctx, rng))
+    assert np.isfinite(session(np.zeros(3)))
+    with pytest.raises(CostEvaluationError):
+        session(np.full(3, np.nan))
+    assert session.n_evals == 1
