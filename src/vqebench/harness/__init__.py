@@ -1,7 +1,11 @@
-"""Experiment harness: family catalog, configuration, run execution, CLI."""
+"""Experiment harness: family catalog, configuration, run execution, CLI.
+
+The analysis reports (`analyze_runs`, `rank_runs`, `analyze_optimizer`) live
+in `vqebench.harness.reports`; importing this package leaves the statistics
+layer, and scipy, unloaded.
+"""
 from .catalog import NOISY_SHOTS, FamilySpec, catalog_by_name, family_catalog, lookup_family
 from .config import ExperimentConfig, Theta0Policy, config_from_dict, load_config, toy_problem_paths
-from .reports import analyze_optimizer, analyze_runs, rank_runs
 from .runner import (
     CSV_HEADER,
     CellSummary,
@@ -22,8 +26,6 @@ __all__ = [
     "NOISY_SHOTS",
     "RunRecord",
     "Theta0Policy",
-    "analyze_optimizer",
-    "analyze_runs",
     "catalog_by_name",
     "config_from_dict",
     "derive_run_seed",
@@ -31,7 +33,6 @@ __all__ = [
     "family_catalog",
     "load_config",
     "lookup_family",
-    "rank_runs",
     "read_records",
     "run_experiment",
     "summarize",

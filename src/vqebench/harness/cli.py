@@ -1,19 +1,41 @@
 """Command-line driver: run experiments, analyze runs, rank optimizers,
-print the family catalog."""
+print the family catalog.
+
+`analyze` and `rank` import the statistics layer (and scipy.special) when
+they run; `run` and `catalog` need numpy alone.
+"""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ..errors import VqeBenchError
 from .catalog import family_catalog
 from .config import load_config
-from .reports import analyze_runs, rank_runs
 from .runner import read_records, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+
+def _checked(cast, ok, domain: str):
+    """An argparse type: cast the text, reject values outside the domain."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {domain}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_open_unit_float = _checked(float, lambda v: 0.0 < v < 1.0, "in the open interval (0, 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--per-optimizer", required=True, dest="out_dir", help="output directory"
     )
-    analyze.add_argument("--n-perm", type=int, default=9999, help="permutation budget")
-    analyze.add_argument("--seed", type=int, default=0, help="permutation RNG seed")
+    analyze.add_argument("--n-perm", type=_positive_int, default=9999, help="permutation budget")
+    analyze.add_argument("--seed", type=_non_negative_int, default=0, help="permutation RNG seed")
 
     rank = sub.add_parser("rank", help="rank optimizers against a reference")
     rank.add_argument("--runs", required=True, help="runs CSV")
@@ -42,12 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reference",
         required=True,
         nargs=2,
-        type=float,
+        type=_finite_float,
         metavar=("E0", "E1"),
         help="reference ground and excited energies",
     )
     rank.add_argument("--out", default="rank", help="output directory")
-    rank.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    rank.add_argument("--alpha", type=_open_unit_float, default=0.05, help="significance level")
 
     sub.add_parser("catalog", help="list the benchmark noise families")
     return parser
@@ -74,6 +96,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .reports import analyze_runs
+
     records = read_records(args.runs)
     optimizers = analyze_runs(records, args.out_dir, n_perm=args.n_perm, seed=args.seed)
     print(f"analyzed {len(optimizers)} optimizers into {args.out_dir}")
@@ -81,6 +105,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .reports import rank_runs
+
     records = read_records(args.runs)
     summary = rank_runs(records, tuple(args.reference), args.out, alpha=args.alpha)
     for opt in summary["optimizers"]:

@@ -22,6 +22,7 @@ from ..stats import (
     pairwise_posthoc,
     permanova,
     permdisp,
+    rankdata,
     tied_rank_groups,
 )
 
@@ -238,13 +239,11 @@ def rank_runs(records, reference, out_dir, alpha: float = 0.05) -> dict:
         places = tied_rank_groups(values, alpha=alpha)
         summary["tied_places"] = {opt: int(p) for opt, p in zip(optimizers, places)}
 
-        from scipy import stats as sps
-
         with open(out_dir / "rank_heatmap.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["family"] + optimizers)
             for fam, row in zip(families, values):
-                writer.writerow([fam] + [format(v, ".1f") for v in sps.rankdata(row)])
+                writer.writerow([fam] + [format(v, ".1f") for v in rankdata(row)])
             writer.writerow(["overall"] + [str(int(p)) for p in places])
     elif len(optimizers) < 2:
         raise ParameterDomainError("ranking needs at least two optimizers")

@@ -8,6 +8,7 @@ from .ranks import (
     friedman_test,
     holm_wilcoxon_matrix,
     p_adjust,
+    rankdata,
     tied_rank_groups,
     wilcoxon_signed_rank,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "pairwise_posthoc",
     "permanova",
     "permdisp",
+    "rankdata",
     "tied_rank_groups",
     "wilcoxon_signed_rank",
 ]

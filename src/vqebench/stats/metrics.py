@@ -4,9 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from ..errors import DegenerateSampleError
+from .ranks import rankdata
 
 
 @dataclass
@@ -66,7 +66,7 @@ def distance_metrics(records, reference) -> tuple[dict, dict]:
         if len(present) < 2:
             continue
         means = np.array([cell_metrics[(opt, fam)].mean_distance for opt in present])
-        ranks = sps.rankdata(means)
+        ranks = rankdata(means)
         best = means.min()
         for opt, rank, mean in zip(present, ranks, means):
             places[opt].append(float(rank))

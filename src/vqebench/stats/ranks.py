@@ -3,12 +3,27 @@ p-value adjustments, and tied rank groups."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 from ..errors import ParameterDomainError
+from .normality import chi2_sf, norm_sf
 from .types import TestResult
 
 EXACT_WILCOXON_LIMIT = 25
+
+
+def rankdata(values) -> np.ndarray:
+    """Ranks 1..n of the flattened values, ties sharing their average rank;
+    any NaN makes every rank NaN (scipy.stats.rankdata's defaults)."""
+    values = np.asarray(values, dtype=float).ravel()
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def friedman_test(values: np.ndarray) -> TestResult:
@@ -21,12 +36,12 @@ def friedman_test(values: np.ndarray) -> TestResult:
     if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 2:
         raise ParameterDomainError("need an n x k matrix with n, k >= 2")
     n, k = values.shape
-    ranks = np.apply_along_axis(sps.rankdata, 1, values)
+    ranks = np.apply_along_axis(rankdata, 1, values)
     col_sums = ranks.sum(axis=0)
     s = float(np.sum((col_sums - n * (k + 1) / 2.0) ** 2))
     w = 12.0 * s / (n**2 * (k**3 - k))
     chi2 = n * (k - 1) * w
-    p = float(sps.chi2.sf(chi2, k - 1))
+    p = chi2_sf(chi2, k - 1)
     return TestResult(statistic=float(chi2), df=k - 1, p=p, extras={"W": float(w)})
 
 
@@ -49,7 +64,7 @@ def wilcoxon_signed_rank(a, b) -> TestResult:
         return TestResult(
             statistic=0.0, df=0, p=1.0, extras={"median_diff": median_diff, "degenerate": True}
         )
-    ranks = sps.rankdata(np.abs(nonzero))
+    ranks = rankdata(np.abs(nonzero))
     w_plus = float(ranks[nonzero > 0].sum())
     w_minus = float(ranks[nonzero < 0].sum())
     w = min(w_plus, w_minus)
@@ -61,7 +76,7 @@ def wilcoxon_signed_rank(a, b) -> TestResult:
         tie_term = _tie_correction(ranks)
         sigma = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0)
         z = (w - mu) / sigma
-        p = float(min(1.0, 2.0 * sps.norm.cdf(z)))
+        p = min(1.0, 2.0 * norm_sf(-z))
         method = "normal"
     return TestResult(
         statistic=w,

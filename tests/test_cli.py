@@ -113,6 +113,32 @@ def test_rank_dominant_optimizer(tmp_path, capsys):
     assert heat[-1][0] == "overall"
 
 
+@pytest.mark.parametrize(
+    "command, option, values",
+    [
+        ("analyze", "--n-perm", ["-3"]),
+        ("analyze", "--n-perm", ["0"]),
+        ("analyze", "--seed", ["-1"]),
+        ("rank", "--reference", ["nan", "-0.5"]),
+        ("rank", "--reference", ["-2.0", "inf"]),
+        ("rank", "--alpha", ["2"]),
+        ("rank", "--alpha", ["0"]),
+    ],
+)
+def test_argument_outside_domain_exits_2(tmp_path, capsys, command, option, values):
+    runs = tmp_path / "runs.csv"
+    write_records(synthetic_records(), runs)
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["analyze", "--runs", str(runs), "--per-optimizer", str(out)],
+        "rank": ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(out)],
+    }[command]
+    assert main(argv + [option, *values]) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_rank_missing_runs_exits_3(tmp_path, capsys):
     assert main(
         ["rank", "--runs", str(tmp_path / "none.csv"), "--reference", "0", "0"]

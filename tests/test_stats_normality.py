@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from vqebench.errors import DegenerateSampleError, ParameterDomainError
 from vqebench.stats import (
@@ -9,10 +12,39 @@ from vqebench.stats import (
     levene_like_test,
     mardia_test,
 )
+from vqebench.stats.normality import chi2_sf, f_sf, norm_sf
 
 
 def gaussian_sample(rng, n, mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0))):
     return Sample2D(rng.multivariate_normal(mean, cov, size=n))
+
+
+# --- distribution tails ----------------------------------------------------
+
+TAIL_POINTS = [-math.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.0, 4.7, 38.0, 1e3, math.inf, math.nan]
+
+
+def same_float(ours, theirs):
+    return ours == theirs or (math.isnan(ours) and math.isnan(theirs))
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 6, 20, 60])
+def test_chi2_sf_equals_scipy(df):
+    for x in TAIL_POINTS:
+        assert same_float(chi2_sf(x, df), float(sps.chi2.sf(x, df))), x
+
+
+@pytest.mark.parametrize("dfn, dfd", [(1, 0), (1, 1), (2, 0), (2, 9), (5, 3), (20, 200)])
+def test_f_sf_equals_scipy(dfn, dfd):
+    for x in [v for v in TAIL_POINTS if not v < 0]:  # an F ratio is never negative
+        assert same_float(f_sf(x, dfn, dfd), float(sps.f.sf(x, dfn, dfd))), x
+
+
+def test_norm_sf_equals_scipy():
+    for x in TAIL_POINTS + [-40.0, -8.3, 8.3, 40.0]:
+        assert same_float(norm_sf(x), float(sps.norm.sf(x))), x
+        # the Wilcoxon normal approximation takes its lower tail as norm_sf(-z)
+        assert same_float(norm_sf(-x), float(sps.norm.cdf(x))), x
 
 
 # --- Mardia ----------------------------------------------------------------

@@ -273,6 +273,13 @@ def test_pinned_pairwise_p_values(test, case, p_raw, p_adjusted):
 
 
 def test_cli_import_leaves_out_sympy():
-    code = "import sys, vqebench.harness.cli; assert 'sympy' not in sys.modules"
+    # run and catalog need numpy alone; the reports load scipy.special, not scipy.stats
+    code = (
+        "import sys, vqebench.harness.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy'))\n"
+        "assert not loaded, loaded\n"
+        "import vqebench.harness.reports\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -5,7 +5,36 @@ import pytest
 from scipy import stats as sps
 
 from vqebench.errors import ParameterDomainError
-from vqebench.stats import friedman_test, p_adjust, tied_rank_groups, wilcoxon_signed_rank
+from vqebench.stats import (
+    friedman_test,
+    p_adjust,
+    rankdata,
+    tied_rank_groups,
+    wilcoxon_signed_rank,
+)
+
+
+# --- rankdata ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0, 1.0, 2.0],
+        [2.0, 1.0, 2.0, 3.0, 1.0, 2.0],
+        [0.0, -0.0, 1.0, -1.0, 0.0],
+        [5.0, 5.0, 5.0, 5.0],
+        [7.0],
+        [],
+        [1.0, np.nan, 2.0],
+        [np.inf, -np.inf, 0.0, np.inf],
+        np.round(np.random.default_rng(4).normal(size=200), 1),
+        np.random.default_rng(5).integers(0, 4, size=(3, 5)),
+    ],
+)
+def test_rankdata_equals_scipy(values):
+    ours, theirs = rankdata(values), sps.rankdata(values)
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert np.array_equal(ours, theirs, equal_nan=True)
 
 
 # --- Friedman / Kendall ----------------------------------------------------
