@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from ..stats import (
 )
 
 _MIN_GROUP = 3  # points per family needed for the multivariate battery
+
+_log = logging.getLogger(__name__)
 
 
 def _finite_cells(records):
@@ -129,7 +132,9 @@ def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> No
                 ell = bootstrap_ellipse(
                     Sample2D(usable[fam], family=fam), rng=np.random.default_rng(seed)
                 )
-            except VqeBenchError:
+            except VqeBenchError as exc:
+                optimizer = ", ".join(sorted({r.optimizer for r in records}))
+                _log.warning("%s: no ellipse for family %s: %s", optimizer, fam, exc)
                 continue
             writer.writerow(
                 [fam]

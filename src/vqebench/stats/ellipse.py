@@ -1,13 +1,22 @@
-"""Bootstrap-calibrated 95% prediction ellipses."""
+"""Bootstrap-calibrated 95% prediction ellipses.
+
+Resamples are drawn and scored in blocks.  One ``rng.integers`` call for m
+resamples draws the same indices as m per-resample calls, and a block never
+holds more attempts than the redraw loop would still make: at most the
+resamples still missing, capped by the attempts left.  So a redraw block
+draws only the shortfall, and the cutoff, the errors and the rng state
+afterwards are those of drawing one resample at a time, bit for bit.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import DegenerateSampleError
+from .normality import covariances, sample_cov
 from .types import Ellipse, Sample2D
 
 _MAX_REDRAW_FACTOR = 10
-_COND_LIMIT = 1e12
+_BLOCK = 256  # resamples drawn and scored at once
 
 
 def bootstrap_ellipse(sample: Sample2D, n_boot: int = 2000, rng=None) -> Ellipse:
@@ -21,24 +30,20 @@ def bootstrap_ellipse(sample: Sample2D, n_boot: int = 2000, rng=None) -> Ellipse
     if n < 3:
         raise DegenerateSampleError("need at least 3 points for an ellipse")
     mu = points.mean(axis=0)
-    sigma = np.cov(points, rowvar=False, ddof=1)
-    if np.linalg.cond(sigma) > _COND_LIMIT:
-        raise DegenerateSampleError("sample covariance is singular (collinear points)")
+    sigma = sample_cov(points)
     percentiles = np.empty(n_boot)
     attempts_left = _MAX_REDRAW_FACTOR * n_boot
     filled = 0
     while filled < n_boot:
         if attempts_left <= 0:
             raise DegenerateSampleError("too many singular bootstrap resamples")
-        attempts_left -= 1
-        idx = rng.integers(0, n, size=n)
-        resample = points[idx]
-        mean_b = resample.mean(axis=0)
-        cov_b = np.cov(resample, rowvar=False, ddof=1)
-        if np.linalg.cond(cov_b) > _COND_LIMIT:
-            continue
-        diff = resample - mean_b
-        d_sq = np.einsum("ij,ji->i", diff, np.linalg.solve(cov_b, diff.T))
-        percentiles[filled] = np.percentile(d_sq, 95.0)
-        filled += 1
+        m = min(n_boot - filled, attempts_left, _BLOCK)
+        attempts_left -= m
+        resamples = points[rng.integers(0, n, size=(m, n))]
+        cov, singular = covariances(resamples)
+        resamples, cov = resamples[~singular], cov[~singular]
+        diff = resamples - resamples.mean(axis=1)[:, None, :]
+        d_sq = np.einsum("bij,bji->bi", diff, np.linalg.solve(cov, diff.transpose(0, 2, 1)))
+        percentiles[filled : filled + len(cov)] = np.percentile(d_sq, 95.0, axis=1)
+        filled += len(cov)
     return Ellipse(mu=mu, sigma=sigma, d95_sq=float(np.median(percentiles)))

@@ -27,11 +27,23 @@ def norm_sf(x: float) -> float:
     return float(special.ndtr(-x))
 
 
-def _sample_cov(points: np.ndarray) -> np.ndarray:
-    cov = np.cov(points, rowvar=False, ddof=1)
-    if np.linalg.cond(cov) > _COND_LIMIT:
+def covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariances (ddof 1) of an (m, n, p) stack of samples, and a
+    mask of the singular ones (condition number above 1e12).
+
+    The centred product goes through the same BLAS call as ``np.cov``, so
+    each covariance equals ``np.cov(sample, rowvar=False)`` bit for bit.
+    """
+    diff = samples - samples.mean(axis=1)[:, None, :]
+    cov = np.matmul(diff.transpose(0, 2, 1), diff) * (1.0 / (samples.shape[1] - 1))
+    return cov, np.linalg.cond(cov) > _COND_LIMIT
+
+
+def sample_cov(points: np.ndarray) -> np.ndarray:
+    cov, singular = covariances(points[None])
+    if singular[0]:
         raise DegenerateSampleError("sample covariance is singular")
-    return cov
+    return cov[0]
 
 
 def mardia_test(sample: Sample2D) -> tuple[TestResult, TestResult]:
@@ -44,7 +56,7 @@ def mardia_test(sample: Sample2D) -> tuple[TestResult, TestResult]:
     n, p = points.shape
     if n < p + 2:
         raise DegenerateSampleError(f"need at least {p + 2} points, got {n}")
-    cov = _sample_cov(points)
+    cov = sample_cov(points)
     centered = points - points.mean(axis=0)
     inner = centered @ np.linalg.solve(cov, centered.T)
     b1 = float(np.sum(inner**3)) / n**2
@@ -76,7 +88,7 @@ def box_m_test(groups: list[Sample2D]) -> TestResult:
         if g.n < p + 1:
             raise DegenerateSampleError(f"group {g.family!r} has too few points ({g.n})")
         sizes.append(g.n)
-        covs.append(_sample_cov(g.points))
+        covs.append(sample_cov(g.points))
     n_groups = len(groups)
     total = sum(sizes)
     pooled = sum((n_i - 1) * cov for n_i, cov in zip(sizes, covs)) / (total - n_groups)
@@ -122,9 +134,14 @@ def levene_like_test(groups: list[np.ndarray], center: str = "mean") -> TestResu
     return anova_oneway(scores)
 
 
-def sums_of_squares(values, codes: np.ndarray, k: int) -> tuple[float, float]:
+def sums_of_squares(values, codes: np.ndarray, k: int):
     """Between- and within-group sums of squares of the rows of an (n,) or
     (n, d) array, for integer group codes 0..k-1.
+
+    ``codes`` is one labelling (n,), which gives two floats, or a (B, n)
+    block of labellings, which gives two (B,) arrays: one offset
+    ``bincount`` (code + k·row) takes every row's group sums at once, and
+    each row's sums equal those of the row on its own bit for bit.
 
     Deviations from the group means are squared directly, not through
     Σx² − ΣS²/n: equal values give an exact zero and values clustered far
@@ -133,19 +150,29 @@ def sums_of_squares(values, codes: np.ndarray, k: int) -> tuple[float, float]:
     """
     values = np.asarray(values, dtype=float)
     values = values.reshape(values.shape[0], -1)
-    counts = np.bincount(codes, minlength=k)
-    sums = [np.bincount(codes, weights=column, minlength=k) for column in values.T]
+    block = np.atleast_2d(codes)
+    rows, d = block.shape[0], values.shape[1]
+    flat = (block + k * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=rows * k)
+    sums = [np.bincount(flat, weights=np.tile(col, rows), minlength=rows * k) for col in values.T]
     means = np.column_stack(sums) / counts[:, None]
-    ss_within = float(np.sum((values - means[codes]) ** 2))
-    ss_between = float(np.sum(counts[:, None] * (means - values.mean(axis=0)) ** 2))
+    deviations = (values - means[flat].reshape(rows, -1, d)) ** 2
+    spread = counts[:, None] * (means - values.mean(axis=0)) ** 2
+    ss_within = np.sum(deviations, axis=(1, 2))
+    ss_between = np.sum(spread.reshape(rows, k, d), axis=(1, 2))
+    if np.ndim(codes) == 1:
+        return float(ss_between[0]), float(ss_within[0])
     return ss_between, ss_within
 
 
-def f_ratio(ss_between: float, ss_within: float, df: tuple[int, int]) -> float:
-    """One-way F; identical scores give 0, zero within-group spread gives inf."""
-    if ss_within <= 0.0:
-        return 0.0 if ss_between <= 0.0 else float("inf")
-    return (ss_between / df[0]) / (ss_within / df[1])
+def f_ratio(ss_between, ss_within, df: tuple[int, int]):
+    """One-way F; identical scores give 0, zero within-group spread gives inf.
+    Floats give a float, arrays of sums (a block of labellings) an array."""
+    ss_between, ss_within = np.asarray(ss_between), np.asarray(ss_within)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (ss_between / df[0]) / (ss_within / df[1])
+    f = np.where(ss_within > 0.0, f, np.where(ss_between > 0.0, np.inf, 0.0))
+    return float(f) if f.ndim == 0 else f
 
 
 def anova_oneway(groups: list[np.ndarray]) -> TestResult:

@@ -10,10 +10,18 @@ is the ANOVA F of the distances to the group centroids (Anderson 2006).
 p-values use the (1 + count) / (1 + n_perm) estimator under random
 permutations; when every distinct label assignment can be enumerated within
 the permutation budget, the exact exhaustive p-value is reported instead.
+
+Labellings are scored in blocks of rows through one ``sums_of_squares``
+call.  A Monte-Carlo block replays the random stream of shuffling one label
+array in place once per permutation: ``rng.permuted`` on a block of
+``arange(n)`` rows draws exactly the numbers of that many successive
+``rng.shuffle`` calls, each row is the permutation one shuffle applies, and
+composing the rows in order gives every labelling.  p-values and the rng
+state afterwards are those of the one-at-a-time loop, bit for bit.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 
 import numpy as np
@@ -24,6 +32,8 @@ from .ranks import p_adjust
 from .types import PairwiseMatrix, TestResult
 
 __all__ = ["permanova", "permdisp", "pairwise_posthoc"]
+
+_BLOCK = 256  # labellings scored per sums_of_squares call
 
 
 def _encode_labels(labels):
@@ -59,7 +69,12 @@ def _assignments(counts):
 
 
 def _f_stat(values, codes, k):
-    return f_ratio(*sums_of_squares(values, codes, k), (k - 1, codes.size - k))
+    return f_ratio(*sums_of_squares(values, codes, k), (k - 1, codes.shape[-1] - k))
+
+
+def _count_reaching(values, block, k, f_obs):
+    """Rows of a (B, n) labelling block whose F reaches f_obs (within 1e-12)."""
+    return int(np.count_nonzero(_f_stat(values, block, k) >= f_obs - 1e-12))
 
 
 def _permutation_p(values, codes, f_obs, n_perm, rng):
@@ -68,17 +83,21 @@ def _permutation_p(values, codes, f_obs, n_perm, rng):
     if _n_assignments(codes) <= n_perm:
         count = 0
         total = 0
-        for perm in _assignments(np.bincount(codes)):
-            total += 1
-            if _f_stat(values, perm, k) >= f_obs - 1e-12:
-                count += 1
+        assignments = _assignments(np.bincount(codes))
+        while chunk := list(islice(assignments, _BLOCK)):
+            total += len(chunk)
+            count += _count_reaching(values, np.array(chunk), k, f_obs)
         return count / total, total, True
     count = 0
     shuffled = codes.copy()
-    for _ in range(n_perm):
-        rng.shuffle(shuffled)
-        if _f_stat(values, shuffled, k) >= f_obs - 1e-12:
-            count += 1
+    for start in range(0, n_perm, _BLOCK):
+        rows = min(_BLOCK, n_perm - start)
+        steps = rng.permuted(np.tile(np.arange(codes.size), (rows, 1)), axis=1)
+        block = np.empty_like(steps)
+        for t, step in enumerate(steps):
+            shuffled = shuffled[step]
+            block[t] = shuffled
+        count += _count_reaching(values, block, k, f_obs)
     return (1 + count) / (1 + n_perm), n_perm, False
 
 

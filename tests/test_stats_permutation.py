@@ -9,7 +9,8 @@ import pytest
 
 import vqebench
 from vqebench.errors import ParameterDomainError
-from vqebench.stats import pairwise_posthoc, permanova, permdisp
+from vqebench.stats import pairwise_posthoc, permanova, permdisp, permutation
+from vqebench.stats.normality import sums_of_squares
 
 
 def brute_force_p(points, labels, stat_fn):
@@ -283,3 +284,116 @@ def test_cli_import_leaves_out_sympy():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# --- equivalence with one labelling at a time ----------------------------------
+
+def _loop_sums_of_squares(values, codes, k):
+    """Reference kernel: one labelling, two floats."""
+    values = np.asarray(values, dtype=float)
+    values = values.reshape(values.shape[0], -1)
+    counts = np.bincount(codes, minlength=k)
+    sums = [np.bincount(codes, weights=column, minlength=k) for column in values.T]
+    means = np.column_stack(sums) / counts[:, None]
+    ss_within = float(np.sum((values - means[codes]) ** 2))
+    ss_between = float(np.sum(counts[:, None] * (means - values.mean(axis=0)) ** 2))
+    return ss_between, ss_within
+
+
+def _loop_f(values, codes, k):
+    ss_between, ss_within = _loop_sums_of_squares(values, codes, k)
+    if ss_within <= 0.0:
+        return 0.0 if ss_between <= 0.0 else float("inf")
+    return (ss_between / (k - 1)) / (ss_within / (codes.size - k))
+
+
+def _loop_permutation_p(values, codes, f_obs, n_perm, rng):
+    """Reference: score every assignment, or shuffle one label array in
+    place once per permutation and score it."""
+    k = int(codes.max()) + 1
+    if permutation._n_assignments(codes) <= n_perm:
+        count = total = 0
+        for perm in permutation._assignments(np.bincount(codes)):
+            total += 1
+            count += _loop_f(values, perm, k) >= f_obs - 1e-12
+        return count / total, total, True
+    count = 0
+    shuffled = codes.copy()
+    for _ in range(n_perm):
+        rng.shuffle(shuffled)
+        count += _loop_f(values, shuffled, k) >= f_obs - 1e-12
+    return (1 + count) / (1 + n_perm), n_perm, False
+
+
+def _run_both(fn, *args, seed=3, **kwargs):
+    """fn's result with the block and with the reference permutation loop,
+    each with the rng state afterwards."""
+    out = []
+    for p_fn in (permutation._permutation_p, _loop_permutation_p):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permutation, "_permutation_p", p_fn)
+            result = fn(*args, rng=rng, **kwargs)
+        out.append((result, rng.bit_generator.state))
+    return out
+
+
+def _groups(n_groups, size, seed):
+    points = np.random.default_rng(seed).normal(size=(n_groups * size, 2))
+    points += np.repeat(np.linspace(0.0, 0.6, n_groups), size)[:, None]
+    return points, [f"g{i}" for i in range(n_groups) for _ in range(size)]
+
+
+@pytest.mark.parametrize("n_perm", [1, 255, 256, 257, 999])
+@pytest.mark.parametrize("test_fn", [permanova, permdisp])
+@pytest.mark.parametrize("n_groups,size", [(2, 10), (21, 3)])
+def test_block_p_equals_loop(test_fn, n_groups, size, n_perm):
+    points, labels = _groups(n_groups, size, seed=n_groups + n_perm)
+    (block, block_state), (loop, loop_state) = _run_both(
+        test_fn, points, labels, n_perm=n_perm
+    )
+    assert not block.extras["exact"]
+    assert (block.p, block.extras["n_perm"], block.extras["exact"]) == (
+        loop.p, loop.extras["n_perm"], loop.extras["exact"]
+    )
+    assert block.statistic == loop.statistic
+    assert block_state == loop_state
+
+
+@pytest.mark.parametrize("test_fn", [permanova, permdisp])
+@pytest.mark.parametrize("sizes", [(4, 4), (3, 5), (2, 3, 4)])
+def test_block_exhaustive_p_equals_loop(test_fn, sizes):
+    points = np.round(np.random.default_rng(sum(sizes)).normal(size=(sum(sizes), 2)), 1)
+    labels = [f"g{i}" for i, s in enumerate(sizes) for _ in range(s)]
+    (block, block_state), (loop, loop_state) = _run_both(test_fn, points, labels, n_perm=2000)
+    assert block.extras["exact"]
+    assert (block.p, block.extras["n_perm"]) == (loop.p, loop.extras["n_perm"])
+    assert block_state == loop_state == np.random.default_rng(3).bit_generator.state
+
+
+@pytest.mark.parametrize("test", ["permanova", "permdisp"])
+def test_block_pairwise_shares_rng_like_loop(test):
+    # 6 groups: 4+4 pairs are enumerated, 10+10 and 10+4 pairs are drawn,
+    # all from one rng in pair order
+    points, labels = _groups(6, 10, seed=21)
+    keep = [i for i, label in enumerate(labels) if label not in ("g2", "g4") or i % 10 < 4]
+    points, labels = points[keep], [labels[i] for i in keep]
+    (block, block_state), (loop, loop_state) = _run_both(
+        pairwise_posthoc, points, labels, test=test, n_perm=257
+    )
+    assert np.array_equal(block.p_raw, loop.p_raw, equal_nan=True)
+    assert np.array_equal(block.p_adjusted, loop.p_adjusted, equal_nan=True)
+    assert block_state == loop_state
+
+
+def test_sums_of_squares_block_rows_equal_single_rows():
+    rng = np.random.default_rng(4)
+    for d in (1, 2):
+        values = rng.normal(size=(30, d)) * 1e3 + 5e4
+        codes = np.repeat(np.arange(3), [8, 10, 12])
+        block = np.array([rng.permutation(codes) for _ in range(300)])
+        ss_between, ss_within = sums_of_squares(values, block, 3)
+        assert ss_between.shape == ss_within.shape == (300,)
+        for row, b, w in zip(block, ss_between, ss_within):
+            assert (b, w) == _loop_sums_of_squares(values, row, 3)
+            assert sums_of_squares(values, row, 3) == (b, w)
