@@ -16,7 +16,6 @@ from .qsim import (
     evolve_circuit,
     expectation,
     expectation_exact,
-    pure_state,
 )
 
 MAX_REFERENCE_QUBITS = 8
@@ -78,23 +77,19 @@ def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
     states, sorted ascending.
 
     Expectations are taken exactly; the estimator's noise model still applies
-    to state preparation.  The cross term is recovered from two auxiliary
-    superposition preparations via the polarization identity; all four
-    preparations are evolved as one stack.
+    to state preparation.  The cross term z = Tr(H E(|a><b|)) is read from
+    the Hermitian parts of |a><b|, (|a><b| + |b><a|)/2 and
+    (|a><b| - |b><a|)/(2i), which give Re z and Im z; they are evolved with
+    |a><a| and |b><b| as one stack.
     """
-    n = ctx.ansatz.n_qubits
-    e_a = np.zeros(2 ** n)
-    e_b = np.zeros(2 ** n)
-    e_a[ctx.phi_a] = 1.0
-    e_b[ctx.phi_b] = 1.0
-    preparations = (e_a, e_b, (e_a + e_b) / np.sqrt(2.0), e_a.astype(complex) + 1j * e_b)
-    initial = np.stack([pure_state(vec) for vec in preparations])
+    a, b = ctx.phi_a, ctx.phi_b
+    initial = np.zeros((4, ctx.hamiltonian.dim, ctx.hamiltonian.dim), dtype=complex)
+    initial[0, a, a] = initial[1, b, b] = 1.0
+    initial[2, a, b] = initial[2, b, a] = 0.5
+    initial[3, a, b], initial[3, b, a] = -0.5j, 0.5j
     rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
-    m_aa, m_bb, plus, imag = expectation_exact(rhos, ctx.hamiltonian)
-
-    re_ab = plus - 0.5 * (m_aa + m_bb)
-    im_ab = 0.5 * (m_aa + m_bb) - imag
-    block = np.array([[m_aa, re_ab + 1j * im_ab], [re_ab - 1j * im_ab, m_bb]])
+    m_aa, m_bb, re_z, im_z = expectation_exact(rhos, ctx.hamiltonian)
+    block = np.array([[m_aa, re_z - 1j * im_z], [re_z + 1j * im_z, m_bb]])
     e0, e1 = np.linalg.eigvalsh(block)
     return float(e0), float(e1)
 

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment grid")
     run.add_argument("--config", required=True, help="experiment config (JSON)")
     run.add_argument("--out", required=True, help="output runs CSV")
-    run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    run.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes")
 
     analyze = sub.add_parser("analyze", help="per-optimizer statistical battery")
     analyze.add_argument("--runs", required=True, help="runs CSV")

@@ -12,17 +12,9 @@ from .channels import kraus_sum
 from .circuits import Circuit, rotation
 from .density import embed_operator, n_qubits_of
 from .noise import NoiseModel
-from .pauli import PauliSum
+from .pauli import PauliSum, pauli_string_matrix
 
 _IMAG_RESIDUE_TOL = 1e-9
-
-# Rotations taking each Pauli's eigenbasis to the computational basis:
-# P = U^dag Z U, so measuring P amounts to applying U and reading out Z.
-_SQRT2 = np.sqrt(2.0)
-_BASIS_ROTATIONS = {
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,  # H
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / _SQRT2,  # H S^dag
-}
 
 
 @dataclass(frozen=True)
@@ -89,50 +81,38 @@ def _schedule(circuit: Circuit, noise: NoiseModel | None) -> tuple:
 
 
 class _Readout(NamedTuple):
-    """What measuring a Hamiltonian needs that does not depend on the state."""
+    """What measuring a Hamiltonian needs that does not depend on the state.
+    A Pauli string P has one nonzero entry per row i, at column i XOR the mask
+    of its X/Y positions, so <P> = sum_i phases[i] * rho[flips[i], i]."""
 
     matrix: np.ndarray  # the dense Hamiltonian
-    terms: tuple  # per term, in order: (coeff, its row below; None: identity, exact)
+    constant: float  # the identity terms' coefficients, summed
     coeffs: np.ndarray  # (T,) coefficients of the measured (non-identity) terms
-    bases: np.ndarray  # (T,) index into `rotations` of each measured term's basis
-    rotations: tuple  # per distinct basis: its embedded rotations, in qubit order
-    signs: np.ndarray  # (T, d) eigenvalue of each outcome, per measured term
+    flips: np.ndarray  # (T, d) column of each row's nonzero entry
+    phases: np.ndarray  # (T, d) that entry
 
 
 @functools.lru_cache(maxsize=16)
 def _readout(hamiltonian: PauliSum) -> _Readout:
-    """The Hamiltonian's readout, built once; measured terms that share a
-    basis share its rotations."""
+    """The Hamiltonian's readout, built once."""
     n, d = hamiltonian.n_qubits, hamiltonian.dim
-    bits = (np.arange(d)[:, None] >> (n - 1 - np.arange(n))) & 1
-    bases: dict[tuple, int] = {}
-    terms, coeffs, basis_of, signs = [], [], [], []
+    rows = np.arange(d)
+    constant, coeffs, flips, phases = 0.0, [], [], []
     for coeff, string in hamiltonian:
         if set(string) == {"I"}:
-            terms.append((coeff, None))
+            constant += coeff
             continue
-        key = tuple((c, q) for q, c in enumerate(string) if c in _BASIS_ROTATIONS)
-        terms.append((coeff, len(coeffs)))
+        flip = rows ^ sum(1 << (n - 1 - q) for q, c in enumerate(string) if c in "XY")
         coeffs.append(coeff)
-        basis_of.append(bases.setdefault(key, len(bases)))
-        # eigenvalue of outcome b: product of (-1)^bit over non-identity qubits
-        measured = [q for q, c in enumerate(string) if c != "I"]
-        signs.append(np.prod(1.0 - 2.0 * bits[:, measured], axis=1))
+        flips.append(flip)
+        phases.append(pauli_string_matrix(string)[rows, flip])
     return _Readout(
         matrix=hamiltonian.to_matrix(),
-        terms=tuple(terms),
+        constant=constant,
         coeffs=np.array(coeffs, dtype=float),
-        bases=np.array(basis_of, dtype=np.intp),
-        rotations=tuple(tuple(_basis_rotation(c, q, n) for c, q in key) for key in bases),
-        signs=np.array(signs, dtype=float).reshape(len(coeffs), d),
+        flips=np.array(flips, dtype=np.intp).reshape(len(coeffs), d),
+        phases=np.array(phases, dtype=complex).reshape(len(coeffs), d),
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _basis_rotation(basis: str, qubit: int, n: int) -> np.ndarray:
-    """The X or Y readout rotation on one qubit, in the full space; maxsize
-    holds both bases on every qubit of the largest supported state (8)."""
-    return embed_operator(_BASIS_ROTATIONS[basis], (qubit,), n)
 
 
 def _check_state(rho: np.ndarray, hamiltonian: PauliSum) -> None:
@@ -160,47 +140,25 @@ def expectation_shots(
     n_m: int,
     rng: np.random.Generator,
 ) -> float | np.ndarray:
-    """Shot-based estimate: each non-identity Pauli term is measured with n_m
-    samples in its own eigenbasis; identity terms contribute exactly.
-
-    For a (k, d, d) stack, one value per state.  The draws are those of
-    `rng.choice(d, size=n_m, p=probs)` per state and term, in that order, so
-    the random stream and the estimates match measuring the states one at a
-    time.  A state with non-finite outcome probabilities gives NaN.
-    """
+    """Shot-based estimate: each non-identity Pauli term P is measured with
+    n_m shots, X ~ Binomial(n_m, (1 + <P>) / 2) of them +1, and estimated as
+    2X/n_m - 1; identity terms contribute exactly.  One value per state for a
+    (k, d, d) stack, whose one `rng.binomial` call draws what measuring its
+    states one at a time would.  A state with non-finite probabilities (NaN
+    entries, zero trace) gives NaN and draws nothing."""
     if n_m < 1:
         raise ParameterDomainError(f"shot count must be >= 1, got {n_m}")
     _check_state(rho, hamiltonian)
     plan = _readout(hamiltonian)
     states = rho if rho.ndim == 3 else rho[None]
-    k, d = len(states), hamiltonian.dim
-    # Generator.choice: cdf = p.cumsum(); cdf /= cdf[-1]; searchsorted(cdf,
-    # random(n_m), "right").  Sorting the draws instead counts how many fall
-    # below each cdf entry, at a cost that does not grow with d; a leading
-    # 0.0 entry, below which no draw falls, makes the counts one difference.
-    draws = rng.random((k, len(plan.coeffs), n_m))
-    draws.sort(axis=-1)
-    cdfs = np.zeros((len(plan.rotations), k, d + 1))
-    for b, rotations in enumerate(plan.rotations):
-        rotated = states
-        for u in rotations:
-            rotated = kraus_sum(rotated, (u,))
-        probs = np.real(np.diagonal(rotated, axis1=1, axis2=2)).clip(min=0.0)
-        with np.errstate(invalid="ignore"):  # 0/0 for a zero-trace state
-            probs = probs / probs.sum(axis=1, keepdims=True)
-        cdf = probs.cumsum(axis=1)
-        cdfs[b, :, 1:] = cdf / cdf[:, -1:]
-    cdf = cdfs[plan.bases].transpose(1, 0, 2)  # (k, T, d + 1)
-    below = np.empty(cdf.shape, dtype=np.int64)
-    for s, t in np.ndindex(*cdf.shape[:2]):
-        below[s, t] = draws[s, t].searchsorted(cdf[s, t], side="left")
-    counts = below[..., 1:] - below[..., :-1]
-    # integer sums of +-1 outcomes: exact, so equal to the mean of the draws
-    estimates = plan.coeffs * ((counts * plan.signs).sum(axis=-1) / n_m)
-    estimates[np.isnan(cdf[..., -1])] = np.nan
-    total = np.zeros(k)
-    for coeff, t in plan.terms:
-        total = total + (coeff if t is None else estimates[:, t])
+    paulis = (states[:, plan.flips, np.arange(hamiltonian.dim)] * plan.phases).sum(axis=-1)
+    traces = np.trace(states, axis1=1, axis2=2).real
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 for a zero-trace state
+        p_plus = (1.0 + paulis.real / traces[:, None]) / 2.0
+    lost = ~np.isfinite(p_plus)
+    counts = rng.binomial(n_m, np.where(lost, 0.0, p_plus).clip(0.0, 1.0))
+    estimates = np.where(lost, np.nan, 2.0 * counts / n_m - 1.0)
+    total = plan.constant + (estimates * plan.coeffs).sum(axis=-1)
     return total if rho.ndim == 3 else float(total[0])
 
 

@@ -123,6 +123,8 @@ def test_rank_dominant_optimizer(tmp_path, capsys):
         ("rank", "--reference", ["-2.0", "inf"]),
         ("rank", "--alpha", ["2"]),
         ("rank", "--alpha", ["0"]),
+        ("run", "--jobs", ["0"]),
+        ("run", "--jobs", ["-2"]),
     ],
 )
 def test_argument_outside_domain_exits_2(tmp_path, capsys, command, option, values):
@@ -130,6 +132,7 @@ def test_argument_outside_domain_exits_2(tmp_path, capsys, command, option, valu
     write_records(synthetic_records(), runs)
     out = tmp_path / "out"
     argv = {
+        "run": ["run", "--config", str(write_config(tmp_path)), "--out", str(out)],
         "analyze": ["analyze", "--runs", str(runs), "--per-optimizer", str(out)],
         "rank": ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(out)],
     }[command]

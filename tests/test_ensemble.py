@@ -142,3 +142,40 @@ def test_toy_ansatz_reaches_reference(toy_ctx, toy_reference):
     e0, e1 = resolve_states(result.theta_best, toy_ctx)
     assert e0 == pytest.approx(toy_reference.e0, abs=1e-6)
     assert e1 == pytest.approx(toy_reference.e1, abs=1e-6)
+
+
+def _polarization_resolve(theta, ctx):
+    """The reference: the block from four evolved pure preparations, the cross
+    term by the polarization identity."""
+    from vqebench.qsim import evolve_circuit, expectation_exact, pure_state
+
+    e_a = np.zeros(ctx.hamiltonian.dim)
+    e_b = np.zeros(ctx.hamiltonian.dim)
+    e_a[ctx.phi_a] = 1.0
+    e_b[ctx.phi_b] = 1.0
+    preparations = (e_a, e_b, (e_a + e_b) / np.sqrt(2.0), e_a.astype(complex) + 1j * e_b)
+    initial = np.stack([pure_state(vec) for vec in preparations])
+    rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
+    m_aa, m_bb, plus, imag = expectation_exact(rhos, ctx.hamiltonian)
+    re_ab = plus - 0.5 * (m_aa + m_bb)
+    im_ab = 0.5 * (m_aa + m_bb) - imag
+    block = np.array([[m_aa, re_ab + 1j * im_ab], [re_ab - 1j * im_ab, m_bb]])
+    return tuple(np.linalg.eigvalsh(block))
+
+
+@pytest.mark.parametrize(
+    "family", ["ideal", "SN-256", "DP-20%", "DEPOL-20%", "T2=70us", "TR-T1=50ns"]
+)
+@pytest.mark.parametrize("phis", [(0, 1), (2, 1), (3, 0)])
+def test_resolve_states_equals_polarization_formula(family, phis, rng):
+    from vqebench.harness import lookup_family
+
+    # Y terms and rz/rx gates: a complex cross term, and a channel for DP-x%
+    h = PauliSum.from_terms([(-1.0, "ZI"), (-1.0, "IZ"), (0.5, "XX"), (0.3, "XY"), (-0.2, "YI")])
+    circuit = parse_circuit("ry 0 t0\nry 1 t1\ncx 0 1\nprot XY t2 0 1\nrz 1 t3\nrx 0 t4", 2)
+    ctx = EnsembleContext(h, circuit, *phis, lookup_family(family).estimator)
+    for _ in range(5):
+        theta = rng.uniform(-np.pi, np.pi, size=circuit.n_params)
+        got = resolve_states(theta, ctx)
+        want = _polarization_resolve(theta, ctx)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12

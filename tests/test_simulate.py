@@ -23,6 +23,7 @@ from vqebench.qsim import (
     kraus_phase_damping,
     kraus_thermal_relaxation,
     parse_circuit,
+    pauli_string_matrix,
     pure_state,
     purity,
 )
@@ -322,38 +323,20 @@ def test_stacked_evolution_equals_per_state(case, rng):
             assert np.array_equal(evolve_circuit(rho, circuit, theta, noise), want)
 
 
-# --- shot readout: same random stream as per-term rng.choice ----------------
+# --- shot readout: one binomial draw per state and term ----------------------
 
-_SQRT2 = np.sqrt(2.0)
-_REF_READOUT = {
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / _SQRT2,
-}
-
-
-def _choice_estimator(rho, hamiltonian, n_m, rng):
-    """The per-term rng.choice estimator, one state at a time, kept as the
-    reference for the stacked readout."""
-    n = hamiltonian.n_qubits
+def _per_term_estimator(rho, hamiltonian, n_m, rng):
+    """One state, term by term: <P> from the dense Pauli matrix and one scalar
+    rng.binomial draw of the shots that read +1; the reference for the
+    stacked readout."""
     total = 0.0
     for coeff, string in hamiltonian:
         if set(string) == {"I"}:
             total += coeff
             continue
-        rotated = rho
-        for q, c in enumerate(string):
-            if c in _REF_READOUT:
-                u = embed_operator(_REF_READOUT[c], (q,), n)
-                rotated = u @ rotated @ u.conj().T
-        probs = np.real(np.diag(rotated)).clip(min=0.0)
-        probs = probs / probs.sum()
-        signs = np.ones(hamiltonian.dim)
-        for q, c in enumerate(string):
-            if c != "I":
-                bit = (np.arange(hamiltonian.dim) >> (n - 1 - q)) & 1
-                signs *= 1.0 - 2.0 * bit
-        outcomes = rng.choice(hamiltonian.dim, size=n_m, p=probs)
-        total += coeff * float(np.mean(signs[outcomes]))
+        value = np.trace(pauli_string_matrix(string) @ rho).real / np.trace(rho).real
+        plus = rng.binomial(n_m, min(max((1.0 + value) / 2.0, 0.0), 1.0))
+        total += coeff * (2.0 * plus / n_m - 1.0)
     return total
 
 
@@ -369,47 +352,106 @@ _READOUT_HAMILTONIANS = {
 @pytest.mark.parametrize("n_m", [1, 7, 256, 6144])
 @pytest.mark.parametrize("k", [1, 2])
 def test_stacked_shots_equal_per_term_choice(n, n_m, k):
+    """A (k, d, d) stack gives the values and the rng state of measuring its
+    states one at a time, and of the per-term reference draws."""
     gen = np.random.default_rng(100 * n + k)
     d = 2 ** n
     hamiltonians = [
         PauliSum.from_terms(_READOUT_HAMILTONIANS[n]),
         PauliSum.from_terms([(-0.35, "I" * n)]),
     ]
-    # random mixed states, and basis states whose outcome probabilities tie
+    # random mixed states, and basis states whose outcomes are certain or fair
     states = [np.stack([_random_density(gen, d) for _ in range(k)])]
     states.append(np.stack([basis_state(i, n) for i in range(k)]))
     for h in hamiltonians:
         for stack in states:
-            ours, ref = np.random.default_rng(n_m), np.random.default_rng(n_m)
+            ours, one, ref = (np.random.default_rng(n_m) for _ in range(3))
             got = expectation_shots(stack, h, n_m, ours)
-            want = np.array([_choice_estimator(rho, h, n_m, ref) for rho in stack])
+            singles = [expectation_shots(rho, h, n_m, one) for rho in stack]
+            want = [_per_term_estimator(rho, h, n_m, ref) for rho in stack]
             assert got.shape == (k,)
-            assert np.all(got == want)
-            assert ours.random() == ref.random()
-            # a single state gives the same value as a float
-            single = expectation_shots(stack[0], h, n_m, np.random.default_rng(n_m))
-            assert isinstance(single, float) and single == want[0]
+            assert all(isinstance(v, float) for v in singles)
+            assert np.array_equal(got, singles)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert ours.random() == one.random() == ref.random()
 
 
-def test_readout_rotations_built_once(monkeypatch, rng):
-    calls = []
+#: Every letter on 1 to 8 qubits (the simulator's limit), Y-heavy strings
+_TABLE_STRINGS = {
+    1: ["X", "Y", "Z"],
+    2: ["XY", "YY", "ZX", "IY", "YZ"],
+    3: ["YYY", "XIZ", "ZYX", "IYI"],
+    4: ["YYYY", "XYZI", "IZYY"],
+    5: ["YYYYY", "XYZIY", "ZZIXX", "IIIIY"],
+    6: ["YYYYYY", "ZXYIYZ", "XXXXXX"],
+    7: ["YYYYYYY", "IYXZYIY", "ZIIIIIZ"],
+    8: ["YYYYYYYY", "XYZIYXZY", "ZZZZZZZZ", "IXIYIZIY", "YIIIIIIX"],
+}
 
-    def counting(op, qubits, n_qubits):
-        calls.append(tuple(qubits))
-        return embed_operator(op, qubits, n_qubits)
 
-    monkeypatch.setattr("vqebench.qsim.simulate.embed_operator", counting)
+@pytest.mark.parametrize("n", sorted(_TABLE_STRINGS))
+def test_readout_table_expectations_match_dense_trace(n, rng):
+    strings = _TABLE_STRINGS[n] + ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(4)]
+    strings = [s for s in dict.fromkeys(strings) if set(s) != {"I"}]
+    h = PauliSum.from_terms([(1.0, s) for s in strings])
+    plan = simulate._readout(h)
+    stack = np.stack([_random_density(rng, 2 ** n) for _ in range(2)])
+    got = (stack[:, plan.flips, np.arange(h.dim)] * plan.phases).sum(axis=-1)
+    for t, (_, string) in enumerate(h):
+        want = [np.trace(pauli_string_matrix(string) @ rho) for rho in stack]
+        assert np.max(np.abs(got[:, t] - want)) < 1e-13
+
+
+@pytest.mark.parametrize("string", ["Z", "XY", "YZY", "YYX"])
+def test_shot_estimate_mean_and_variance(string):
+    """Each term's estimate is unbiased with variance (1 - <P>^2) / n_m."""
+    rng = np.random.default_rng(2024)
+    n, n_m, reps = len(string), 64, 20000
+    rho = _random_density(rng, 2 ** n)
+    mean = np.trace(pauli_string_matrix(string) @ rho).real
+    variance = (1.0 - mean ** 2) / n_m
+    # one stack of identical states: reps independent estimates in one call
+    stack = np.broadcast_to(rho, (reps, *rho.shape))
+    draws = expectation_shots(stack, PauliSum.from_terms([(1.0, string)]), n_m, rng)
+    assert abs(draws.mean() - mean) < 5.0 * math.sqrt(variance / reps)
+    assert draws.var() == pytest.approx(variance, rel=0.05)
+
+
+def test_readout_table_built_once(monkeypatch, rng):
+    built = []
+    table = simulate._Readout
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr("vqebench.qsim.simulate._Readout", counting)
     simulate._readout.cache_clear()
-    simulate._basis_rotation.cache_clear()
-    # every X/Y basis on every qubit, several terms per basis rotation
     h = PauliSum.from_terms(
-        [(0.3, "XYX"), (0.2, "YXY"), (0.1, "XXZ"), (0.4, "YYI"), (0.5, "ZXY"), (0.6, "ZZZ")]
+        [(0.3, "XYX"), (0.2, "YXY"), (0.1, "XXZ"), (0.4, "YYI"), (0.5, "ZXY"), (-0.2, "III")]
     )
     stack = np.stack([_random_density(rng, 8) for _ in range(2)])
     for _ in range(20):
         expectation_shots(stack, h, 64, rng)
         expectation_shots(stack[0], h, 64, rng)
-    assert len(calls) == 2 * h.n_qubits
+        expectation_exact(stack, h)
+    assert len(built) == 1
+
+
+def test_probability_rounded_out_of_range_is_clipped():
+    """Roundoff can put (1 + <P>/Tr rho)/2 just above 1 or below 0, where
+    rng.binomial would raise."""
+    h = PauliSum.from_terms([(1.0, "ZI"), (0.5, "ZZ")])
+    up = np.diag([1.0, -1e-15, -1e-15, 1e-15]).astype(complex)
+    down = np.diag([-1e-15, 1e-15, 1.0, -1e-15]).astype(complex)
+
+    def p_plus(rho):
+        return [(1.0 + np.trace(pauli_string_matrix(s) @ rho).real / np.trace(rho).real) / 2.0
+                for _, s in h]
+
+    assert max(p_plus(up)) > 1.0 and min(p_plus(down)) < 0.0
+    got = expectation_shots(np.stack([up, down]), h, 128, np.random.default_rng(0))
+    assert got.tolist() == [1.5, -1.5]
 
 
 # --- non-finite states --------------------------------------------------------
@@ -419,9 +461,15 @@ def test_expectation_shots_nan_state_gives_nan():
     rng = np.random.default_rng(0)
     assert math.isnan(expectation_shots(np.full((2, 2), np.nan + 0j), z, 16, rng))
     assert math.isnan(expectation_shots(np.zeros((2, 2), dtype=complex), z, 16, rng))
+    # zero trace, nonzero <X>: an infinite ratio
+    assert math.isnan(expectation_shots(np.array([[0, 1], [1, 0]], dtype=complex), z, 16, rng))
     stack = np.stack([np.full((2, 2), np.nan + 0j), basis_state(0, 1)])
     got = expectation_shots(stack, z, 16, rng)
     assert math.isnan(got[0]) and np.isfinite(got[1])
+    # a lost state draws nothing: the rest of the stack reads as if measured alone
+    alone = np.random.default_rng(0)
+    assert got[1] == expectation_shots(basis_state(0, 1), z, 16, alone)
+    assert rng.random() == alone.random()
 
 
 def test_nan_state_in_session_is_a_cost_evaluation_error(toy_hamiltonian, toy_circuit):
