@@ -27,8 +27,10 @@ class DegenerateSampleError(VqeBenchError, ValueError):
 
 
 class CostEvaluationError(VqeBenchError, RuntimeError):
-    """The cost function returned NaN; carries the offending parameter vector."""
+    """The cost function returned NaN; carries the offending parameter vector
+    and the number of evaluations made, the NaN one included."""
 
-    def __init__(self, theta):
+    def __init__(self, theta, n_evals: int):
         self.theta = theta
+        self.n_evals = n_evals
         super().__init__(f"cost function returned NaN at theta={theta!r}")

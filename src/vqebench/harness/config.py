@@ -63,6 +63,15 @@ class ExperimentConfig:
             raise ParameterDomainError("optimizer kinds must be unique")
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer (an integral float counts) from the config."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParameterDomainError(f"{what} must be an integer, got {value!r}")
+
+
 def _parse_noise_rule(obj: dict) -> NoiseRule:
     try:
         gates = frozenset(obj["gates"])
@@ -86,7 +95,10 @@ def _parse_family(obj) -> FamilySpec:
     noise = None
     if obj.get("noise"):
         noise = NoiseModel(tuple(_parse_noise_rule(r) for r in obj["noise"]))
-    return FamilySpec(name, EstimatorSpec(mode=mode, n_m=obj.get("n_m"), noise=noise))
+    n_m = obj.get("n_m")
+    if n_m is not None:
+        n_m = _integer(n_m, f"family {name!r} n_m")
+    return FamilySpec(name, EstimatorSpec(mode=mode, n_m=n_m, noise=noise))
 
 
 def _parse_optimizer(obj) -> OptimizerSpec:
@@ -125,11 +137,11 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
     return ExperimentConfig(
         hamiltonian_path=ham,
         circuit_path=circ,
-        phi_a=int(data.get("phi_a", 0)),
-        phi_b=int(data.get("phi_b", 1)),
+        phi_a=_integer(data.get("phi_a", 0), "phi_a"),
+        phi_b=_integer(data.get("phi_b", 1), "phi_b"),
         families=tuple(_parse_family(f) for f in families),
         optimizers=tuple(_parse_optimizer(o) for o in optimizers),
-        seeds=tuple(int(s) for s in data.get("seeds", DEFAULT_SEEDS)),
+        seeds=tuple(_integer(s, "seed") for s in data.get("seeds", DEFAULT_SEEDS)),
         theta0_policy=_parse_theta0(data.get("theta0_policy")),
     )
 
@@ -142,7 +154,10 @@ def load_config(path) -> ExperimentConfig:
         raise ParameterDomainError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterDomainError("config root must be a JSON object")
-    return config_from_dict(data, base_dir=path.parent)
+    try:
+        return config_from_dict(data, base_dir=path.parent)
+    except TypeError as exc:  # a field a spec does not take, or a value of the wrong type
+        raise ParameterDomainError(f"malformed config {path}: {exc}") from None
 
 
 def toy_problem_paths() -> tuple[str, str]:

@@ -82,22 +82,19 @@ def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> No
         payload = {"groups": families, "error": str(exc)}
     _write_json(out_dir / "box_m.json", payload)
 
+    scores = {
+        "e_ground": [usable[f][:, 0] for f in families],
+        "e_excited": [usable[f][:, 1] for f in families],
+        "e_sa": [usable[f].sum(axis=1) for f in families],
+    }
     for name, center in (("levene.json", "mean"), ("brown_forsythe.json", "median")):
-        per_axis = {}
-        for axis, label in ((0, "e_ground"), (1, "e_excited")):
+        per_score = {}
+        for label, groups in scores.items():
             try:
-                res = levene_like_test([usable[f][:, axis] for f in families], center=center)
-                per_axis[label] = res.to_dict()
+                per_score[label] = levene_like_test(groups, center=center).to_dict()
             except VqeBenchError as exc:
-                per_axis[label] = {"error": str(exc)}
-        try:
-            res = levene_like_test(
-                [usable[f].sum(axis=1) for f in families], center=center
-            )
-            per_axis["e_sa"] = res.to_dict()
-        except VqeBenchError as exc:
-            per_axis["e_sa"] = {"error": str(exc)}
-        _write_json(out_dir / name, {"groups": families, **per_axis})
+                per_score[label] = {"error": str(exc)}
+        _write_json(out_dir / name, {"groups": families, **per_score})
 
     if len(families) >= 2:
         points = np.vstack([usable[f] for f in families])

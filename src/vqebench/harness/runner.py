@@ -102,30 +102,18 @@ def execute_run(task: _RunTask) -> RunRecord:
     theta0 = task.theta0_policy.draw(ansatz.n_params, np.random.default_rng(theta_ss))
     spec = _effective_optimizer(task.optimizer, task.family)
 
-    n_calls = 0
-
     def cost(theta):
-        nonlocal n_calls
-        n_calls += 1
         return sa_cost(theta, ctx, shot_rng)
 
     start = time.perf_counter()
     try:
         result = minimize(cost, theta0, spec, np.random.default_rng(opt_ss))
-    except CostEvaluationError:
-        wall = (time.perf_counter() - start) * 1000.0
-        return RunRecord(
-            family=task.family.name,
-            optimizer=task.optimizer.kind,
-            seed=task.seed,
-            e_ground=math.nan,
-            e_excited=math.nan,
-            e_sa=math.nan,
-            n_evals=max(n_calls, 1),
-            converged=False,
-            wall_time_ms=wall,
-        )
-    e_ground, e_excited = resolve_states(result.theta_best, ctx)
+    except CostEvaluationError as exc:
+        e_ground = e_excited = math.nan
+        n_evals, converged = exc.n_evals, False
+    else:
+        e_ground, e_excited = resolve_states(result.theta_best, ctx)
+        n_evals, converged = result.n_evals, result.converged
     wall = (time.perf_counter() - start) * 1000.0
     return RunRecord(
         family=task.family.name,
@@ -134,8 +122,8 @@ def execute_run(task: _RunTask) -> RunRecord:
         e_ground=e_ground,
         e_excited=e_excited,
         e_sa=e_ground + e_excited,
-        n_evals=result.n_evals,
-        converged=result.converged,
+        n_evals=n_evals,
+        converged=converged,
         wall_time_ms=wall,
     )
 
@@ -233,22 +221,25 @@ def read_records(path) -> list[RunRecord]:
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ParameterDomainError(f"{path} does not start with the runs CSV header")
     records = []
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=1):
         if len(row) != len(CSV_HEADER):
-            raise ParameterDomainError(f"malformed row in {path}: {row!r}")
-        records.append(
-            RunRecord(
-                family=row[0],
-                optimizer=row[1],
-                seed=int(row[2]),
-                e_ground=float(row[3]),
-                e_excited=float(row[4]),
-                e_sa=float(row[5]),
-                n_evals=int(row[6]),
-                converged=row[7] == "true",
-                wall_time_ms=float(row[8]),
+            raise ParameterDomainError(f"malformed row {number} in {path}: {row!r}")
+        try:
+            records.append(
+                RunRecord(
+                    family=row[0],
+                    optimizer=row[1],
+                    seed=int(row[2]),
+                    e_ground=float(row[3]),
+                    e_excited=float(row[4]),
+                    e_sa=float(row[5]),
+                    n_evals=int(row[6]),
+                    converged=row[7] == "true",
+                    wall_time_ms=float(row[8]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ParameterDomainError(f"bad row {number} in {path}: {row!r}: {exc}") from None
     return records
 
 

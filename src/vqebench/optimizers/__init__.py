@@ -7,7 +7,7 @@ from ..errors import ParameterDomainError
 from .direct import cobyla_minimize, nelder_mead_minimize, powell_minimize
 from .gradient import bfgs_minimize, finite_difference_gradient, slsqp_minimize
 from .result import OPTIMIZER_KINDS, IsomaParams, OptimizerSpec, OptResult
-from .session import eval_budget
+from .session import BudgetExhausted, CostSession, eval_budget
 from .soma import isoma_minimize
 
 _DISPATCH = {
@@ -21,14 +21,21 @@ _DISPATCH = {
 
 
 def minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator | None = None) -> OptResult:
-    """Run the algorithm named by spec.kind.  Deterministic given
-    (theta0, spec, rng seed); evaluation counts never exceed eval_budget."""
+    """Run the algorithm named by spec.kind as algo(session, theta0, spec,
+    rng) -> converged on the one CostSession that counts and caps evaluations
+    (eval_budget); hitting the cap gives converged=False and a NaN cost raises
+    CostEvaluationError.  Deterministic given (theta0, spec, rng seed)."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim != 1 or theta0.size < 1:
         raise ParameterDomainError("theta0 must be a non-empty 1-D vector")
     if rng is None:
         rng = np.random.default_rng(0)
-    return _DISPATCH[spec.kind](cost, theta0, spec, rng)
+    session = CostSession(cost, max_evals=eval_budget(spec.kind, theta0.size, spec))
+    try:
+        converged = _DISPATCH[spec.kind](session, theta0, spec, rng)
+    except BudgetExhausted:
+        converged = False
+    return session.result(converged)
 
 
 __all__ = [

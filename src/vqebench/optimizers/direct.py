@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .result import OptResult, OptimizerSpec
-from .session import LINE_EVAL_CAP, TR_MAX_RAY, BudgetExhausted, CostSession, eval_budget
+from .result import OptimizerSpec
+from .session import LINE_EVAL_CAP, TR_MAX_RAY
 
 # Nelder-Mead coefficients
 REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -25,54 +25,47 @@ TR_RHO_BEG = 0.5
 TR_RHO_END = 1e-8
 
 
-def nelder_mead_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
+def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
     """Downhill simplex with standard reflect/expand/contract/shrink moves."""
-    theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
-    session = CostSession(cost, max_evals=eval_budget("nelder_mead", dim, spec))
     simplex = [theta0.copy()]
     for i in range(dim):
         point = theta0.copy()
         point[i] += INITIAL_SIMPLEX_SCALE * max(1.0, abs(theta0[i]))
         simplex.append(point)
-    converged = False
-    try:
-        values = [session(p) for p in simplex]
-        for _ in range(spec.maxiter):
-            order = np.argsort(values, kind="stable")
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
-            if values[-1] - values[0] < SIMPLEX_SPREAD_TOL:
-                converged = True
-                break
-            centroid = np.mean(simplex[:-1], axis=0)
-            worst = simplex[-1]
-            reflected = centroid + REFLECT * (centroid - worst)
-            f_r = session(reflected)
-            if f_r < values[0]:
-                expanded = centroid + EXPAND * (centroid - worst)
-                f_e = session(expanded)
-                if f_e < f_r:
-                    simplex[-1], values[-1] = expanded, f_e
-                else:
-                    simplex[-1], values[-1] = reflected, f_r
-            elif f_r < values[-2]:
-                simplex[-1], values[-1] = reflected, f_r
+    values = [session(p) for p in simplex]
+    for _ in range(spec.maxiter):
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if values[-1] - values[0] < SIMPLEX_SPREAD_TOL:
+            return True
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = centroid + REFLECT * (centroid - worst)
+        f_r = session(reflected)
+        if f_r < values[0]:
+            expanded = centroid + EXPAND * (centroid - worst)
+            f_e = session(expanded)
+            if f_e < f_r:
+                simplex[-1], values[-1] = expanded, f_e
             else:
-                if f_r < values[-1]:  # outside contraction
-                    contracted = centroid + CONTRACT * (reflected - centroid)
-                else:  # inside contraction
-                    contracted = centroid - CONTRACT * (centroid - worst)
-                f_c = session(contracted)
-                if f_c < min(f_r, values[-1]):
-                    simplex[-1], values[-1] = contracted, f_c
-                else:  # shrink toward the best vertex
-                    for i in range(1, dim + 1):
-                        simplex[i] = simplex[0] + SHRINK * (simplex[i] - simplex[0])
-                        values[i] = session(simplex[i])
-    except BudgetExhausted:
-        pass
-    return session.result(converged)
+                simplex[-1], values[-1] = reflected, f_r
+        elif f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+        else:
+            if f_r < values[-1]:  # outside contraction
+                contracted = centroid + CONTRACT * (reflected - centroid)
+            else:  # inside contraction
+                contracted = centroid - CONTRACT * (centroid - worst)
+            f_c = session(contracted)
+            if f_c < min(f_r, values[-1]):
+                simplex[-1], values[-1] = contracted, f_c
+            else:  # shrink toward the best vertex
+                for i in range(1, dim + 1):
+                    simplex[i] = simplex[0] + SHRINK * (simplex[i] - simplex[0])
+                    values[i] = session(simplex[i])
+    return False
 
 
 def _bracket(fn, f0):
@@ -170,50 +163,43 @@ class _LineCapReached(Exception):
     pass
 
 
-def powell_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
+def powell_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
     """Powell's direction-set method with Brent line minimizations and
     direction replacement after each cycle."""
-    theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
-    session = CostSession(cost, max_evals=eval_budget("powell", dim, spec))
     directions = [np.eye(dim)[i].copy() for i in range(dim)]
-    converged = False
-    try:
-        x = theta0.copy()
-        f = session(x)
-        for _ in range(spec.maxiter):
-            x_old, f_old = x.copy(), f
-            biggest_drop, drop_idx = 0.0, 0
-            for i, direction in enumerate(directions):
-                x_new, f_new = _line_minimize(session, x, direction, f)
-                if f - f_new > biggest_drop:
-                    biggest_drop, drop_idx = f - f_new, i
-                x, f = x_new, f_new
-            if f_old - f < POWELL_IMPROVEMENT_TOL:
-                converged = True
-                break
-            extrapolated = 2.0 * x - x_old
-            f_ext = session(extrapolated)
-            if f_ext < f_old:
-                # Powell's criterion for replacing the dominant direction
-                t = (
-                    2.0 * (f_old - 2.0 * f + f_ext) * (f_old - f - biggest_drop) ** 2
-                    - biggest_drop * (f_old - f_ext) ** 2
-                )
-                if t < 0.0:
-                    new_dir = x - x_old
-                    norm = np.linalg.norm(new_dir)
-                    if norm > 0.0:
-                        new_dir = new_dir / norm
-                        x, f = _line_minimize(session, x, new_dir, f)
-                        directions[drop_idx] = directions[-1]
-                        directions[-1] = new_dir
-    except BudgetExhausted:
-        pass
-    return session.result(converged)
+    x = theta0.copy()
+    f = session(x)
+    for _ in range(spec.maxiter):
+        x_old, f_old = x.copy(), f
+        biggest_drop, drop_idx = 0.0, 0
+        for i, direction in enumerate(directions):
+            x_new, f_new = _line_minimize(session, x, direction, f)
+            if f - f_new > biggest_drop:
+                biggest_drop, drop_idx = f - f_new, i
+            x, f = x_new, f_new
+        if f_old - f < POWELL_IMPROVEMENT_TOL:
+            return True
+        extrapolated = 2.0 * x - x_old
+        f_ext = session(extrapolated)
+        if f_ext < f_old:
+            # Powell's criterion for replacing the dominant direction
+            t = (
+                2.0 * (f_old - 2.0 * f + f_ext) * (f_old - f - biggest_drop) ** 2
+                - biggest_drop * (f_old - f_ext) ** 2
+            )
+            if t < 0.0:
+                new_dir = x - x_old
+                norm = np.linalg.norm(new_dir)
+                if norm > 0.0:
+                    new_dir = new_dir / norm
+                    x, f = _line_minimize(session, x, new_dir, f)
+                    directions[drop_idx] = directions[-1]
+                    directions[-1] = new_dir
+    return False
 
 
-def cobyla_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
+def cobyla_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
     """Trust-region method over a linear interpolation model on an n+1 point
     simplex; the radius shrinks from 0.5 down to 1e-8 (no constraints).
 
@@ -221,56 +207,49 @@ def cobyla_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
     along the model step, a fallback ray along the direction of recent
     progress, and a geometry refresh or radius shrink on failure.
     """
-    theta0 = np.asarray(theta0, dtype=float)
     dim = theta0.size
-    session = CostSession(cost, max_evals=eval_budget("cobyla", dim, spec))
     rho = TR_RHO_BEG
     refresh_axis = 0
-    converged = False
-    try:
-        points = [theta0.copy()]
-        values = [session(theta0)]
-        for i in range(dim):
-            p = theta0.copy()
-            p[i] += rho
-            points.append(p)
-            values.append(session(p))
-        prev_best = theta0.copy()
-        for _ in range(spec.maxiter):
-            if rho <= TR_RHO_END:
-                converged = True
-                break
-            best = int(np.argmin(values))
-            x_best, f_best = points[best].copy(), values[best]
-            mat = np.array([p - x_best for p in points])
-            rhs = np.array(values) - f_best
-            grad, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            gnorm = float(np.linalg.norm(grad))
-            moved = False
-            if gnorm >= 1e-15:
-                candidates = [-grad / gnorm]
-                momentum = x_best - prev_best
-                mnorm = float(np.linalg.norm(momentum))
-                if mnorm > 1e-14:
-                    candidates.append(momentum / mnorm)
-                for direction in candidates:
-                    hit = _tr_ray(session, x_best, f_best, direction, rho)
-                    if hit is not None:
-                        x_new, f_new, reach = hit
-                        worst = int(np.argmax(values))
-                        points[worst], values[worst] = x_new, f_new
-                        if reach > rho:
-                            rho = min(reach, TR_RHO_BEG)
-                        prev_best = x_best
-                        moved = True
-                        break
-            if not moved:
-                rho, refresh_axis = _tr_refresh_or_shrink(
-                    session, points, values, rho, refresh_axis, dim
-                )
-    except BudgetExhausted:
-        pass
-    return session.result(converged)
+    points = [theta0.copy()]
+    values = [session(theta0)]
+    for i in range(dim):
+        p = theta0.copy()
+        p[i] += rho
+        points.append(p)
+        values.append(session(p))
+    prev_best = theta0.copy()
+    for _ in range(spec.maxiter):
+        if rho <= TR_RHO_END:
+            return True
+        best = int(np.argmin(values))
+        x_best, f_best = points[best].copy(), values[best]
+        mat = np.array([p - x_best for p in points])
+        rhs = np.array(values) - f_best
+        grad, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+        gnorm = float(np.linalg.norm(grad))
+        moved = False
+        if gnorm >= 1e-15:
+            candidates = [-grad / gnorm]
+            momentum = x_best - prev_best
+            mnorm = float(np.linalg.norm(momentum))
+            if mnorm > 1e-14:
+                candidates.append(momentum / mnorm)
+            for direction in candidates:
+                hit = _tr_ray(session, x_best, f_best, direction, rho)
+                if hit is not None:
+                    x_new, f_new, reach = hit
+                    worst = int(np.argmax(values))
+                    points[worst], values[worst] = x_new, f_new
+                    if reach > rho:
+                        rho = min(reach, TR_RHO_BEG)
+                    prev_best = x_best
+                    moved = True
+                    break
+        if not moved:
+            rho, refresh_axis = _tr_refresh_or_shrink(
+                session, points, values, rho, refresh_axis, dim
+            )
+    return False
 
 
 def _tr_ray(session, x_best, f_best, direction, rho):

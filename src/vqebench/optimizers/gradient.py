@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .result import OptResult, OptimizerSpec
-from .session import MAX_BACKTRACKS, BudgetExhausted, CostSession, eval_budget
+from .result import OptimizerSpec
+from .session import MAX_BACKTRACKS
 
 GRAD_NORM_TOL = 1e-8
 ARMIJO_C1 = 1e-4
@@ -25,7 +25,7 @@ def _line_search(session, x, f, g, direction):
     """Backtracking search for the Armijo sufficient-decrease condition only
     (no curvature condition).
 
-    Returns (alpha, x_new, f_new) or None after MAX_BACKTRACKS halvings.
+    Returns (x_new, f_new) or None after MAX_BACKTRACKS halvings.
     """
     slope = float(g @ direction)
     alpha = 1.0
@@ -33,99 +33,86 @@ def _line_search(session, x, f, g, direction):
         x_new = x + alpha * direction
         f_new = session(x_new)
         if f_new <= f + ARMIJO_C1 * alpha * slope:
-            return alpha, x_new, f_new
+            return x_new, f_new
         alpha *= 0.5
     return None
 
 
-def bfgs_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
+def _quasi_newton(session, theta0, spec: OptimizerSpec, step, update) -> bool:
+    """Quasi-Newton loop shared by BFGS and SQP: step(model, g) gives the
+    (model, search direction), update(model, s, y) the model after a step;
+    the model starts as the identity."""
+    h = spec.gradient_step
+    model = np.eye(theta0.size)
+    f = session(theta0)
+    g = finite_difference_gradient(session, theta0, h)
+    x = theta0.copy()
+    if np.linalg.norm(g) < GRAD_NORM_TOL:
+        return True
+    for _ in range(spec.maxiter):
+        model, direction = step(model, g)
+        found = _line_search(session, x, f, g, direction)
+        if found is None:
+            return False
+        x_new, f_new = found
+        g_new = finite_difference_gradient(session, x_new, h)
+        model = update(model, x_new - x, g_new - g)
+        f_change = abs(f_new - f)
+        x, f, g = x_new, f_new, g_new
+        if f_change <= spec.ftol * max(1.0, abs(f_new)) or np.linalg.norm(g) < GRAD_NORM_TOL:
+            return True
+    return False
+
+
+def _bfgs_step(h_inv, g):
+    direction = -h_inv @ g
+    if float(g @ direction) >= 0.0:
+        direction = -g  # reset on loss of descent
+    return h_inv, direction
+
+
+def _bfgs_update(h_inv, s, y):
+    sy = float(s @ y)
+    if sy > 1e-12:
+        rho = 1.0 / sy
+        left = np.eye(s.size) - rho * np.outer(s, y)
+        h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
+    return h_inv
+
+
+def _sqp_step(b_mat, g):
+    try:
+        direction = np.linalg.solve(b_mat, -g)
+    except np.linalg.LinAlgError:
+        b_mat = np.eye(g.size)
+        direction = -g
+    if float(g @ direction) >= 0.0:
+        b_mat = np.eye(g.size)
+        direction = -g
+    return b_mat, direction
+
+
+def _sqp_update(b_mat, s, y):
+    bs = b_mat @ s
+    sbs = float(s @ bs)
+    sy = float(s @ y)
+    # Powell damping keeps the quadratic model positive definite
+    if sbs > 0 and sy < 0.2 * sbs:
+        phi = 0.8 * sbs / (sbs - sy)
+        y = phi * y + (1.0 - phi) * bs
+        sy = float(s @ y)
+    if sbs > 1e-16 and sy > 1e-16:
+        b_mat = b_mat - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
+    return b_mat
+
+
+def bfgs_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
     """Quasi-Newton minimization with inverse-Hessian updates and a
     backtracking Armijo line search; gradients by central differences."""
-    theta0 = np.asarray(theta0, dtype=float)
-    dim = theta0.size
-    session = CostSession(cost, max_evals=eval_budget("bfgs", dim, spec))
-    h = spec.gradient_step
-    h_inv = np.eye(dim)
-    try:
-        f = session(theta0)
-        g = finite_difference_gradient(session, theta0, h)
-        x = theta0.copy()
-        if np.linalg.norm(g) < GRAD_NORM_TOL:
-            return session.result(True)
-        for _ in range(spec.maxiter):
-            direction = -h_inv @ g
-            if float(g @ direction) >= 0.0:
-                direction = -g  # reset on loss of descent
-            step = _line_search(session, x, f, g, direction)
-            if step is None:
-                return session.result(False)
-            _, x_new, f_new = step
-            g_new = finite_difference_gradient(session, x_new, h)
-            s = x_new - x
-            y = g_new - g
-            sy = float(s @ y)
-            if sy > 1e-12:
-                rho = 1.0 / sy
-                i_mat = np.eye(dim)
-                left = i_mat - rho * np.outer(s, y)
-                h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
-            f_change = abs(f_new - f)
-            x, f, g = x_new, f_new, g_new
-            if f_change <= spec.ftol * max(1.0, abs(f_new)):
-                return session.result(True)
-            if np.linalg.norm(g) < GRAD_NORM_TOL:
-                return session.result(True)
-        return session.result(False)
-    except BudgetExhausted:
-        return session.result(False)
+    return _quasi_newton(session, theta0, spec, _bfgs_step, _bfgs_update)
 
 
-def slsqp_minimize(cost, theta0, spec: OptimizerSpec, rng=None) -> OptResult:
+def slsqp_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
     """Unconstrained SQP: a damped quasi-Newton quadratic model solved
     exactly each iteration, with a line search on the objective."""
-    theta0 = np.asarray(theta0, dtype=float)
-    dim = theta0.size
-    session = CostSession(cost, max_evals=eval_budget("slsqp", dim, spec))
-    h = spec.gradient_step
-    b_mat = np.eye(dim)
-    try:
-        f = session(theta0)
-        g = finite_difference_gradient(session, theta0, h)
-        x = theta0.copy()
-        if np.linalg.norm(g) < GRAD_NORM_TOL:
-            return session.result(True)
-        for _ in range(spec.maxiter):
-            try:
-                direction = np.linalg.solve(b_mat, -g)
-            except np.linalg.LinAlgError:
-                b_mat = np.eye(dim)
-                direction = -g
-            if float(g @ direction) >= 0.0:
-                b_mat = np.eye(dim)
-                direction = -g
-            step = _line_search(session, x, f, g, direction)
-            if step is None:
-                return session.result(False)
-            _, x_new, f_new = step
-            g_new = finite_difference_gradient(session, x_new, h)
-            s = x_new - x
-            y = g_new - g
-            bs = b_mat @ s
-            sbs = float(s @ bs)
-            sy = float(s @ y)
-            # Powell damping keeps the quadratic model positive definite
-            if sbs > 0 and sy < 0.2 * sbs:
-                phi = 0.8 * sbs / (sbs - sy)
-                y = phi * y + (1.0 - phi) * bs
-                sy = float(s @ y)
-            if sbs > 1e-16 and sy > 1e-16:
-                b_mat = b_mat - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
-            f_change = abs(f_new - f)
-            x, f, g = x_new, f_new, g_new
-            if f_change <= spec.ftol * max(1.0, abs(f_new)):
-                return session.result(True)
-            if np.linalg.norm(g) < GRAD_NORM_TOL:
-                return session.result(True)
-        return session.result(False)
-    except BudgetExhausted:
-        return session.result(False)
+    return _quasi_newton(session, theta0, spec, _sqp_step, _sqp_update)

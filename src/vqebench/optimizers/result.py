@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +27,9 @@ class IsomaParams:
     prt: float = 0.3  # probability that a coordinate takes part in a jump
 
     def __post_init__(self):
+        counts = (self.n_jump, self.pop_size, self.max_migration, self.max_fes, self.m, self.n, self.k)
+        if not all(isinstance(c, Integral) for c in counts):
+            raise ParameterDomainError("iSOMA counts must be integers")
         if self.var_min >= self.var_max:
             raise ParameterDomainError("var_min must be below var_max")
         if not self.m <= self.pop_size:
@@ -51,8 +55,8 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ParameterDomainError(f"unknown optimizer kind {self.kind!r}")
-        if self.maxiter < 1:
-            raise ParameterDomainError("maxiter must be >= 1")
+        if not isinstance(self.maxiter, Integral) or self.maxiter < 1:
+            raise ParameterDomainError("maxiter must be an integer >= 1")
         if self.ftol <= 0:
             raise ParameterDomainError("ftol must be positive")
         if self.gradient_step <= 0:

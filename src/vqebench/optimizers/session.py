@@ -53,17 +53,13 @@ class CostSession:
         theta = np.asarray(theta, dtype=float)
         value = float(self._cost(theta))
         if math.isnan(value):
-            raise CostEvaluationError(theta.copy())
+            raise CostEvaluationError(theta.copy(), self.n_evals + 1)
         self.n_evals += 1
         self.trace.append((self.n_evals, value))
         if value < self.best_f:
             self.best_f = value
             self.best_theta = theta.copy()
         return value
-
-    @property
-    def exhausted(self) -> bool:
-        return self.max_evals is not None and self.n_evals >= self.max_evals
 
     def result(self, converged: bool) -> OptResult:
         """The best point seen so far, as the minimizer's result."""

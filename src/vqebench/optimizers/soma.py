@@ -3,27 +3,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .result import OptResult, OptimizerSpec
-from .session import BudgetExhausted, CostSession
+from .result import OptimizerSpec
+from .session import BudgetExhausted
 
 
-def isoma_minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator) -> OptResult:
+def isoma_minimize(session, theta0, spec: OptimizerSpec, rng: np.random.Generator) -> bool:
     """Self-organizing migration: random subsets of the population send their
     best members jumping toward a sampled leader, with per-coordinate
     perturbation masks resampled at every jump and greedy acceptance.
 
     theta0 only fixes the dimensionality; the initial population is uniform
-    in [var_min, var_max]^dim.  Hard evaluation cap: max_fes.
+    in [var_min, var_max]^dim.  max_fes is the planned stop, not a budget
+    overrun, so a run that spends it still reports converged.
     """
     params = spec.isoma
-    dim = np.asarray(theta0, dtype=float).size
-    session = CostSession(cost, max_evals=params.max_fes)
+    dim = theta0.size
     try:
         population = rng.uniform(params.var_min, params.var_max, size=(params.pop_size, dim))
         fitness = np.array([session(x) for x in population])
         for _ in range(params.max_migration):
-            if session.exhausted:
-                break
             chosen = rng.choice(params.pop_size, size=params.m, replace=False)
             migrants = chosen[np.argsort(fitness[chosen], kind="stable")[: params.n]]
             for j in migrants:
@@ -47,4 +45,4 @@ def isoma_minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator) 
                 fitness[j] = best_f
     except BudgetExhausted:
         pass
-    return session.result(True)
+    return True

@@ -173,3 +173,52 @@ def test_run_beyond_dense_capacity_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"optimizers": [{"kind": "bfgs", "maxitr": 5}]},
+        {"optimizers": [{"kind": "bfgs", "maxiter": 2.5}]},
+        {"optimizers": [{"kind": "bfgs", "ftol": "small"}]},
+        {"optimizers": [{"kind": "isoma", "isoma": {"popsize": 10}}]},
+        {"optimizers": [{"kind": "isoma", "isoma": {"max_fes": 7.5}}]},
+        {"theta0_policy": {"kind": "uniform", "lo": -1.0}},
+        {"theta0_policy": 3},
+        {"phi_a": "zero"},
+        {"phi_b": 1.5},
+        {"seeds": [0, "one"]},
+        {"seeds": 3},
+        {"families": [{"name": "shots", "n_m": "many"}]},
+        {"families": [{"name": "dp", "noise": [{"gates": ["rz"], "kind": "phase_damping", "lam": "x"}]}]},
+        {"families": [{"name": "dp", "noise": 5}]},
+        {"hamiltonian_path": 5},
+    ],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "rank"])
+@pytest.mark.parametrize("column, bad", [("seed", "zero"), ("n_evals", "1.5"), ("e_ground", "low")])
+def test_malformed_runs_cell_exits_3(tmp_path, capsys, command, column, bad):
+    runs = tmp_path / "runs.csv"
+    write_records(synthetic_records(), runs)
+    with open(runs, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[3][rows[0].index(column)] = bad
+    with open(runs, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["analyze", "--runs", str(runs), "--per-optimizer", str(out)],
+        "rank": ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:") and "row 3" in err[0]
+    assert not out.exists()

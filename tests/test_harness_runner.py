@@ -167,3 +167,31 @@ def test_uniform_theta0_varies_across_seeds():
     evals = {r.n_evals for r in records}
     e_sa = {r.e_sa for r in records}
     assert len(evals) > 1 or len(e_sa) > 1
+
+
+def test_nan_cost_partway_writes_nan_row_and_grid_continues(tmp_path, monkeypatch):
+    from vqebench.harness import runner
+
+    clean = run_experiment(make_config(seeds=(1,)))
+    sa_cost = runner.sa_cost
+    calls = []
+
+    def nan_on_fifth_call(theta, ctx, rng):
+        calls.append(theta)
+        value = sa_cost(theta, ctx, rng)
+        return math.nan if len(calls) == 5 else value
+
+    monkeypatch.setattr(runner, "sa_cost", nan_on_fifth_call)
+    path = tmp_path / "runs.csv"
+    failed, after = run_experiment(make_config(seeds=(0, 1)), out_path=path)
+
+    assert math.isnan(failed.e_ground) and math.isnan(failed.e_excited)
+    assert math.isnan(failed.e_sa)
+    assert not failed.converged
+    assert failed.n_evals == 5  # the NaN evaluation counts
+    row = path.read_text().splitlines()[1]
+    assert row.rsplit(",", 1)[0] == "ideal,bfgs,0,nan,nan,nan,5,false"
+    assert len(calls) > 5  # the next run of the grid executed
+    assert (after.e_ground, after.e_excited, after.n_evals, after.converged) == (
+        clean[0].e_ground, clean[0].e_excited, clean[0].n_evals, clean[0].converged
+    )
