@@ -5,13 +5,13 @@ from dataclasses import dataclass
 
 from ..errors import ParameterDomainError
 from ..qsim import EstimatorSpec, NoiseModel, NoiseRule
+from ..qsim.circuits import GATE_KINDS
 
 #: Shot count used by every noisy family, chosen large enough that sampling
 #: noise plays a minor role next to the channel under study.
 NOISY_SHOTS = 6144
 
-_DEPOL_GATES = frozenset({"x", "y", "z", "h", "rx", "ry", "rz", "cx"})
-_ALL_GATES = frozenset({"x", "y", "z", "h", "rx", "ry", "rz", "cx", "prot"})
+_DEPOL_GATES = GATE_KINDS - {"prot"}
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def family_catalog() -> list[FamilySpec]:
         noise = NoiseModel(
             (
                 NoiseRule(
-                    _ALL_GATES,
+                    GATE_KINDS,
                     "thermal_relaxation",
                     t1_ns=(t2_us + 20) * 1000.0,
                     t2_ns=t2_us * 1000.0,
@@ -62,7 +62,7 @@ def family_catalog() -> list[FamilySpec]:
         noise = NoiseModel(
             (
                 NoiseRule(
-                    _ALL_GATES,
+                    GATE_KINDS,
                     "thermal_relaxation",
                     t1_ns=float(t1_ns),
                     t2_ns=float(t1_ns),

@@ -74,12 +74,13 @@ def _integer(value, what: str) -> int:
 
 def _parse_noise_rule(obj: dict) -> NoiseRule:
     try:
-        gates = frozenset(obj["gates"])
-        kind = obj["kind"]
+        gates, kind = obj["gates"], obj["kind"]
     except KeyError as exc:
         raise ParameterDomainError(f"noise rule missing field {exc}") from None
+    if not isinstance(gates, list):
+        raise ParameterDomainError(f"noise rule gates must be a list of gate kinds, got {gates!r}")
     params = {k: obj[k] for k in ("lam", "p", "t1_ns", "t2_ns") if k in obj}
-    return NoiseRule(gates, kind, **params)
+    return NoiseRule(frozenset(gates), kind, **params)
 
 
 def _parse_family(obj) -> FamilySpec:

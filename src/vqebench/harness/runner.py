@@ -2,12 +2,13 @@
 grid, CSV persistence, and per-cell summaries."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +20,6 @@ from ..qsim import load_circuit, load_hamiltonian
 from .catalog import FamilySpec
 from .config import ExperimentConfig, Theta0Policy
 
-CSV_HEADER = (
-    "family",
-    "optimizer",
-    "seed",
-    "e_ground",
-    "e_excited",
-    "e_sa",
-    "n_evals",
-    "converged",
-    "wall_time_ms",
-)
-
 #: Enlarged central-difference step used under shot-based estimation.
 NOISY_GRADIENT_STEP = 5e-2
 _DEFAULT_GRADIENT_STEP = OptimizerSpec("bfgs").gradient_step
@@ -38,6 +27,8 @@ _DEFAULT_GRADIENT_STEP = OptimizerSpec("bfgs").gradient_step
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One row of the runs CSV; its fields, in order, are the CSV columns."""
+
     family: str
     optimizer: str
     seed: int
@@ -59,6 +50,23 @@ class RunRecord:
             raise ParameterDomainError("e_ground must not exceed e_excited")
 
 
+def _flag(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true"
+
+
+#: (format, parse) of a cell by field type; 17 significant digits round-trip a float.
+_CELL = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": (lambda x: format(x, ".17g"), float),
+    "bool": (lambda b: "true" if b else "false", _flag),
+}
+_COLUMNS = tuple((f.name, *_CELL[f.type]) for f in fields(RunRecord))
+CSV_HEADER = tuple(name for name, _, _ in _COLUMNS)
+
+
 def derive_run_seed(family: str, optimizer: str, seed: int) -> int:
     """Stable 64-bit seed from the run's identity, so every cell draws an
     independent random stream regardless of execution order."""
@@ -71,10 +79,7 @@ class _RunTask:
     family: FamilySpec
     optimizer: OptimizerSpec
     seed: int
-    hamiltonian_path: str
-    circuit_path: str
-    phi_a: int
-    phi_b: int
+    ctx: EnsembleContext
     theta0_policy: Theta0Policy
 
 
@@ -87,19 +92,11 @@ def _effective_optimizer(spec: OptimizerSpec, family: FamilySpec) -> OptimizerSp
 
 
 def execute_run(task: _RunTask) -> RunRecord:
-    hamiltonian = load_hamiltonian(task.hamiltonian_path)
-    ansatz = load_circuit(task.circuit_path)
-    ctx = EnsembleContext(
-        hamiltonian=hamiltonian,
-        ansatz=ansatz,
-        phi_a=task.phi_a,
-        phi_b=task.phi_b,
-        estimator=task.family.estimator,
-    )
+    ctx = task.ctx
     run_seed = derive_run_seed(task.family.name, task.optimizer.kind, task.seed)
     shot_ss, opt_ss, theta_ss = np.random.SeedSequence(run_seed).spawn(3)
     shot_rng = np.random.default_rng(shot_ss)
-    theta0 = task.theta0_policy.draw(ansatz.n_params, np.random.default_rng(theta_ss))
+    theta0 = task.theta0_policy.draw(ctx.ansatz.n_params, np.random.default_rng(theta_ss))
     spec = _effective_optimizer(task.optimizer, task.family)
 
     def cost(theta):
@@ -115,100 +112,73 @@ def execute_run(task: _RunTask) -> RunRecord:
         e_ground, e_excited = resolve_states(result.theta_best, ctx)
         n_evals, converged = result.n_evals, result.converged
     wall = (time.perf_counter() - start) * 1000.0
-    return RunRecord(
-        family=task.family.name,
-        optimizer=task.optimizer.kind,
-        seed=task.seed,
-        e_ground=e_ground,
-        e_excited=e_excited,
-        e_sa=e_ground + e_excited,
-        n_evals=n_evals,
-        converged=converged,
-        wall_time_ms=wall,
-    )
+    identity = (task.family.name, task.optimizer.kind, task.seed)
+    return RunRecord(*identity, e_ground, e_excited, e_ground + e_excited, n_evals, converged, wall)
 
 
 def _tasks(cfg: ExperimentConfig) -> list[_RunTask]:
-    return [
-        _RunTask(
-            family=family,
-            optimizer=optimizer,
-            seed=seed,
-            hamiltonian_path=cfg.hamiltonian_path,
-            circuit_path=cfg.circuit_path,
-            phi_a=cfg.phi_a,
-            phi_b=cfg.phi_b,
-            theta0_policy=cfg.theta0_policy,
-        )
+    """The grid's runs in order.  The problem files are read once, and every
+    family's context is built, and so checked, before any run starts."""
+    hamiltonian = load_hamiltonian(cfg.hamiltonian_path)
+    ansatz = load_circuit(cfg.circuit_path)
+    contexts = [
+        EnsembleContext(hamiltonian, ansatz, cfg.phi_a, cfg.phi_b, family.estimator)
         for family in cfg.families
+    ]
+    return [
+        _RunTask(family, optimizer, seed, ctx, cfg.theta0_policy)
+        for family, ctx in zip(cfg.families, contexts)
         for optimizer in cfg.optimizers
         for seed in cfg.seeds
     ]
 
 
+def _row_writer(handle):
+    """Write the runs-CSV header to handle; return a writer of one flushed row."""
+    writer = csv.writer(handle)
+    writer.writerow(CSV_HEADER)
+
+    def write(record: RunRecord) -> None:
+        writer.writerow(_record_row(record))
+        handle.flush()
+
+    return write
+
+
 def run_experiment(
-    cfg: ExperimentConfig,
-    out_path=None,
-    jobs: int = 1,
-    progress=None,
+    cfg: ExperimentConfig, out_path=None, jobs: int = 1, progress=None
 ) -> list[RunRecord]:
     """Run the whole grid.  Results are identical for any jobs value: each
     run draws from its own seeded stream and records are emitted in grid
-    order.  If out_path is given, records stream to the CSV as they finish."""
+    order.  If out_path is given, records stream to the CSV as they finish;
+    a problem that fails to load leaves out_path untouched."""
     tasks = _tasks(cfg)
-    writer = None
-    handle = None
-    if out_path is not None:
-        handle = open(out_path, "w", newline="")
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
     records = []
-
-    def consume(produced):
-        for record in produced:
-            records.append(record)
-            if writer is not None:
-                writer.writerow(_record_row(record))
-                handle.flush()
-            if progress is not None:
-                progress(record)
-
-    try:
-        if jobs <= 1:
-            consume(map(execute_run, tasks))
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                consume(pool.map(execute_run, tasks))
-    finally:
-        if handle is not None:
-            handle.close()
+    sinks = [records.append]
+    with contextlib.ExitStack() as stack:
+        if out_path is not None:
+            sinks.append(_row_writer(stack.enter_context(open(out_path, "w", newline=""))))
+        if progress is not None:
+            sinks.append(progress)
+        runs = map(execute_run, tasks)
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            runs = pool.map(execute_run, tasks)
+        for record in runs:
+            for sink in sinks:
+                sink(record)
     return records
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _record_row(r: RunRecord) -> list[str]:
-    return [
-        r.family,
-        r.optimizer,
-        str(r.seed),
-        _fmt(r.e_ground),
-        _fmt(r.e_excited),
-        _fmt(r.e_sa),
-        str(r.n_evals),
-        "true" if r.converged else "false",
-        _fmt(r.wall_time_ms),
-    ]
+    return [fmt(getattr(r, name)) for name, fmt, _ in _COLUMNS]
 
 
 def write_records(records, path) -> None:
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
+        write = _row_writer(handle)
         for record in records:
-            writer.writerow(_record_row(record))
+            write(record)
 
 
 def read_records(path) -> list[RunRecord]:
@@ -225,19 +195,7 @@ def read_records(path) -> list[RunRecord]:
         if len(row) != len(CSV_HEADER):
             raise ParameterDomainError(f"malformed row {number} in {path}: {row!r}")
         try:
-            records.append(
-                RunRecord(
-                    family=row[0],
-                    optimizer=row[1],
-                    seed=int(row[2]),
-                    e_ground=float(row[3]),
-                    e_excited=float(row[4]),
-                    e_sa=float(row[5]),
-                    n_evals=int(row[6]),
-                    converged=row[7] == "true",
-                    wall_time_ms=float(row[8]),
-                )
-            )
+            records.append(RunRecord(*(parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row))))
         except ValueError as exc:
             raise ParameterDomainError(f"bad row {number} in {path}: {row!r}: {exc}") from None
     return records

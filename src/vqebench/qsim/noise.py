@@ -10,7 +10,7 @@ from .channels import (
     kraus_phase_damping,
     kraus_thermal_relaxation,
 )
-from .circuits import Gate
+from .circuits import GATE_KINDS, Gate
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,11 @@ class NoiseRule:
     t2_ns: float | None = None
 
     def __post_init__(self):
+        if not self.gate_kinds or not self.gate_kinds <= GATE_KINDS:
+            raise ParameterDomainError(
+                f"noise rule gates must be a non-empty subset of {sorted(GATE_KINDS)}, "
+                f"got {set(self.gate_kinds)}"
+            )
         if self.kind == "phase_damping":
             if self.lam is None or not 0.0 <= self.lam <= 1.0:
                 raise ParameterDomainError(f"phase damping lambda {self.lam} outside [0, 1]")

@@ -164,15 +164,24 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("data error:")
 
 
-def test_run_beyond_dense_capacity_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("bad_problem", ["missing_ham", "nine_qubits", "phi_out_of_range"])
+def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_problem):
     ham = tmp_path / "big.ham"
     ham.write_text("1.0 " + "Z" * 9 + "\n")
     circ = tmp_path / "big.circ"
     circ.write_text("ry 0 t0\nry 8 t1\n")
-    cfg = write_config(tmp_path, hamiltonian_path=str(ham), circuit_path=str(circ))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+    overrides = {
+        "missing_ham": {"hamiltonian_path": str(tmp_path / "absent.ham")},
+        "nine_qubits": {"hamiltonian_path": str(ham), "circuit_path": str(circ)},
+        "phi_out_of_range": {"phi_b": 4},  # the toy problem has 2 qubits
+    }[bad_problem]
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"an earlier grid's runs\n")
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:")
+    assert out.read_bytes() == b"an earlier grid's runs\n"
 
 
 @pytest.mark.parametrize(
@@ -193,6 +202,10 @@ def test_run_beyond_dense_capacity_exits_3(tmp_path, capsys):
         {"families": [{"name": "dp", "noise": [{"gates": ["rz"], "kind": "phase_damping", "lam": "x"}]}]},
         {"families": [{"name": "dp", "noise": 5}]},
         {"hamiltonian_path": 5},
+        {"families": [{"name": "dp", "noise": [{"gates": "rz", "kind": "phase_damping", "lam": 0.1}]}]},
+        {"families": [{"name": "dp", "noise": [{"gates": ["RZ"], "kind": "phase_damping", "lam": 0.1}]}]},
+        {"families": [{"name": "dp", "noise": [{"gates": ["rzz"], "kind": "phase_damping", "lam": 0.1}]}]},
+        {"families": [{"name": "dp", "noise": [{"gates": [], "kind": "phase_damping", "lam": 0.1}]}]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
@@ -204,7 +217,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize("command", ["analyze", "rank"])
-@pytest.mark.parametrize("column, bad", [("seed", "zero"), ("n_evals", "1.5"), ("e_ground", "low")])
+@pytest.mark.parametrize(
+    "column, bad", [("seed", "zero"), ("n_evals", "1.5"), ("e_ground", "low"), ("converged", "yes")]
+)
 def test_malformed_runs_cell_exits_3(tmp_path, capsys, command, column, bad):
     runs = tmp_path / "runs.csv"
     write_records(synthetic_records(), runs)

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from vqebench.harness import config_from_dict, lookup_family, run_experiment, toy_problem_paths
+from vqebench.harness import (
+    config_from_dict,
+    lookup_family,
+    run_experiment,
+    toy_problem_paths,
+    write_records,
+)
 from vqebench.harness.runner import CSV_HEADER, _record_row
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.csv"
@@ -44,12 +50,14 @@ def _grids():
     return [config_from_dict({**base, **grid}) for grid in (capped, default)]
 
 
+def golden_records():
+    """Records of a fresh run of the golden grids, in file order."""
+    return [record for cfg in _grids() for record in run_experiment(cfg)]
+
+
 def golden_rows():
     """Rows of a fresh run of the golden grids, as the runs CSV writes them."""
-    rows = []
-    for cfg in _grids():
-        rows.extend(_record_row(r) for r in run_experiment(cfg))
-    return rows
+    return [_record_row(r) for r in golden_records()]
 
 
 def _as_dicts(rows):
@@ -76,7 +84,4 @@ def test_golden_runs_unchanged():
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    with open(GOLDEN, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(golden_rows())
+    write_records(golden_records(), GOLDEN)

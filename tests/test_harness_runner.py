@@ -195,3 +195,28 @@ def test_nan_cost_partway_writes_nan_row_and_grid_continues(tmp_path, monkeypatc
     assert (after.e_ground, after.e_excited, after.n_evals, after.converged) == (
         clean[0].e_ground, clean[0].e_excited, clean[0].n_evals, clean[0].converged
     )
+
+
+def test_problem_loaded_once_per_grid(monkeypatch):
+    from vqebench.harness import runner
+
+    calls = {"load_hamiltonian": 0, "load_circuit": 0}
+
+    def counted(name):
+        load = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return load(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(runner, name, counted(name))
+    cfg = make_config(
+        families=("ideal", "SN-256"),
+        optimizers=({"kind": "bfgs", "maxiter": 1}, {"kind": "cobyla", "maxiter": 3}),
+        seeds=(0, 1),
+    )
+    assert len(run_experiment(cfg)) == 8
+    assert calls == {"load_hamiltonian": 1, "load_circuit": 1}
