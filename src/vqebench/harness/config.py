@@ -79,7 +79,7 @@ def _parse_noise_rule(obj: dict) -> NoiseRule:
         raise ParameterDomainError(f"noise rule missing field {exc}") from None
     if not isinstance(gates, list):
         raise ParameterDomainError(f"noise rule gates must be a list of gate kinds, got {gates!r}")
-    params = {k: obj[k] for k in ("lam", "p", "t1_ns", "t2_ns") if k in obj}
+    params = {k: v for k, v in obj.items() if k not in ("gates", "kind")}
     return NoiseRule(frozenset(gates), kind, **params)
 
 

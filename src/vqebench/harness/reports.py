@@ -6,12 +6,15 @@ import csv
 import json
 import logging
 import math
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DegenerateSampleError, ParameterDomainError, VqeBenchError
 from ..stats import (
+    CellMetrics,
+    OptimizerMetrics,
     Sample2D,
     bootstrap_ellipse,
     box_m_test,
@@ -32,25 +35,34 @@ _MIN_GROUP = 3  # points per family needed for the multivariate battery
 _log = logging.getLogger(__name__)
 
 
-def _finite_cells(records):
-    """family -> (n, 2) array of finite (e_ground, e_excited) points."""
-    cells: dict[str, list] = {}
-    for r in records:
-        if math.isfinite(r.e_ground) and math.isfinite(r.e_excited):
-            cells.setdefault(r.family, []).append([r.e_ground, r.e_excited])
-    return {fam: np.array(pts) for fam, pts in cells.items()}
+def _finite(records) -> list:
+    """The records whose two energies are finite."""
+    return [r for r in records if math.isfinite(r.e_ground) and math.isfinite(r.e_excited)]
+
+
+def _outcome(test, *args, **kw) -> dict:
+    """The test's result as a dict, or the error it raised."""
+    try:
+        return test(*args, **kw).to_dict()
+    except VqeBenchError as exc:
+        return {"error": str(exc)}
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_matrix_csv(path: Path, labels, matrix) -> None:
+def _write_csv(path: Path, header, rows, float_format: str = ".17g") -> None:
+    """Write the rows under the header; float cells in float_format."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([""] + list(labels))
-        for label, row in zip(labels, matrix):
-            writer.writerow([label] + [format(v, ".6g") for v in row])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, float_format) if isinstance(v, float) else v for v in row])
+
+
+def _write_matrix_csv(path: Path, labels, matrix) -> None:
+    _write_csv(path, ["", *labels], ([label, *row] for label, row in zip(labels, matrix)), ".6g")
 
 
 def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> None:
@@ -58,95 +70,71 @@ def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> No
     files into out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = _finite_cells(records)
-    usable = {f: pts for f, pts in cells.items() if pts.shape[0] >= _MIN_GROUP}
-    skipped = {
-        f: f"only {cells[f].shape[0]} finite points" for f in cells if f not in usable
+    cells: dict[str, list] = {}
+    for r in _finite(records):
+        cells.setdefault(r.family, []).append((r.e_ground, r.e_excited))
+    samples = {
+        f: Sample2D(np.array(cells[f]), family=f)
+        for f in sorted(cells)
+        if len(cells[f]) >= _MIN_GROUP
     }
-    families = sorted(usable)
+    families = list(samples)
 
     mardia_out: dict[str, dict] = {}
-    mardia_err: dict[str, str] = dict(skipped)
-    for fam in families:
+    mardia_err = {f: f"only {len(c)} finite points" for f, c in cells.items() if f not in samples}
+    for fam, sample in samples.items():
         try:
-            skew, kurt = mardia_test(Sample2D(usable[fam], family=fam))
+            skew, kurt = mardia_test(sample)
             mardia_out[fam] = {"skew": skew.to_dict(), "kurt": kurt.to_dict()}
         except VqeBenchError as exc:
             mardia_err[fam] = str(exc)
     _write_json(out_dir / "mardia.json", {"families": mardia_out, "errors": mardia_err})
 
-    try:
-        box = box_m_test([Sample2D(usable[f], family=f) for f in families])
-        payload = {"groups": families, **box.to_dict()}
-    except VqeBenchError as exc:
-        payload = {"groups": families, "error": str(exc)}
-    _write_json(out_dir / "box_m.json", payload)
+    box = _outcome(box_m_test, list(samples.values()))
+    _write_json(out_dir / "box_m.json", {"groups": families, **box})
 
+    points = [s.points for s in samples.values()]
     scores = {
-        "e_ground": [usable[f][:, 0] for f in families],
-        "e_excited": [usable[f][:, 1] for f in families],
-        "e_sa": [usable[f].sum(axis=1) for f in families],
+        "e_ground": [p[:, 0] for p in points],
+        "e_excited": [p[:, 1] for p in points],
+        "e_sa": [p.sum(axis=1) for p in points],
     }
     for name, center in (("levene.json", "mean"), ("brown_forsythe.json", "median")):
-        per_score = {}
-        for label, groups in scores.items():
-            try:
-                per_score[label] = levene_like_test(groups, center=center).to_dict()
-            except VqeBenchError as exc:
-                per_score[label] = {"error": str(exc)}
+        per_score = {k: _outcome(levene_like_test, g, center=center) for k, g in scores.items()}
         _write_json(out_dir / name, {"groups": families, **per_score})
 
     if len(families) >= 2:
-        points = np.vstack([usable[f] for f in families])
-        labels = [f for f in families for _ in range(usable[f].shape[0])]
-        for name, test_fn, test_key in (
-            ("permanova", permanova, "permanova"),
-            ("permdisp", permdisp, "permdisp"),
-        ):
+        stacked = np.vstack(points)
+        labels = [f for f, s in samples.items() for _ in range(s.n)]
+        for name, test_fn in (("permanova", permanova), ("permdisp", permdisp)):
             rng = np.random.default_rng(seed)
-            try:
-                res = test_fn(points, labels, n_perm=n_perm, rng=rng)
-                payload = {"groups": families, **res.to_dict()}
-            except VqeBenchError as exc:
-                payload = {"groups": families, "error": str(exc)}
-            _write_json(out_dir / f"{name}.json", payload)
+            omnibus = _outcome(test_fn, stacked, labels, n_perm=n_perm, rng=rng)
+            _write_json(out_dir / f"{name}.json", {"groups": families, **omnibus})
             rng = np.random.default_rng(seed)
             try:
                 pm = pairwise_posthoc(
-                    points, labels, test=test_key, adjust="bh", n_perm=n_perm, rng=rng
-                )
-                _write_matrix_csv(
-                    out_dir / f"{name}_pairwise.csv", pm.labels, pm.p_adjusted
+                    stacked, labels, test=name, adjust="bh", n_perm=n_perm, rng=rng
                 )
             except VqeBenchError as exc:
                 _write_json(out_dir / f"{name}_pairwise_error.json", {"error": str(exc)})
+            else:
+                _write_matrix_csv(out_dir / f"{name}_pairwise.csv", pm.labels, pm.p_adjusted)
 
-    with open(out_dir / "ellipses.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["family", "mu_x", "mu_y", "s_xx", "s_xy", "s_yy", "d95_sq"])
-        for fam in families:
-            try:
-                ell = bootstrap_ellipse(
-                    Sample2D(usable[fam], family=fam), rng=np.random.default_rng(seed)
-                )
-            except VqeBenchError as exc:
-                optimizer = ", ".join(sorted({r.optimizer for r in records}))
-                _log.warning("%s: no ellipse for family %s: %s", optimizer, fam, exc)
-                continue
-            writer.writerow(
-                [fam]
-                + [
-                    format(v, ".17g")
-                    for v in (
-                        ell.mu[0],
-                        ell.mu[1],
-                        ell.sigma[0, 0],
-                        ell.sigma[0, 1],
-                        ell.sigma[1, 1],
-                        ell.d95_sq,
-                    )
-                ]
-            )
+    ellipses = []
+    for fam, sample in samples.items():
+        try:
+            ell = bootstrap_ellipse(sample, rng=np.random.default_rng(seed))
+        except VqeBenchError as exc:
+            optimizer = ", ".join(sorted({r.optimizer for r in records}))
+            _log.warning("%s: no ellipse for family %s: %s", optimizer, fam, exc)
+            continue
+        s = ell.sigma
+        ellipses.append([fam, *ell.mu, s[0, 0], s[0, 1], s[1, 1], ell.d95_sq])
+    _write_csv(
+        out_dir / "ellipses.csv",
+        ["family", "mu_x", "mu_y", "s_xx", "s_xy", "s_yy", "d95_sq"],
+        ellipses,
+    )
 
 
 def analyze_runs(records, out_dir, n_perm: int = 9999, seed: int = 0) -> list[str]:
@@ -164,91 +152,51 @@ def analyze_runs(records, out_dir, n_perm: int = 9999, seed: int = 0) -> list[st
 def rank_runs(records, reference, out_dir, alpha: float = 0.05) -> dict:
     """Distance metrics against the reference pair, Friedman/Kendall over the
     per-family mean distances, pairwise Wilcoxon with Holm correction, and a
-    tied-rank heatmap.  Returns the summary payload also written to disk."""
+    tied-rank heatmap.  Returns the summary payload also written to disk;
+    fewer than two optimizers raise before anything is written."""
+    cell_metrics, optimizer_metrics = distance_metrics(
+        [(r.family, r.optimizer, r.e_ground, r.e_excited) for r in _finite(records)],
+        reference,
+    )
+    optimizers = sorted(optimizer_metrics)
+    if len(optimizers) < 2:
+        raise ParameterDomainError("ranking needs at least two optimizers")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    finite = [
-        (r.family, r.optimizer, r.e_ground, r.e_excited)
-        for r in records
-        if math.isfinite(r.e_ground) and math.isfinite(r.e_excited)
-    ]
-    cell_metrics, optimizer_metrics = distance_metrics(finite, reference)
 
-    with open(out_dir / "cell_metrics.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["optimizer", "family", "centroid_distance", "mean_distance", "rms_distance", "n_points"]
-        )
-        for (opt, fam), m in sorted(cell_metrics.items()):
-            writer.writerow(
-                [opt, fam]
-                + [format(v, ".17g") for v in (m.centroid_distance, m.mean_distance, m.rms_distance)]
-                + [m.n_points]
-            )
-    with open(out_dir / "optimizer_metrics.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["optimizer", "mean_distance", "rms_distance", "avg_place", "sd_place", "wins", "n_points"]
-        )
-        for opt in sorted(optimizer_metrics):
-            m = optimizer_metrics[opt]
-            writer.writerow(
-                [opt]
-                + [
-                    format(v, ".17g")
-                    for v in (m.mean_distance, m.rms_distance, m.avg_place, m.sd_place)
-                ]
-                + [m.wins, m.n_points]
-            )
+    _write_csv(
+        out_dir / "cell_metrics.csv",
+        ["optimizer", "family", *(f.name for f in fields(CellMetrics))],
+        ([opt, fam, *astuple(m)] for (opt, fam), m in sorted(cell_metrics.items())),
+    )
+    _write_csv(
+        out_dir / "optimizer_metrics.csv",
+        ["optimizer", *(f.name for f in fields(OptimizerMetrics))],
+        ([opt, *astuple(optimizer_metrics[opt])] for opt in optimizers),
+    )
 
-    optimizers = sorted(optimizer_metrics)
     families = sorted(
-        {
-            fam
-            for fam in {f for _, f in cell_metrics}
-            if all((opt, fam) in cell_metrics for opt in optimizers)
-        }
+        {fam for _, fam in cell_metrics if all((opt, fam) in cell_metrics for opt in optimizers)}
     )
     summary = {
         "optimizers": optimizers,
         "families": families,
-        "metrics": {
-            opt: {
-                "mean_distance": optimizer_metrics[opt].mean_distance,
-                "rms_distance": optimizer_metrics[opt].rms_distance,
-                "avg_place": optimizer_metrics[opt].avg_place,
-                "sd_place": optimizer_metrics[opt].sd_place,
-                "wins": optimizer_metrics[opt].wins,
-                "n_points": optimizer_metrics[opt].n_points,
-            }
-            for opt in optimizers
-        },
+        "metrics": {opt: asdict(optimizer_metrics[opt]) for opt in optimizers},
     }
 
-    if len(families) >= 2 and len(optimizers) >= 2:
+    if len(families) >= 2:
         values = np.array(
-            [
-                [cell_metrics[(opt, fam)].mean_distance for opt in optimizers]
-                for fam in families
-            ]
+            [[cell_metrics[(opt, fam)].mean_distance for opt in optimizers] for fam in families]
         )
-        fried = friedman_test(values)
-        summary["friedman"] = fried.to_dict()
+        summary["friedman"] = friedman_test(values).to_dict()
 
-        holm = holm_wilcoxon_matrix(values)
-        _write_matrix_csv(out_dir / "wilcoxon_pairs.csv", optimizers, holm)
+        _write_matrix_csv(out_dir / "wilcoxon_pairs.csv", optimizers, holm_wilcoxon_matrix(values))
 
         places = tied_rank_groups(values, alpha=alpha)
         summary["tied_places"] = {opt: int(p) for opt, p in zip(optimizers, places)}
-
-        with open(out_dir / "rank_heatmap.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["family"] + optimizers)
-            for fam, row in zip(families, values):
-                writer.writerow([fam] + [format(v, ".1f") for v in rankdata(row)])
-            writer.writerow(["overall"] + [str(int(p)) for p in places])
-    elif len(optimizers) < 2:
-        raise ParameterDomainError("ranking needs at least two optimizers")
+        heatmap = [[fam, *rankdata(row)] for fam, row in zip(families, values)]
+        heatmap.append(["overall", *(int(p) for p in places)])
+        _write_csv(out_dir / "rank_heatmap.csv", ["family", *optimizers], heatmap, ".1f")
 
     _write_json(out_dir / "rank_summary.json", summary)
     return summary

@@ -12,6 +12,13 @@ from .channels import (
 )
 from .circuits import GATE_KINDS, Gate
 
+#: The parameters each rule kind takes; the others must stay None.
+_PARAMS = {
+    "phase_damping": ("lam",),
+    "depolarizing": ("p",),
+    "thermal_relaxation": ("t1_ns", "t2_ns"),
+}
+
 
 @dataclass(frozen=True)
 class NoiseRule:
@@ -35,19 +42,26 @@ class NoiseRule:
                 f"noise rule gates must be a non-empty subset of {sorted(GATE_KINDS)}, "
                 f"got {set(self.gate_kinds)}"
             )
+        if self.kind not in _PARAMS:
+            raise ParameterDomainError(f"unknown noise rule kind {self.kind!r}")
+        unused = [
+            name
+            for name in ("lam", "p", "t1_ns", "t2_ns")
+            if name not in _PARAMS[self.kind] and getattr(self, name) is not None
+        ]
+        if unused:
+            raise ParameterDomainError(f"{self.kind} noise rule takes no {', '.join(unused)}")
         if self.kind == "phase_damping":
             if self.lam is None or not 0.0 <= self.lam <= 1.0:
                 raise ParameterDomainError(f"phase damping lambda {self.lam} outside [0, 1]")
         elif self.kind == "depolarizing":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ParameterDomainError(f"depolarizing p {self.p} outside [0, 1]")
-        elif self.kind == "thermal_relaxation":
+        else:
             if self.t1_ns is None or self.t2_ns is None or self.t1_ns <= 0 or self.t2_ns <= 0:
                 raise ParameterDomainError("thermal relaxation requires positive T1 and T2")
             if self.t2_ns > 2.0 * self.t1_ns:
                 raise InvalidChannelError(f"T2={self.t2_ns} exceeds 2*T1={2 * self.t1_ns}")
-        else:
-            raise ParameterDomainError(f"unknown noise rule kind {self.kind!r}")
 
     def channel_applications(self, gate: Gate) -> list[tuple[KrausChannel, tuple[int, ...]]]:
         """Channels to apply after `gate`, each with its target qubits.

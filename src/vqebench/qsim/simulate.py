@@ -31,6 +31,8 @@ class EstimatorSpec:
             raise ParameterDomainError(f"unknown estimator mode {self.mode!r}")
         if self.mode == "shots" and (self.n_m is None or self.n_m < 1):
             raise ParameterDomainError(f"shot count must be >= 1, got {self.n_m}")
+        if self.mode == "exact" and self.n_m is not None:
+            raise ParameterDomainError(f"exact mode takes no shot count, got n_m={self.n_m}")
 
 
 def evolve_circuit(

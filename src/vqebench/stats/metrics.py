@@ -44,12 +44,12 @@ def distance_metrics(records, reference) -> tuple[dict, dict]:
     if not cells:
         raise DegenerateSampleError("no records")
     cell_metrics: dict[tuple[str, str], CellMetrics] = {}
+    distances: dict[tuple[str, str], np.ndarray] = {}
     for key, pts in cells.items():
         pts = np.array(pts)
-        dists = np.linalg.norm(pts - ref, axis=1)
-        centroid = pts.mean(axis=0)
+        dists = distances[key] = np.linalg.norm(pts - ref, axis=1)
         cell_metrics[key] = CellMetrics(
-            centroid_distance=float(np.linalg.norm(centroid - ref)),
+            centroid_distance=float(np.linalg.norm(pts.mean(axis=0) - ref)),
             mean_distance=float(dists.mean()),
             rms_distance=float(np.sqrt(np.mean(dists**2))),
             n_points=pts.shape[0],
@@ -75,13 +75,7 @@ def distance_metrics(records, reference) -> tuple[dict, dict]:
 
     optimizer_metrics: dict[str, OptimizerMetrics] = {}
     for opt in optimizers:
-        per_point = np.concatenate(
-            [
-                np.linalg.norm(np.array(pts) - ref, axis=1)
-                for key, pts in cells.items()
-                if key[0] == opt
-            ]
-        )
+        per_point = np.concatenate([d for key, d in distances.items() if key[0] == opt])
         pl = np.array(places[opt]) if places[opt] else np.array([1.0])
         optimizer_metrics[opt] = OptimizerMetrics(
             mean_distance=float(per_point.mean()),

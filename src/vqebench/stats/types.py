@@ -14,7 +14,6 @@ class Sample2D:
 
     points: np.ndarray  # shape (n, 2)
     family: str = ""
-    optimizer: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

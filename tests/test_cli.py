@@ -53,7 +53,8 @@ def test_run_writes_csv(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "runs.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out)))
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
     assert len(rows) == 3  # header + 2 seeds
     assert rows[0][0] == "family"
 
@@ -93,7 +94,8 @@ def test_analyze_writes_reports(tmp_path, capsys):
             "ellipses.csv",
         ):
             assert (out / opt / name).exists()
-        heat = list(csv.reader(open(out / opt / "permanova_pairwise.csv")))
+        with open(out / opt / "permanova_pairwise.csv", newline="") as handle:
+            heat = list(csv.reader(handle))
         assert heat[0][1:] == ["fam_a", "fam_b"]
 
 
@@ -108,7 +110,8 @@ def test_rank_dominant_optimizer(tmp_path, capsys):
     summary = json.loads((out / "rank_summary.json").read_text())
     assert summary["metrics"]["good"]["wins"] == 2
     assert summary["metrics"]["good"]["avg_place"] == pytest.approx(1.0)
-    heat = list(csv.reader(open(out / "rank_heatmap.csv")))
+    with open(out / "rank_heatmap.csv", newline="") as handle:
+        heat = list(csv.reader(handle))
     assert heat[0] == ["family", "bad", "good"]
     assert heat[-1][0] == "overall"
 
@@ -146,6 +149,14 @@ def test_rank_missing_runs_exits_3(tmp_path, capsys):
     assert main(
         ["rank", "--runs", str(tmp_path / "none.csv"), "--reference", "0", "0"]
     ) == 3
+    # one optimizer cannot be ranked: exit 3 before any file is written
+    runs = tmp_path / "runs.csv"
+    write_records([r for r in synthetic_records() if r.optimizer == "good"], runs)
+    out = tmp_path / "rank"
+    assert main(["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == "data error: ranking needs at least two optimizers"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "analyze", "rank"])
@@ -206,6 +217,16 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         {"families": [{"name": "dp", "noise": [{"gates": ["RZ"], "kind": "phase_damping", "lam": 0.1}]}]},
         {"families": [{"name": "dp", "noise": [{"gates": ["rzz"], "kind": "phase_damping", "lam": 0.1}]}]},
         {"families": [{"name": "dp", "noise": [{"gates": [], "kind": "phase_damping", "lam": 0.1}]}]},
+        {"families": [{"name": "ex", "mode": "exact", "n_m": 256}]},
+        *(
+            {"families": [{"name": "n", "noise": [{"gates": ["cx"], **rule}]}]}
+            for rule in (  # parameters the rule's kind does not take
+                {"kind": "depolarizing", "p": 0.1, "lam": 0.7, "t1_ns": -5},
+                {"kind": "depolarizing", "p": 0.1, "lam": 0.7},
+                {"kind": "thermal_relaxation", "t1_ns": 50.0, "t2_ns": 50.0, "p": 0.1},
+                {"kind": "phase_damping", "lam": 0.1, "gamma": 0.2},
+            )
+        ),
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
