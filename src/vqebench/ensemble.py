@@ -48,6 +48,9 @@ class EnsembleContext:
                 raise ParameterDomainError(f"basis index {idx} out of range for dim {dim}")
         if self.phi_a == self.phi_b:
             raise ParameterDomainError("the two initial states must be orthogonal")
+        if self.estimator.noise is not None:  # a channel that cannot attach to a gate fails here
+            for gate in self.ansatz.gates:
+                list(self.estimator.noise.applications_for(gate))
 
 
 @dataclass(frozen=True)

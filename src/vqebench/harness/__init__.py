@@ -8,19 +8,16 @@ from .catalog import NOISY_SHOTS, FamilySpec, catalog_by_name, family_catalog, l
 from .config import ExperimentConfig, Theta0Policy, config_from_dict, load_config, toy_problem_paths
 from .runner import (
     CSV_HEADER,
-    CellSummary,
     RunRecord,
     derive_run_seed,
     execute_run,
     read_records,
     run_experiment,
-    summarize,
     write_records,
 )
 
 __all__ = [
     "CSV_HEADER",
-    "CellSummary",
     "ExperimentConfig",
     "FamilySpec",
     "NOISY_SHOTS",
@@ -35,7 +32,6 @@ __all__ = [
     "lookup_family",
     "read_records",
     "run_experiment",
-    "summarize",
     "toy_problem_paths",
     "write_records",
 ]

@@ -1,6 +1,7 @@
 """The 21-family noise catalog."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..errors import ParameterDomainError
@@ -22,30 +23,27 @@ class FamilySpec:
     estimator: EstimatorSpec
 
 
-def _shots(n_m, noise=None):
-    return EstimatorSpec(mode="shots", n_m=n_m, noise=noise)
-
-
-def family_catalog() -> list[FamilySpec]:
+@functools.cache
+def family_catalog() -> tuple[FamilySpec, ...]:
     """The full benchmark catalog: one ideal family, four shot-noise levels,
     and four intensities each of dephasing, depolarizing, T2-limited thermal
     relaxation, and short-T1 thermal relaxation.
 
     Dephasing (`DP-x%`) attaches to `rz` gates only.  The bundled toy ansatz
     (`ry ry cx prot`) has no `rz`, so there `DP-x%` adds no channel: it is
-    `SN-6144` under another name and random stream.
+    `SN-6144` under another name and random stream.  Built once per process.
     """
-    families = [FamilySpec("ideal", EstimatorSpec(mode="exact"))]
+    families = [FamilySpec("ideal", EstimatorSpec())]
     for n_m in (256, 512, 1024, 6144):
-        families.append(FamilySpec(f"SN-{n_m}", _shots(n_m)))
+        families.append(FamilySpec(f"SN-{n_m}", EstimatorSpec(n_m)))
     for pct in (1, 5, 10, 20):
         noise = NoiseModel(
             (NoiseRule(frozenset({"rz"}), "phase_damping", lam=pct / 100.0),)
         )
-        families.append(FamilySpec(f"DP-{pct}%", _shots(NOISY_SHOTS, noise)))
+        families.append(FamilySpec(f"DP-{pct}%", EstimatorSpec(NOISY_SHOTS, noise)))
     for pct in (1, 5, 10, 20):
         noise = NoiseModel((NoiseRule(_DEPOL_GATES, "depolarizing", p=pct / 100.0),))
-        families.append(FamilySpec(f"DEPOL-{pct}%", _shots(NOISY_SHOTS, noise)))
+        families.append(FamilySpec(f"DEPOL-{pct}%", EstimatorSpec(NOISY_SHOTS, noise)))
     for t2_us in (70, 80, 180, 380):
         noise = NoiseModel(
             (
@@ -57,7 +55,7 @@ def family_catalog() -> list[FamilySpec]:
                 ),
             )
         )
-        families.append(FamilySpec(f"T2={t2_us}us", _shots(NOISY_SHOTS, noise)))
+        families.append(FamilySpec(f"T2={t2_us}us", EstimatorSpec(NOISY_SHOTS, noise)))
     for t1_ns in (50, 100, 200, 300):
         noise = NoiseModel(
             (
@@ -69,10 +67,10 @@ def family_catalog() -> list[FamilySpec]:
                 ),
             )
         )
-        families.append(FamilySpec(f"TR-T1={t1_ns}ns", _shots(NOISY_SHOTS, noise)))
+        families.append(FamilySpec(f"TR-T1={t1_ns}ns", EstimatorSpec(NOISY_SHOTS, noise)))
     names = [f.name for f in families]
     assert len(names) == len(set(names)) == 21
-    return families
+    return tuple(families)
 
 
 def catalog_by_name() -> dict[str, FamilySpec]:

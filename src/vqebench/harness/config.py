@@ -1,10 +1,12 @@
 """Experiment configuration: JSON loading and the bundled toy problem."""
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +43,10 @@ class Theta0Policy:
 class ExperimentConfig:
     hamiltonian_path: str
     circuit_path: str
-    phi_a: int
-    phi_b: int
     families: tuple[FamilySpec, ...]
     optimizers: tuple[OptimizerSpec, ...]
+    phi_a: int = 0
+    phi_b: int = 1
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     theta0_policy: Theta0Policy = field(default_factory=Theta0Policy)
 
@@ -55,6 +57,10 @@ class ExperimentConfig:
             raise ParameterDomainError("config needs at least one optimizer")
         if not self.seeds:
             raise ParameterDomainError("config needs at least one seed")
+        integers = (("phi_a", self.phi_a), ("phi_b", self.phi_b), *(("seed", s) for s in self.seeds))
+        for what, value in integers:
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ParameterDomainError(f"{what} must be an integer, got {value!r}")
         names = [f.name for f in self.families]
         if len(names) != len(set(names)):
             raise ParameterDomainError("family names must be unique")
@@ -63,87 +69,76 @@ class ExperimentConfig:
             raise ParameterDomainError("optimizer kinds must be unique")
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer (an integral float counts) from the config."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParameterDomainError(f"{what} must be an integer, got {value!r}")
+def _read(build, obj, what: str, **readers):
+    """build(**obj), each value first passed through its key's reader if it
+    has one.  obj must be a JSON object whose keys are build's parameters: a
+    key build does not take, or a missing one it needs, is a config error
+    that names the keys it takes."""
+    if not isinstance(obj, dict):
+        raise ParameterDomainError(f"{what} must be a JSON object, got {obj!r}")
+    params = inspect.signature(build).parameters
+    takes = ", ".join(params)
+    for key in obj:
+        if key not in params:
+            raise ParameterDomainError(f"{what} takes no {key!r}; it takes {takes}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in obj:
+            raise ParameterDomainError(f"{what} needs {name!r}; it takes {takes}")
+    return build(**{key: readers[key](v) if key in readers else v for key, v in obj.items()})
 
 
-def _parse_noise_rule(obj: dict) -> NoiseRule:
-    try:
-        gates, kind = obj["gates"], obj["kind"]
-    except KeyError as exc:
-        raise ParameterDomainError(f"noise rule missing field {exc}") from None
+def _gate_set(gates) -> frozenset:
     if not isinstance(gates, list):
         raise ParameterDomainError(f"noise rule gates must be a list of gate kinds, got {gates!r}")
-    params = {k: v for k, v in obj.items() if k not in ("gates", "kind")}
-    return NoiseRule(frozenset(gates), kind, **params)
+    return frozenset(gates)
 
 
-def _parse_family(obj) -> FamilySpec:
+def _noise_model(rules) -> NoiseModel | None:
+    if not rules:
+        return None
+    return NoiseModel(tuple(_read(NoiseRule, r, "noise rule", gates=_gate_set) for r in rules))
+
+
+def _inline_family(name: str, n_m: int | None = None, noise: list | None = None) -> FamilySpec:
+    """An inline family object: its name and its estimator's fields."""
+    return FamilySpec(name, EstimatorSpec(n_m, _noise_model(noise)))
+
+
+def _family(obj) -> FamilySpec:
     if isinstance(obj, str):
         return lookup_family(obj)
-    if not isinstance(obj, dict):
-        raise ParameterDomainError(f"family entry must be a name or object, got {obj!r}")
-    try:
-        name = obj["name"]
-        mode = obj.get("mode", "shots" if "n_m" in obj else "exact")
-    except KeyError as exc:
-        raise ParameterDomainError(f"family missing field {exc}") from None
-    noise = None
-    if obj.get("noise"):
-        noise = NoiseModel(tuple(_parse_noise_rule(r) for r in obj["noise"]))
-    n_m = obj.get("n_m")
-    if n_m is not None:
-        n_m = _integer(n_m, f"family {name!r} n_m")
-    return FamilySpec(name, EstimatorSpec(mode=mode, n_m=n_m, noise=noise))
+    return _read(_inline_family, obj, "family")
 
 
-def _parse_optimizer(obj) -> OptimizerSpec:
+def _optimizer(obj) -> OptimizerSpec:
     if isinstance(obj, str):
         return OptimizerSpec(kind=obj)
-    if not isinstance(obj, dict):
-        raise ParameterDomainError(f"optimizer entry must be a kind or object, got {obj!r}")
-    kwargs = dict(obj)
-    isoma = kwargs.pop("isoma", None)
-    if isoma is not None:
-        kwargs["isoma"] = IsomaParams(**isoma)
-    return OptimizerSpec(**kwargs)
+    return _read(OptimizerSpec, obj, "optimizer", isoma=lambda o: _read(IsomaParams, o, "isoma"))
 
 
-def _parse_theta0(obj) -> Theta0Policy:
-    if obj is None:
-        return Theta0Policy()
+def _theta0(obj) -> Theta0Policy:
     if isinstance(obj, str):
         return Theta0Policy(kind=obj)
-    return Theta0Policy(**obj)
+    return _read(Theta0Policy, obj, "theta0_policy")
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build a config from parsed JSON.  Relative data paths resolve against
     base_dir (normally the config file's directory)."""
-    try:
-        ham = data["hamiltonian_path"]
-        circ = data["circuit_path"]
-        families = data["families"]
-        optimizers = data["optimizers"]
-    except KeyError as exc:
-        raise ParameterDomainError(f"config missing field {exc}") from None
-    if base_dir is not None:
-        ham = str((base_dir / ham).resolve())
-        circ = str((base_dir / circ).resolve())
-    return ExperimentConfig(
-        hamiltonian_path=ham,
-        circuit_path=circ,
-        phi_a=_integer(data.get("phi_a", 0), "phi_a"),
-        phi_b=_integer(data.get("phi_b", 1), "phi_b"),
-        families=tuple(_parse_family(f) for f in families),
-        optimizers=tuple(_parse_optimizer(o) for o in optimizers),
-        seeds=tuple(_integer(s, "seed") for s in data.get("seeds", DEFAULT_SEEDS)),
-        theta0_policy=_parse_theta0(data.get("theta0_policy")),
+
+    def path(value):
+        return value if base_dir is None else str((base_dir / value).resolve())
+
+    return _read(
+        ExperimentConfig,
+        data,
+        "config",
+        hamiltonian_path=path,
+        circuit_path=path,
+        families=lambda objs: tuple(map(_family, objs)),
+        optimizers=lambda objs: tuple(map(_optimizer, objs)),
+        seeds=tuple,
+        theta0_policy=_theta0,
     )
 
 
@@ -153,11 +148,9 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterDomainError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParameterDomainError("config root must be a JSON object")
     try:
         return config_from_dict(data, base_dir=path.parent)
-    except TypeError as exc:  # a field a spec does not take, or a value of the wrong type
+    except TypeError as exc:  # a value of the wrong type
         raise ParameterDomainError(f"malformed config {path}: {exc}") from None
 
 

@@ -1,5 +1,5 @@
 """Run execution: seeded independent runs over the (family, optimizer, seed)
-grid, CSV persistence, and per-cell summaries."""
+grid and CSV persistence."""
 from __future__ import annotations
 
 import contextlib
@@ -199,35 +199,3 @@ def read_records(path) -> list[RunRecord]:
         except ValueError as exc:
             raise ParameterDomainError(f"bad row {number} in {path}: {row!r}: {exc}") from None
     return records
-
-
-@dataclass(frozen=True)
-class CellSummary:
-    mu_final: float
-    sigma_final: float
-    mu_evals: float
-    sigma_evals: float
-    n: int
-    single: bool  # sigma undefined for one record; reported as 0
-
-
-def summarize(records) -> dict[tuple[str, str], CellSummary]:
-    """Per-(family, optimizer) mean and sample standard deviation (n-1
-    denominator) of the final energy and evaluation count."""
-    cells: dict[tuple[str, str], list[RunRecord]] = {}
-    for record in records:
-        cells.setdefault((record.family, record.optimizer), []).append(record)
-    out = {}
-    for key, recs in cells.items():
-        e_sa = np.array([r.e_sa for r in recs])
-        evals = np.array([float(r.n_evals) for r in recs])
-        single = len(recs) == 1
-        out[key] = CellSummary(
-            mu_final=float(e_sa.mean()),
-            sigma_final=0.0 if single else float(e_sa.std(ddof=1)),
-            mu_evals=float(evals.mean()),
-            sigma_evals=0.0 if single else float(evals.std(ddof=1)),
-            n=len(recs),
-            single=single,
-        )
-    return out

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import InvalidChannelError, ParameterDomainError
+from ..errors import ParameterDomainError
 from .channels import (
     KrausChannel,
     kraus_depolarizing,
@@ -12,12 +12,14 @@ from .channels import (
 )
 from .circuits import GATE_KINDS, Gate
 
-#: The parameters each rule kind takes; the others must stay None.
+#: The parameters each rule kind needs; the others must stay None.
 _PARAMS = {
     "phase_damping": ("lam",),
     "depolarizing": ("p",),
     "thermal_relaxation": ("t1_ns", "t2_ns"),
 }
+#: The gate a new rule builds its channel for, so that a bad parameter fails there.
+_ONE_QUBIT_GATE = Gate("x", (0,))
 
 
 @dataclass(frozen=True)
@@ -26,10 +28,11 @@ class NoiseRule:
 
     kind is one of "phase_damping" (param lam), "depolarizing" (param p),
     "thermal_relaxation" (params t1_ns, t2_ns; the channel is rebuilt per
-    gate from its duration).
+    gate from its duration).  The channel constructors check the parameters'
+    ranges.
     """
 
-    gate_kinds: frozenset[str]
+    gates: frozenset[str]
     kind: str
     lam: float | None = None
     p: float | None = None
@@ -37,31 +40,19 @@ class NoiseRule:
     t2_ns: float | None = None
 
     def __post_init__(self):
-        if not self.gate_kinds or not self.gate_kinds <= GATE_KINDS:
+        if not self.gates or not self.gates <= GATE_KINDS:
             raise ParameterDomainError(
                 f"noise rule gates must be a non-empty subset of {sorted(GATE_KINDS)}, "
-                f"got {set(self.gate_kinds)}"
+                f"got {set(self.gates)}"
             )
         if self.kind not in _PARAMS:
             raise ParameterDomainError(f"unknown noise rule kind {self.kind!r}")
-        unused = [
-            name
-            for name in ("lam", "p", "t1_ns", "t2_ns")
-            if name not in _PARAMS[self.kind] and getattr(self, name) is not None
-        ]
-        if unused:
-            raise ParameterDomainError(f"{self.kind} noise rule takes no {', '.join(unused)}")
-        if self.kind == "phase_damping":
-            if self.lam is None or not 0.0 <= self.lam <= 1.0:
-                raise ParameterDomainError(f"phase damping lambda {self.lam} outside [0, 1]")
-        elif self.kind == "depolarizing":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ParameterDomainError(f"depolarizing p {self.p} outside [0, 1]")
-        else:
-            if self.t1_ns is None or self.t2_ns is None or self.t1_ns <= 0 or self.t2_ns <= 0:
-                raise ParameterDomainError("thermal relaxation requires positive T1 and T2")
-            if self.t2_ns > 2.0 * self.t1_ns:
-                raise InvalidChannelError(f"T2={self.t2_ns} exceeds 2*T1={2 * self.t1_ns}")
+        for name in ("lam", "p", "t1_ns", "t2_ns"):
+            given = getattr(self, name) is not None
+            if given != (name in _PARAMS[self.kind]):
+                verb = "takes no" if given else "needs"
+                raise ParameterDomainError(f"{self.kind} noise rule {verb} {name}")
+        self.channel_applications(_ONE_QUBIT_GATE)
 
     def channel_applications(self, gate: Gate) -> list[tuple[KrausChannel, tuple[int, ...]]]:
         """Channels to apply after `gate`, each with its target qubits.
@@ -84,5 +75,5 @@ class NoiseModel:
 
     def applications_for(self, gate: Gate):
         for rule in self.rules:
-            if gate.kind in rule.gate_kinds:
+            if gate.kind in rule.gates:
                 yield from rule.channel_applications(gate)

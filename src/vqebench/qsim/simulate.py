@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -19,20 +20,23 @@ _IMAG_RESIDUE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """How expectations are measured: exactly or with n_m shots, with
-    an optional noise model attached to state preparation."""
+    """How expectations are measured: exactly when n_m is None, else with
+    n_m shots per term; noise is an optional noise model attached to state
+    preparation."""
 
-    mode: str = "exact"  # "exact" or "shots"
     n_m: int | None = None
     noise: NoiseModel | None = None
 
     def __post_init__(self):
-        if self.mode not in ("exact", "shots"):
-            raise ParameterDomainError(f"unknown estimator mode {self.mode!r}")
-        if self.mode == "shots" and (self.n_m is None or self.n_m < 1):
-            raise ParameterDomainError(f"shot count must be >= 1, got {self.n_m}")
-        if self.mode == "exact" and self.n_m is not None:
-            raise ParameterDomainError(f"exact mode takes no shot count, got n_m={self.n_m}")
+        if self.n_m is not None and (
+            not isinstance(self.n_m, Integral) or isinstance(self.n_m, bool) or self.n_m < 1
+        ):
+            raise ParameterDomainError(f"shot count must be an integer >= 1, got {self.n_m!r}")
+
+    @property
+    def mode(self) -> str:
+        """The estimator kind that n_m implies: "exact" or "shots"."""
+        return "exact" if self.n_m is None else "shots"
 
 
 def evolve_circuit(

@@ -47,23 +47,26 @@ def sample_cov(points: np.ndarray) -> np.ndarray:
 
 
 def mardia_test(sample: Sample2D) -> tuple[TestResult, TestResult]:
-    """Multivariate skewness and kurtosis tests.
+    """Mardia's (1970) multivariate skewness and kurtosis tests.
 
-    Skewness: n*b1p ~ chi2 with p(p+1)(p+2)/6 degrees of freedom.
+    With y_i the centred points whitened by the n-divisor covariance,
+    b1p = sum_rst m_rst^2 over the third moments m_rst = mean_i y_ir y_is y_it
+    (which equals mean_ij (y_i . y_j)^3) and b2p = mean_i |y_i|^4.
+    Skewness: n*b1p/6 ~ chi2 with p(p+1)(p+2)/6 degrees of freedom.
     Kurtosis: z = (b2p - p(p+2)) / sqrt(8p(p+2)/n), two-sided normal.
     """
     points = sample.points
     n, p = points.shape
     if n < p + 2:
         raise DegenerateSampleError(f"need at least {p + 2} points, got {n}")
-    cov = sample_cov(points)
+    cov = sample_cov(points) * ((n - 1) / n)
     centered = points - points.mean(axis=0)
-    inner = centered @ np.linalg.solve(cov, centered.T)
-    b1 = float(np.sum(inner**3)) / n**2
-    b2 = float(np.sum(np.diag(inner) ** 2)) / n
+    y = np.linalg.solve(np.linalg.cholesky(cov), centered.T).T
+    b1 = float(np.sum((np.einsum("ir,is,it->rst", y, y, y) / n) ** 2))
+    b2 = float(np.mean(np.sum(y**2, axis=1) ** 2))
 
     df_skew = p * (p + 1) * (p + 2) // 6
-    chi2 = n * b1
+    chi2 = n * b1 / 6.0
     p_skew = chi2_sf(chi2, df_skew)
     skew = TestResult(statistic=chi2, df=df_skew, p=p_skew, extras={"b1p": b1})
 

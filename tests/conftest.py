@@ -31,7 +31,7 @@ def toy_ctx(toy_hamiltonian, toy_circuit):
         ansatz=toy_circuit,
         phi_a=0,
         phi_b=1,
-        estimator=EstimatorSpec(mode="exact"),
+        estimator=EstimatorSpec(),
     )
 
 

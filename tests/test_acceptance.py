@@ -113,7 +113,7 @@ def test_criterion_2_variational_lower_bound():
     with criterion(2, "variational lower bound"):
         hamiltonian, circuit = toy_problem()
         ref = reference_energies(hamiltonian)
-        ctx = EnsembleContext(hamiltonian, circuit, 0, 1, EstimatorSpec(mode="exact"))
+        ctx = EnsembleContext(hamiltonian, circuit, 0, 1, EstimatorSpec())
         rng = np.random.default_rng(1)
         for _ in range(1000):
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=3)
@@ -124,7 +124,7 @@ def test_criterion_3_noiseless_convergence():
     with criterion(3, "noiseless convergence"):
         hamiltonian, circuit = toy_problem()
         ref = reference_energies(hamiltonian)
-        ctx = EnsembleContext(hamiltonian, circuit, 0, 1, EstimatorSpec(mode="exact"))
+        ctx = EnsembleContext(hamiltonian, circuit, 0, 1, EstimatorSpec())
         cost = lambda t: sa_cost(t, ctx)
         for kind in ("bfgs", "slsqp", "nelder_mead", "powell", "cobyla"):
             res = minimize(cost, np.zeros(3), OptimizerSpec(kind=kind), np.random.default_rng(0))
@@ -290,7 +290,7 @@ def test_criterion_10_noise_ordering():
             rule = NoiseRule(gate_kinds, kind, **{key: rate})
             ctx = EnsembleContext(
                 hamiltonian, circuit, 0, 1,
-                EstimatorSpec(mode="exact", noise=NoiseModel((rule,))),
+                EstimatorSpec(noise=NoiseModel((rule,))),
             )
             res = minimize(
                 lambda t: sa_cost(t, ctx), np.zeros(3),

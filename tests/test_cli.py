@@ -175,16 +175,27 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("data error:")
 
 
-@pytest.mark.parametrize("bad_problem", ["missing_ham", "nine_qubits", "phi_out_of_range"])
+@pytest.mark.parametrize(
+    "bad_problem", ["missing_ham", "nine_qubits", "phi_out_of_range", "depolarizing_on_3q_prot"]
+)
 def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_problem):
     ham = tmp_path / "big.ham"
     ham.write_text("1.0 " + "Z" * 9 + "\n")
     circ = tmp_path / "big.circ"
     circ.write_text("ry 0 t0\nry 8 t1\n")
+    ham3 = tmp_path / "3q.ham"
+    ham3.write_text("1.0 ZZZ\n")
+    circ3 = tmp_path / "3q.circ"
+    circ3.write_text("prot XYZ t0 0 1 2\n")
+    depolarized = {"name": "dp", "noise": [{"gates": ["prot"], "kind": "depolarizing", "p": 0.1}]}
     overrides = {
         "missing_ham": {"hamiltonian_path": str(tmp_path / "absent.ham")},
         "nine_qubits": {"hamiltonian_path": str(ham), "circuit_path": str(circ)},
         "phi_out_of_range": {"phi_b": 4},  # the toy problem has 2 qubits
+        # depolarizing takes one or two qubits; the ideal family would run first
+        "depolarizing_on_3q_prot": {
+            "hamiltonian_path": str(ham3), "circuit_path": str(circ3), "families": ["ideal", depolarized],
+        },
     }[bad_problem]
     out = tmp_path / "o.csv"
     out.write_bytes(b"an earlier grid's runs\n")
@@ -227,6 +238,18 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
                 {"kind": "phase_damping", "lam": 0.1, "gamma": 0.2},
             )
         ),
+        # keys no config object takes, at every level
+        {"families": [{"name": "x", "nm": 256}]},
+        {"families": [{"name": "x", "nosie": [{"gates": ["cx"], "kind": "depolarizing", "p": 0.1}]}]},
+        {"seed": [0]},
+        {"theta0": "uniform"},
+        {"families": [{"name": "n", "noise": [{"gates": ["cx"], "kind": "depolarizing", "p": 0.1, "qubits": [0]}]}]},
+        {"families": [{"name": "sh", "mode": "shots", "n_m": 256}]},
+        # integral floats are not integers
+        {"families": [{"name": "sh", "n_m": 256.0}]},
+        {"phi_a": 0.0},
+        # a missing value a noise rule needs
+        {"families": [{"name": "n", "noise": [{"gates": ["cx"], "kind": "depolarizing"}]}]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):

@@ -121,7 +121,7 @@ def test_resolve_under_noise_still_valid(toy_hamiltonian, toy_circuit):
         (NoiseRule(frozenset({"ry", "cx", "prot"}), "depolarizing", p=0.05),)
     )
     ctx = EnsembleContext(
-        toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec(mode="exact", noise=noise)
+        toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec(noise=noise)
     )
     e0, e1 = resolve_states(np.zeros(3), ctx)
     assert e0 <= e1

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_shot_noise_families_have_no_channels():
 def test_dephasing_families_attach_to_rz_only():
     fam = lookup_family("DP-10%")
     (rule,) = fam.estimator.noise.rules
-    assert rule.gate_kinds == frozenset({"rz"})
+    assert rule.gates == frozenset({"rz"})
     assert rule.kind == "phase_damping"
     assert rule.lam == pytest.approx(0.10)
     assert fam.estimator.n_m == 6144
@@ -57,7 +58,7 @@ def test_dephasing_families_attach_to_rz_only():
 def test_depolarizing_families_gate_list():
     fam = lookup_family("DEPOL-20%")
     (rule,) = fam.estimator.noise.rules
-    assert rule.gate_kinds == frozenset({"x", "y", "z", "h", "rx", "ry", "rz", "cx"})
+    assert rule.gates == frozenset({"x", "y", "z", "h", "rx", "ry", "rz", "cx"})
     assert rule.p == pytest.approx(0.20)
 
 
@@ -164,8 +165,8 @@ def test_config_missing_field():
 
 def test_load_config_resolves_relative_paths(tmp_path):
     ham, circ = toy_problem_paths()
-    (tmp_path / "h.txt").write_text(open(ham).read())
-    (tmp_path / "c.txt").write_text(open(circ).read())
+    (tmp_path / "h.txt").write_text(Path(ham).read_text())
+    (tmp_path / "c.txt").write_text(Path(circ).read_text())
     data = {
         "hamiltonian_path": "h.txt",
         "circuit_path": "c.txt",

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from vqebench.errors import ParameterDomainError
@@ -10,7 +9,6 @@ from vqebench.harness import (
     derive_run_seed,
     read_records,
     run_experiment,
-    summarize,
     toy_problem_paths,
     write_records,
 )
@@ -85,39 +83,6 @@ def test_read_records_rejects_bad_header(tmp_path):
 def test_read_records_missing_file(tmp_path):
     with pytest.raises(ParameterDomainError):
         read_records(tmp_path / "absent.csv")
-
-
-# --- summarize -------------------------------------------------------------
-
-def _rec(family, optimizer, seed, e_sa, n_evals=10):
-    half = e_sa / 2.0
-    return RunRecord(family, optimizer, seed, half, half, e_sa, n_evals, True, 1.0)
-
-
-def test_summarize_hand_example():
-    cells = summarize([_rec("f", "o", 0, -1.0), _rec("f", "o", 1, -1.2)])
-    s = cells[("f", "o")]
-    assert s.mu_final == pytest.approx(-1.1)
-    assert s.sigma_final == pytest.approx(0.141421, abs=1e-6)
-
-
-def test_summarize_single_record_flagged():
-    s = summarize([_rec("f", "o", 0, -1.0)])[("f", "o")]
-    assert s.single
-    assert s.sigma_final == 0.0
-    assert s.sigma_evals == 0.0
-
-
-def test_summarize_identical_records():
-    s = summarize([_rec("f", "o", i, -1.5) for i in range(4)])[("f", "o")]
-    assert s.sigma_final == 0.0
-    assert not s.single
-
-
-def test_summarize_evals():
-    s = summarize([_rec("f", "o", 0, -1.0, 10), _rec("f", "o", 1, -1.0, 20)])[("f", "o")]
-    assert s.mu_evals == pytest.approx(15.0)
-    assert s.sigma_evals == pytest.approx(np.std([10.0, 20.0], ddof=1))
 
 
 # --- run_experiment --------------------------------------------------------

@@ -179,18 +179,19 @@ def test_expectation_exact_stack_matches_per_state(rng):
 def test_expectation_dispatch():
     z = PauliSum.from_terms([(1.0, "Z")])
     zero = basis_state(0, 1)
-    assert expectation(zero, z, EstimatorSpec(mode="exact")) == pytest.approx(1.0)
-    got = expectation(zero, z, EstimatorSpec(mode="shots", n_m=16), np.random.default_rng(0))
+    assert expectation(zero, z, EstimatorSpec()) == pytest.approx(1.0)
+    got = expectation(zero, z, EstimatorSpec(n_m=16), np.random.default_rng(0))
     assert got == pytest.approx(1.0)
     with pytest.raises(ParameterDomainError):
-        expectation(zero, z, EstimatorSpec(mode="shots", n_m=16))
+        expectation(zero, z, EstimatorSpec(n_m=16))
 
 
 def test_estimator_spec_validation():
-    with pytest.raises(ParameterDomainError):
-        EstimatorSpec(mode="approx")
-    with pytest.raises(ParameterDomainError):
-        EstimatorSpec(mode="shots", n_m=0)
+    assert EstimatorSpec().mode == "exact"
+    assert EstimatorSpec(n_m=np.int64(8)).mode == "shots"
+    for n_m in (0, 2.5, 256.0, True, "256"):
+        with pytest.raises(ParameterDomainError):
+            EstimatorSpec(n_m=n_m)
 
 
 # --- reference evolution over every gate kind ------------------------------
@@ -270,7 +271,7 @@ def _reference_evolution(rho, circuit, theta, rule, attach):
             local = scipy.linalg.expm(-0.5j * theta[gate.param_index] * generator)
         u = embed_operator(local, gate.qubits, n)
         rho = u @ rho @ u.conj().T
-        if rule is None or gate.kind not in rule.gate_kinds:
+        if rule is None or gate.kind not in rule.gates:
             continue
         for channel, qubits in attach(gate):
             full = [embed_operator(op, qubits, n) for op in channel.operators]
@@ -300,9 +301,10 @@ def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circui
         calls.append(arity)
         return kraus_depolarizing(p, arity)
 
-    monkeypatch.setattr("vqebench.qsim.noise.kraus_depolarizing", counting)
-    # a model no other test builds, so the simulator has not seen it yet
+    # a model no other test builds, so the simulator has not seen it yet; the
+    # rule builds one channel to check p, before the count starts
     noise = NoiseModel((NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),))
+    monkeypatch.setattr("vqebench.qsim.noise.kraus_depolarizing", counting)
     for theta in np.linspace(-1.0, 1.0, 15).reshape(5, 3):
         evolve_circuit(basis_state(0, 2), toy_circuit, theta, noise)
     matched = [len(g.qubits) for g in toy_circuit.gates if g.kind in {"ry", "cx"}]
@@ -478,7 +480,7 @@ def test_nan_state_in_session_is_a_cost_evaluation_error(toy_hamiltonian, toy_ci
     from vqebench.optimizers.session import CostSession
 
     ctx = EnsembleContext(
-        toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec(mode="shots", n_m=64)
+        toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec(n_m=64)
     )
     rng = np.random.default_rng(0)
     session = CostSession(lambda theta: sa_cost(theta, ctx, rng))

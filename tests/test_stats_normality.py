@@ -81,6 +81,15 @@ def test_mardia_affine_invariance(rng):
     assert k1.extras["b2p"] == pytest.approx(k2.extras["b2p"], rel=1e-8)
 
 
+def test_mardia_skewness_null_rejection_rate():
+    # n*b1p/6 is asymptotically chi2(4); without the /6 the test rejects most
+    # Gaussian samples
+    rng = np.random.default_rng(1970)
+    draws, alpha = 400, 0.05
+    rejected = sum(mardia_test(gaussian_sample(rng, 30))[0].p < alpha for _ in range(draws))
+    assert rejected / draws <= alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / draws)
+
+
 def test_mardia_singular_sample():
     pts = np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)])
     with pytest.raises(DegenerateSampleError):
