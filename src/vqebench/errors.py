@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer rule of
+its parameter checks."""
+from numbers import Integral
+
+
+def is_integer(value) -> bool:
+    """An integer parameter value: any Integral except a bool, so JSON
+    ``true`` is not the count 1 and ``256.0`` is not 256."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class VqeBenchError(Exception):

@@ -6,12 +6,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParameterDomainError
+from ..errors import ParameterDomainError, is_integer
 from ..optimizers import IsomaParams, OptimizerSpec
 from ..qsim import EstimatorSpec, NoiseModel, NoiseRule
 from .catalog import FamilySpec, lookup_family
@@ -59,7 +58,7 @@ class ExperimentConfig:
             raise ParameterDomainError("config needs at least one seed")
         integers = (("phi_a", self.phi_a), ("phi_b", self.phi_b), *(("seed", s) for s in self.seeds))
         for what, value in integers:
-            if not isinstance(value, Integral) or isinstance(value, bool):
+            if not is_integer(value):
                 raise ParameterDomainError(f"{what} must be an integer, got {value!r}")
         names = [f.name for f in self.families]
         if len(names) != len(set(names)):
@@ -69,11 +68,15 @@ class ExperimentConfig:
             raise ParameterDomainError("optimizer kinds must be unique")
 
 
+_JSON_NAMES = {str: "string", list: "list", dict: "object"}
+
+
 def _read(build, obj, what: str, **readers):
-    """build(**obj), each value first passed through its key's reader if it
-    has one.  obj must be a JSON object whose keys are build's parameters: a
-    key build does not take, or a missing one it needs, is a config error
-    that names the keys it takes."""
+    """build(**obj).  obj must be a JSON object whose keys are build's
+    parameters: a key build does not take, or a missing one it needs, is a
+    config error that names the keys it takes.  A key with a reader, a
+    (JSON types, convert) pair, must hold a value of one of those types,
+    which convert turns into build's argument."""
     if not isinstance(obj, dict):
         raise ParameterDomainError(f"{what} must be a JSON object, got {obj!r}")
     params = inspect.signature(build).parameters
@@ -84,36 +87,45 @@ def _read(build, obj, what: str, **readers):
     for name, param in params.items():
         if param.default is param.empty and name not in obj:
             raise ParameterDomainError(f"{what} needs {name!r}; it takes {takes}")
-    return build(**{key: readers[key](v) if key in readers else v for key, v in obj.items()})
+
+    def read(key, value):
+        if key not in readers:
+            return value
+        types, convert = readers[key]
+        if not isinstance(value, types):
+            names = " or ".join(_JSON_NAMES[t] for t in types)
+            raise ParameterDomainError(f"{what} {key!r} must be a JSON {names}, got {value!r}")
+        return convert(value)
+
+    return build(**{key: read(key, value) for key, value in obj.items()})
 
 
-def _gate_set(gates) -> frozenset:
-    if not isinstance(gates, list):
-        raise ParameterDomainError(f"noise rule gates must be a list of gate kinds, got {gates!r}")
-    return frozenset(gates)
+def _list_of(read):
+    """A reader that takes a JSON list and builds each item with read."""
+    return (list,), lambda items: tuple(map(read, items))
 
 
-def _noise_model(rules) -> NoiseModel | None:
-    if not rules:
-        return None
-    return NoiseModel(tuple(_read(NoiseRule, r, "noise rule", gates=_gate_set) for r in rules))
+def _noise_rule(obj) -> NoiseRule:
+    return _read(NoiseRule, obj, "noise rule", gates=((list,), frozenset))
 
 
-def _inline_family(name: str, n_m: int | None = None, noise: list | None = None) -> FamilySpec:
+def _inline_family(name: str, n_m: int | None = None, noise: tuple = ()) -> FamilySpec:
     """An inline family object: its name and its estimator's fields."""
-    return FamilySpec(name, EstimatorSpec(n_m, _noise_model(noise)))
+    return FamilySpec(name, EstimatorSpec(n_m, NoiseModel(noise) if noise else None))
 
 
 def _family(obj) -> FamilySpec:
     if isinstance(obj, str):
         return lookup_family(obj)
-    return _read(_inline_family, obj, "family")
+    return _read(_inline_family, obj, "family", noise=_list_of(_noise_rule))
 
 
 def _optimizer(obj) -> OptimizerSpec:
     if isinstance(obj, str):
         return OptimizerSpec(kind=obj)
-    return _read(OptimizerSpec, obj, "optimizer", isoma=lambda o: _read(IsomaParams, o, "isoma"))
+    return _read(
+        OptimizerSpec, obj, "optimizer", isoma=((dict,), lambda o: _read(IsomaParams, o, "isoma"))
+    )
 
 
 def _theta0(obj) -> Theta0Policy:
@@ -133,12 +145,12 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         ExperimentConfig,
         data,
         "config",
-        hamiltonian_path=path,
-        circuit_path=path,
-        families=lambda objs: tuple(map(_family, objs)),
-        optimizers=lambda objs: tuple(map(_optimizer, objs)),
-        seeds=tuple,
-        theta0_policy=_theta0,
+        hamiltonian_path=((str,), path),
+        circuit_path=((str,), path),
+        families=_list_of(_family),
+        optimizers=_list_of(_optimizer),
+        seeds=((list,), tuple),
+        theta0_policy=((str, dict), _theta0),
     )
 
 

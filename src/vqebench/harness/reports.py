@@ -112,9 +112,7 @@ def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> No
             _write_json(out_dir / f"{name}.json", {"groups": families, **omnibus})
             rng = np.random.default_rng(seed)
             try:
-                pm = pairwise_posthoc(
-                    stacked, labels, test=name, adjust="bh", n_perm=n_perm, rng=rng
-                )
+                pm = pairwise_posthoc(stacked, labels, test=name, n_perm=n_perm, rng=rng)
             except VqeBenchError as exc:
                 _write_json(out_dir / f"{name}_pairwise_error.json", {"error": str(exc)})
             else:

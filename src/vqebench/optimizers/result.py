@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from ..errors import ParameterDomainError
+from ..errors import ParameterDomainError, is_integer
 
 OPTIMIZER_KINDS = ("bfgs", "slsqp", "nelder_mead", "powell", "cobyla", "isoma")
 
@@ -28,7 +27,7 @@ class IsomaParams:
 
     def __post_init__(self):
         counts = (self.n_jump, self.pop_size, self.max_migration, self.max_fes, self.m, self.n, self.k)
-        if not all(isinstance(c, Integral) for c in counts):
+        if not all(map(is_integer, counts)):
             raise ParameterDomainError("iSOMA counts must be integers")
         if self.var_min >= self.var_max:
             raise ParameterDomainError("var_min must be below var_max")
@@ -55,7 +54,7 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ParameterDomainError(f"unknown optimizer kind {self.kind!r}")
-        if not isinstance(self.maxiter, Integral) or self.maxiter < 1:
+        if not (is_integer(self.maxiter) and self.maxiter >= 1):
             raise ParameterDomainError("maxiter must be an integer >= 1")
         if self.ftol <= 0:
             raise ParameterDomainError("ftol must be positive")

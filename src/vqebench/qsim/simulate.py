@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DimensionError, ParameterDomainError
+from ..errors import DimensionError, ParameterDomainError, is_integer
 from .channels import kraus_sum
 from .circuits import Circuit, rotation
 from .density import embed_operator, n_qubits_of
@@ -28,9 +27,7 @@ class EstimatorSpec:
     noise: NoiseModel | None = None
 
     def __post_init__(self):
-        if self.n_m is not None and (
-            not isinstance(self.n_m, Integral) or isinstance(self.n_m, bool) or self.n_m < 1
-        ):
+        if self.n_m is not None and not (is_integer(self.n_m) and self.n_m >= 1):
             raise ParameterDomainError(f"shot count must be an integer >= 1, got {self.n_m!r}")
 
     @property

@@ -12,12 +12,9 @@ permutations; when every distinct label assignment can be enumerated within
 the permutation budget, the exact exhaustive p-value is reported instead.
 
 Labellings are scored in blocks of rows through one ``sums_of_squares``
-call.  A Monte-Carlo block replays the random stream of shuffling one label
-array in place once per permutation: ``rng.permuted`` on a block of
-``arange(n)`` rows draws exactly the numbers of that many successive
-``rng.shuffle`` calls, each row is the permutation one shuffle applies, and
-composing the rows in order gives every labelling.  p-values and the rng
-state afterwards are those of the one-at-a-time loop, bit for bit.
+call.  Random labellings are drawn independently: one ``rng.permuted`` call
+shuffles each row of a block of label copies, drawing the numbers of one
+``rng.permutation(codes)`` per labelling.
 """
 from __future__ import annotations
 
@@ -34,13 +31,6 @@ from .types import PairwiseMatrix, TestResult
 __all__ = ["permanova", "permdisp", "pairwise_posthoc"]
 
 _BLOCK = 256  # labellings scored per sums_of_squares call
-
-
-def _encode_labels(labels):
-    labels = list(labels)
-    uniq = sorted(set(labels), key=labels.index)
-    codes = np.array([uniq.index(l) for l in labels])
-    return uniq, codes
 
 
 def _n_assignments(codes: np.ndarray) -> int:
@@ -72,132 +62,103 @@ def _f_stat(values, codes, k):
     return f_ratio(*sums_of_squares(values, codes, k), (k - 1, codes.shape[-1] - k))
 
 
-def _count_reaching(values, block, k, f_obs):
-    """Rows of a (B, n) labelling block whose F reaches f_obs (within 1e-12)."""
-    return int(np.count_nonzero(_f_stat(values, block, k) >= f_obs - 1e-12))
-
-
 def _permutation_p(values, codes, f_obs, n_perm, rng):
     """Exact p over all assignments if enumerable within budget, else MC."""
     k = int(codes.max()) + 1
-    if _n_assignments(codes) <= n_perm:
-        count = 0
-        total = 0
+    exact = _n_assignments(codes) <= n_perm
+    if exact:
         assignments = _assignments(np.bincount(codes))
-        while chunk := list(islice(assignments, _BLOCK)):
-            total += len(chunk)
-            count += _count_reaching(values, np.array(chunk), k, f_obs)
+        chunks = iter(lambda: list(islice(assignments, _BLOCK)), [])
+        blocks = (np.array(chunk) for chunk in chunks)
+    else:
+        blocks = (
+            rng.permuted(np.tile(codes, (min(_BLOCK, n_perm - start), 1)), axis=1)
+            for start in range(0, n_perm, _BLOCK)
+        )
+    count = total = 0
+    for block in blocks:
+        total += len(block)
+        count += int(np.count_nonzero(_f_stat(values, block, k) >= f_obs - 1e-12))
+    if exact:
         return count / total, total, True
-    count = 0
-    shuffled = codes.copy()
-    for start in range(0, n_perm, _BLOCK):
-        rows = min(_BLOCK, n_perm - start)
-        steps = rng.permuted(np.tile(np.arange(codes.size), (rows, 1)), axis=1)
-        block = np.empty_like(steps)
-        for t, step in enumerate(steps):
-            shuffled = shuffled[step]
-            block[t] = shuffled
-        count += _count_reaching(values, block, k, f_obs)
     return (1 + count) / (1 + n_perm), n_perm, False
 
 
-def _check_groups(codes):
-    counts = np.bincount(codes)
-    if counts.size < 2:
+def _prologue(points, labels, rng):
+    """The points as floats, the distinct labels in order of first
+    appearance, each label's code 0..k-1, and the rng (seed 0 if none)."""
+    labels = list(labels)
+    uniq = sorted(set(labels), key=labels.index)
+    if len(uniq) < 2:
         raise ParameterDomainError("need at least two groups")
-    if np.any(counts < 2):
+    codes = np.array([uniq.index(l) for l in labels])
+    rng = np.random.default_rng(0) if rng is None else rng
+    return np.asarray(points, dtype=float), uniq, codes, rng
+
+
+def _f_test(values, codes, n_perm, rng, **extras) -> TestResult:
+    """One-way F of the values across the coded groups, with its
+    permutation p-value."""
+    if np.any(np.bincount(codes) < 2):
         raise ParameterDomainError("every group needs at least two observations")
+    k = int(codes.max()) + 1
+    f_obs = _f_stat(values, codes, k)
+    p, n_used, exact = _permutation_p(values, codes, f_obs, n_perm, rng)
+    return TestResult(
+        statistic=float(f_obs),
+        df=(k - 1, codes.size - k),
+        p=float(p),
+        extras={**extras, "n_perm": n_used, "exact": exact},
+    )
 
 
 def permanova(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
     """Pseudo-F test of equal group centroids under Euclidean distance, with
     permutation of group labels."""
-    points = np.asarray(points, dtype=float)
-    uniq, codes = _encode_labels(labels)
-    _check_groups(codes)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k = len(uniq)
-    df = (k - 1, codes.size - k)
-    ss_between, ss_within = sums_of_squares(points, codes, k)
-    f_obs = f_ratio(ss_between, ss_within, df)
+    points, uniq, codes, rng = _prologue(points, labels, rng)
+    ss_between, ss_within = sums_of_squares(points, codes, len(uniq))
     ss_total = ss_between + ss_within
     r2 = 0.0 if ss_total <= 0.0 else ss_between / ss_total
-    p, n_used, exact = _permutation_p(points, codes, f_obs, n_perm, rng)
-    return TestResult(
-        statistic=float(f_obs),
-        df=df,
-        p=float(p),
-        extras={"r2": float(r2), "n_perm": n_used, "exact": exact},
-    )
+    return _f_test(points, codes, n_perm, rng, r2=float(r2))
 
 
 def permdisp(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
     """Homogeneity of multivariate dispersions: ANOVA on distances to group
     centroids, with permutation of the distance labels."""
-    points = np.asarray(points, dtype=float)
-    uniq, codes = _encode_labels(labels)
-    _check_groups(codes)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k = len(uniq)
+    points, uniq, codes, rng = _prologue(points, labels, rng)
     dists = np.empty(points.shape[0])
-    for g in range(k):
+    for g in range(len(uniq)):
         idx = np.flatnonzero(codes == g)
-        centroid = points[idx].mean(axis=0)
-        dists[idx] = np.linalg.norm(points[idx] - centroid, axis=1)
-    f_obs = _f_stat(dists, codes, k)
-    p, n_used, exact = _permutation_p(dists, codes, f_obs, n_perm, rng)
-    return TestResult(
-        statistic=float(f_obs),
-        df=(k - 1, codes.size - k),
-        p=float(p),
-        extras={"n_perm": n_used, "exact": exact},
-    )
+        dists[idx] = np.linalg.norm(points[idx] - points[idx].mean(axis=0), axis=1)
+    return _f_test(dists, codes, n_perm, rng)
 
 
 def pairwise_posthoc(
-    points,
-    labels,
-    test: str = "permanova",
-    adjust: str = "bh",
-    n_perm: int = 10000,
-    rng=None,
+    points, labels, test: str = "permanova", n_perm: int = 10000, rng=None
 ) -> PairwiseMatrix:
-    """Two-group tests for every unordered pair of labels, with a joint
-    multiple-comparison adjustment across all pairs."""
+    """Two-group tests for every unordered pair of labels, all drawing from
+    one rng in row-major pair order, with a joint Benjamini-Hochberg
+    adjustment across the pairs.  A pair whose test cannot run is NaN."""
     if test not in ("permanova", "permdisp"):
         raise ParameterDomainError(f"unknown pairwise test {test!r}")
-    if adjust not in ("bh", "holm"):
-        raise ParameterDomainError(f"unknown adjustment {adjust!r}")
-    points = np.asarray(points, dtype=float)
-    uniq, codes = _encode_labels(labels)
-    if len(uniq) < 2:
-        raise ParameterDomainError("need at least two groups")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    points, uniq, codes, rng = _prologue(points, labels, rng)
     test_fn = permanova if test == "permanova" else permdisp
     k = len(uniq)
+    upper = np.triu_indices(k, k=1)
+    raw = np.full(upper[0].size, np.nan)
+    for n, (i, j) in enumerate(zip(*upper)):
+        mask = (codes == i) | (codes == j)
+        try:
+            raw[n] = test_fn(points[mask], codes[mask], n_perm=n_perm, rng=rng).p
+        except ParameterDomainError:
+            pass
+    adjusted = np.full(raw.size, np.nan)
+    valid = np.isfinite(raw)
+    adjusted[valid] = p_adjust(raw[valid], method="bh")
     p_raw = np.full((k, k), np.nan)
-    pairs = []
-    raw_values = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            mask = (codes == i) | (codes == j)
-            try:
-                res = test_fn(points[mask], codes[mask], n_perm=n_perm, rng=rng)
-                value = res.p
-            except ParameterDomainError:
-                value = np.nan
-            pairs.append((i, j))
-            raw_values.append(value)
-            p_raw[i, j] = p_raw[j, i] = value
     p_adjusted = np.full((k, k), np.nan)
-    valid = [v for v in raw_values if np.isfinite(v)]
-    it = iter(p_adjust(np.array(valid), method=adjust))
-    for (i, j), raw in zip(pairs, raw_values):
-        adj = next(it) if np.isfinite(raw) else np.nan
-        p_adjusted[i, j] = p_adjusted[j, i] = adj
+    p_raw[upper] = p_raw[upper[::-1]] = raw
+    p_adjusted[upper] = p_adjusted[upper[::-1]] = adjusted
     return PairwiseMatrix(
-        labels=[str(u) for u in uniq], p_raw=p_raw, p_adjusted=p_adjusted, method=f"{test}+{adjust}"
+        labels=[str(u) for u in uniq], p_raw=p_raw, p_adjusted=p_adjusted, method=f"{test}+bh"
     )

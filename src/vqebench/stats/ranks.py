@@ -113,24 +113,19 @@ def p_adjust(p_values, method: str) -> np.ndarray:
     """Holm (step-down) or Benjamini-Hochberg (step-up) adjustment,
     returned in the input order and capped at 1."""
     p_values = np.asarray(p_values, dtype=float)
-    if np.any((p_values < 0) | (p_values > 1)):
+    if not np.all((p_values >= 0) & (p_values <= 1)):  # NaN included
         raise ParameterDomainError("p-values must lie in [0, 1]")
     m = p_values.size
     order = np.argsort(p_values, kind="stable")
-    adjusted = np.empty(m)
+    ordered = p_values[order]
     if method == "holm":
-        running = 0.0
-        for rank, idx in enumerate(order):
-            running = max(running, (m - rank) * p_values[idx])
-            adjusted[idx] = min(1.0, running)
+        running = np.maximum.accumulate((m - np.arange(m)) * ordered)
     elif method == "bh":
-        running = 1.0
-        for rank in range(m - 1, -1, -1):
-            idx = order[rank]
-            running = min(running, m / (rank + 1) * p_values[idx])
-            adjusted[idx] = min(1.0, running)
+        running = np.minimum.accumulate((m / np.arange(1, m + 1) * ordered)[::-1])[::-1]
     else:
         raise ParameterDomainError(f"unknown adjustment method {method!r}")
+    adjusted = np.empty(m)
+    adjusted[order] = np.minimum(running, 1.0)
     return adjusted
 
 

@@ -250,6 +250,9 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         {"phi_a": 0.0},
         # a missing value a noise rule needs
         {"families": [{"name": "n", "noise": [{"gates": ["cx"], "kind": "depolarizing"}]}]},
+        # a bool is not a count
+        {"optimizers": [{"kind": "bfgs", "maxiter": True}]},
+        {"optimizers": [{"kind": "isoma", "isoma": {"max_fes": True}}]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
@@ -258,6 +261,26 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"hamiltonian_path": 5}, "hamiltonian_path"),
+        ({"circuit_path": ["toy2q.circ"]}, "circuit_path"),
+        ({"seeds": 3}, "seeds"),
+        ({"families": "ideal"}, "families"),
+        ({"optimizers": "bfgs"}, "optimizers"),
+        ({"families": [{"name": "dp", "noise": 5}]}, "noise"),
+        ({"optimizers": [{"kind": "isoma", "isoma": 3}]}, "isoma"),
+        ({"theta0_policy": 3}, "theta0_policy"),
+    ],
+)
+def test_wrong_shape_config_value_names_its_key(tmp_path, capsys, overrides, key):
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and f"{key!r} must be a JSON" in err[0]
 
 
 @pytest.mark.parametrize("command", ["analyze", "rank"])

@@ -44,19 +44,19 @@ REPORT_SHA256 = {
     "analyze/bfgs/ellipses.csv": "08990ce2663666996373b6c7b5609a5dc0075b3573cfaade035b7fa8f2daffde",
     "analyze/bfgs/levene.json": "0aa7b4c668acefcd52c5e75d046aa25a5879c7f9dc630c128b438f3dfd3f508b",
     "analyze/bfgs/mardia.json": "ac8ab2f4b2f16c694f9d0cbc2ce5262cbd73b217f99e86fd2ea86000694c1022",
-    "analyze/bfgs/permanova.json": "0cdd7ceb504a4ea8451871091d852dc7ff72e5a73408357fda7b49500b1132bc",
-    "analyze/bfgs/permanova_pairwise.csv": "fe13a1445e4791c7df8c9648f7192c3a0f542347c27d2b9c58560e8300148d02",
+    "analyze/bfgs/permanova.json": "03e510552f7f75d3588ced2238fa813ee434a3f789a0ec354f5cb9d0f10c950b",
+    "analyze/bfgs/permanova_pairwise.csv": "365518bc5f4faeab908084137053117f053bb41b547ea569ddf8f0d4e1379e81",
     "analyze/bfgs/permdisp.json": "3de63f02cf0e6aac926f72a3f77c4ca274e5d82ff0e86d0896545457e6067d21",
-    "analyze/bfgs/permdisp_pairwise.csv": "7b51282bb96a7208e9b7524c3d1b1246aec5a3b1c632eb35967d1c52a7032a7d",
+    "analyze/bfgs/permdisp_pairwise.csv": "62cfc6e28e82acf93d52d31d50c7089256dfde19c77c8b0f2c3b9bf92fb507fd",
     "analyze/cobyla/box_m.json": "7bb26b034f023bfc40cd24ab5e13beb0415087582297d8e027270b10707a7041",
     "analyze/cobyla/brown_forsythe.json": "e3d3defb5f57e849900a4a4ad64553528a58115e81ffee2bc1eb13fd7172a74d",
     "analyze/cobyla/ellipses.csv": "184fe2e6d9e02e5a543da86271acda76ea06abd8b7c0ab3bb05ed630c0b6c073",
     "analyze/cobyla/levene.json": "aead5d2fd9143eaa0a047adc91d5122cd3468fa40e7151a9b66b5d4fc2648093",
     "analyze/cobyla/mardia.json": "fbf3266d9cc7bd33866c2bcedcc004b34ca0dfa217408468280d15a9f0c89fbc",
     "analyze/cobyla/permanova.json": "af9b59077aabcb87a005a3156449550c63667ee847f7ac3e8e238d7f7b55f4c8",
-    "analyze/cobyla/permanova_pairwise.csv": "1f6818c1993a5913734717c4d77a52cc50fca925f4fd7ae68ae6171990118067",
+    "analyze/cobyla/permanova_pairwise.csv": "b653527bf8d21c9b8d1f9be0f02bb8e6669461952061fb506245a66fbad6bb0d",
     "analyze/cobyla/permdisp.json": "8f4d32f0b9c8d815718511d48dfacac2103fe4d27a0d2c217a693572a7307828",
-    "analyze/cobyla/permdisp_pairwise.csv": "2b95318ca001e9d232c3ce2e4c4b1e2a8a8cdb84d926b6db67a8c2b755f6bf9a",
+    "analyze/cobyla/permdisp_pairwise.csv": "e9410d3011085cf3c004c105bb3ee13ff6056c052cc17c095af4335f16dc46ef",
     "analyze/nelder_mead/box_m.json": "c0be36c78c369988a9c4afcf1d64206dc256ba2cdbb091c2f2512a1954f9d09c",
     "analyze/nelder_mead/brown_forsythe.json": "75502f5e89bdffffd42eb229a7a7817fe017d64f377044d1191468ad10acf2ec",
     "analyze/nelder_mead/ellipses.csv": "1754e2b7f9fa67ed0d4aac3227f33ea08617879f6bb4a2400cbb6af0e4d7a2b6",
@@ -65,7 +65,7 @@ REPORT_SHA256 = {
     "analyze/nelder_mead/permanova.json": "bab9ef621ee6e0c823816e1909b3f55fcfcb3a365885a40a6d125d069d3bc2cc",
     "analyze/nelder_mead/permanova_pairwise.csv": "49c1fc740b6cdba7f777a957fd2ebef8f757b7adab55d234e1159cdb03dbb9c6",
     "analyze/nelder_mead/permdisp.json": "f8c679ff0da6cb71b7584f42363d910c685ffe094ce30f64deca7baa6fb5f9a7",
-    "analyze/nelder_mead/permdisp_pairwise.csv": "bc1ec71a1ca6bfeed463bc02a32b2c0e041300080241a75723fb002174f479b6",
+    "analyze/nelder_mead/permdisp_pairwise.csv": "48baec7431342a7f780d596f2ed51d68ef399ecac8c8d2f135175b143a070eaf",
     "analyze/powell/box_m.json": "77d131d584c3acd0f0cf41d5fe17f9dae5234703f6498e15f909385fc7087f9c",
     "analyze/powell/brown_forsythe.json": "07f2b07abb7cd4e629bd59eceec518e78be350f814608c0fcd0f39ade7d071f5",
     "analyze/powell/ellipses.csv": "c594ef14de2f41d902e2b1d28955175e279c2771e4121738b88bd0c508c01432",

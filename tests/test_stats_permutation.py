@@ -196,7 +196,7 @@ def test_single_group_rejected(rng):
 def test_pairwise_identical_groups():
     pts = np.tile(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), (3, 1))
     labels = ["a"] * 3 + ["b"] * 3 + ["c"] * 3
-    pm = pairwise_posthoc(pts, labels, test="permanova", adjust="bh", n_perm=999)
+    pm = pairwise_posthoc(pts, labels, test="permanova", n_perm=999)
     off = pm.p_adjusted[~np.isnan(pm.p_adjusted)]
     assert np.all(off > 0.9)
 
@@ -216,10 +216,29 @@ def test_pairwise_adjusted_not_below_raw(rng):
     points = rng.normal(size=(20, 2))
     points[:5] += 3.0
     labels = [f"g{i}" for i in range(4) for _ in range(5)]
-    for adjust in ("bh", "holm"):
-        pm = pairwise_posthoc(points, labels, adjust=adjust, n_perm=99, rng=rng)
-        mask = ~np.isnan(pm.p_raw)
-        assert np.all(pm.p_adjusted[mask] >= pm.p_raw[mask] - 1e-12)
+    pm = pairwise_posthoc(points, labels, n_perm=99, rng=rng)
+    mask = ~np.isnan(pm.p_raw)
+    assert np.all(pm.p_adjusted[mask] >= pm.p_raw[mask] - 1e-12)
+
+
+# --- size under the null ------------------------------------------------------
+
+@pytest.mark.parametrize("n_groups", [2, 21])
+def test_permanova_null_rejection_rate_within_3_se(n_groups):
+    # 400 Gaussian nulls of n_groups x 10 points at n_perm=99 reject at
+    # 0.0625 (2 groups) and 0.0375 (21 groups).  PERMDISP on the same nulls
+    # reads 0.0875 and 0.0825 and is not held to the band: its distances
+    # come from fitted centroids, so they are not exchangeable and small
+    # groups run liberal.
+    reps, alpha = 400, 0.05
+    se = np.sqrt(alpha * (1 - alpha) / reps)
+    labels = [f"g{i}" for i in range(n_groups) for _ in range(10)]
+    rejected = 0
+    for seed in range(reps):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(len(labels), 2))
+        rejected += permanova(points, labels, n_perm=99, rng=rng).p <= alpha
+    assert abs(rejected / reps - alpha) <= 3 * se
 
 
 # --- pinned p-values ---------------------------------------------------------
@@ -242,9 +261,9 @@ def _pinned_inputs():
 @pytest.mark.parametrize(
     "test_fn,case,n_groups,p,n_used,exact",
     [
-        (permanova, "mc", 2, 0.688, 999, False),
+        (permanova, "mc", 2, 0.719, 999, False),
         (permanova, "ex", 3, 0.014285714285714285, 1680, True),
-        (permdisp, "mc", 2, 0.089, 999, False),
+        (permdisp, "mc", 2, 0.086, 999, False),
         (permdisp, "ex", 3, 0.17142857142857143, 1680, True),
     ],
 )
@@ -259,9 +278,9 @@ def test_pinned_p_values(test_fn, case, n_groups, p, n_used, exact):
 @pytest.mark.parametrize(
     "test,case,p_raw,p_adjusted",
     [
-        ("permanova", "mc", [0.688, 0.467, 0.404], [0.688, 0.688, 0.688]),
+        ("permanova", "mc", [0.719, 0.495, 0.415], [0.719, 0.719, 0.719]),
         ("permanova", "ex", [0.1, 0.1, 0.4], [0.15000000000000002, 0.15000000000000002, 0.4]),
-        ("permdisp", "mc", [0.089, 0.024, 0.002], [0.089, 0.036000000000000004, 0.006]),
+        ("permdisp", "mc", [0.086, 0.023, 0.002], [0.086, 0.0345, 0.006]),
         ("permdisp", "ex", [0.1, 0.3, 0.4], [0.30000000000000004, 0.4, 0.4]),
     ],
 )
@@ -308,8 +327,8 @@ def _loop_f(values, codes, k):
 
 
 def _loop_permutation_p(values, codes, f_obs, n_perm, rng):
-    """Reference: score every assignment, or shuffle one label array in
-    place once per permutation and score it."""
+    """Reference: score every assignment, or draw one independent
+    permutation of the labels per permutation and score it."""
     k = int(codes.max()) + 1
     if permutation._n_assignments(codes) <= n_perm:
         count = total = 0
@@ -318,10 +337,8 @@ def _loop_permutation_p(values, codes, f_obs, n_perm, rng):
             count += _loop_f(values, perm, k) >= f_obs - 1e-12
         return count / total, total, True
     count = 0
-    shuffled = codes.copy()
     for _ in range(n_perm):
-        rng.shuffle(shuffled)
-        count += _loop_f(values, shuffled, k) >= f_obs - 1e-12
+        count += _loop_f(values, rng.permutation(codes), k) >= f_obs - 1e-12
     return (1 + count) / (1 + n_perm), n_perm, False
 
 

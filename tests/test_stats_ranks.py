@@ -196,9 +196,38 @@ def test_adjust_monotone_and_dominates_raw(rng):
             assert np.all(adj <= 1.0)
 
 
+def _loop_p_adjust(p, method):
+    """Reference: Holm's running max from the smallest p up, or BH's running
+    min from the largest p down, one p-value at a time."""
+    m = p.size
+    order = np.argsort(p, kind="stable")
+    adjusted = np.empty(m)
+    running = 0.0 if method == "holm" else 1.0
+    ranks = range(m) if method == "holm" else range(m - 1, -1, -1)
+    for rank in ranks:
+        idx = order[rank]
+        if method == "holm":
+            running = max(running, (m - rank) * p[idx])
+        else:
+            running = min(running, m / (rank + 1) * p[idx])
+        adjusted[idx] = min(1.0, running)
+    return adjusted
+
+
+def test_adjust_equals_one_at_a_time_loop(rng):
+    for trial in range(2000):
+        p = rng.uniform(size=int(rng.integers(0, 15)))
+        if trial % 2:
+            p = np.round(p, 1)  # ties
+        for method in ("holm", "bh"):
+            assert np.array_equal(p_adjust(p, method), _loop_p_adjust(p, method))
+
+
 def test_adjust_rejects_bad_input():
     with pytest.raises(ParameterDomainError):
         p_adjust(np.array([1.5]), "holm")
+    with pytest.raises(ParameterDomainError):
+        p_adjust(np.array([0.2, np.nan]), "bh")
     with pytest.raises(ParameterDomainError):
         p_adjust(np.array([0.5]), "bonferroni")
 
