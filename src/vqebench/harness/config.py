@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ class Theta0Policy:
     def __post_init__(self):
         if self.kind not in ("zeros", "uniform"):
             raise ParameterDomainError(f"unknown theta0 policy {self.kind!r}")
-        if self.low >= self.high:
-            raise ParameterDomainError("theta0 policy bounds must satisfy low < high")
+        if not -math.inf < self.low < self.high < math.inf:
+            raise ParameterDomainError("theta0 policy bounds must be finite with low < high")
 
     def draw(self, n_params: int, rng):
         if self.kind == "zeros":
@@ -68,14 +69,22 @@ class ExperimentConfig:
             raise ParameterDomainError("optimizer kinds must be unique")
 
 
-_JSON_NAMES = {str: "string", list: "list", dict: "object"}
+_JSON_SHAPES = {
+    "string": lambda value: isinstance(value, str),
+    "number": lambda value: isinstance(value, Real) and not isinstance(value, bool),
+    "list": lambda value: isinstance(value, list),
+    "list of strings": lambda value: (
+        isinstance(value, list) and all(isinstance(item, str) for item in value)
+    ),
+    "object": lambda value: isinstance(value, dict),
+}
 
 
 def _read(build, obj, what: str, **readers):
     """build(**obj).  obj must be a JSON object whose keys are build's
     parameters: a key build does not take, or a missing one it needs, is a
     config error that names the keys it takes.  A key with a reader, a
-    (JSON types, convert) pair, must hold a value of one of those types,
+    (JSON shapes, convert) pair, must hold a value of one of those shapes,
     which convert turns into build's argument."""
     if not isinstance(obj, dict):
         raise ParameterDomainError(f"{what} must be a JSON object, got {obj!r}")
@@ -91,22 +100,28 @@ def _read(build, obj, what: str, **readers):
     def read(key, value):
         if key not in readers:
             return value
-        types, convert = readers[key]
-        if not isinstance(value, types):
-            names = " or ".join(_JSON_NAMES[t] for t in types)
+        shapes, convert = readers[key]
+        if not any(_JSON_SHAPES[shape](value) for shape in shapes):
+            names = " or ".join(shapes)
             raise ParameterDomainError(f"{what} {key!r} must be a JSON {names}, got {value!r}")
         return convert(value)
 
     return build(**{key: read(key, value) for key, value in obj.items()})
 
 
+_STRING = (("string",), str)
+_NUMBER = (("number",), float)
+
+
 def _list_of(read):
     """A reader that takes a JSON list and builds each item with read."""
-    return (list,), lambda items: tuple(map(read, items))
+    return ("list",), lambda items: tuple(map(read, items))
 
 
 def _noise_rule(obj) -> NoiseRule:
-    return _read(NoiseRule, obj, "noise rule", gates=((list,), frozenset))
+    numbers = dict.fromkeys(("lam", "p", "t1_ns", "t2_ns"), _NUMBER)
+    gates = (("list of strings",), frozenset)
+    return _read(NoiseRule, obj, "noise rule", gates=gates, kind=_STRING, **numbers)
 
 
 def _inline_family(name: str, n_m: int | None = None, noise: tuple = ()) -> FamilySpec:
@@ -117,21 +132,25 @@ def _inline_family(name: str, n_m: int | None = None, noise: tuple = ()) -> Fami
 def _family(obj) -> FamilySpec:
     if isinstance(obj, str):
         return lookup_family(obj)
-    return _read(_inline_family, obj, "family", noise=_list_of(_noise_rule))
+    return _read(_inline_family, obj, "family", name=_STRING, noise=_list_of(_noise_rule))
+
+
+def _isoma(obj) -> IsomaParams:
+    numbers = dict.fromkeys(("step", "var_min", "var_max", "prt"), _NUMBER)
+    return _read(IsomaParams, obj, "isoma", **numbers)
 
 
 def _optimizer(obj) -> OptimizerSpec:
     if isinstance(obj, str):
         return OptimizerSpec(kind=obj)
-    return _read(
-        OptimizerSpec, obj, "optimizer", isoma=((dict,), lambda o: _read(IsomaParams, o, "isoma"))
-    )
+    isoma = (("object",), _isoma)
+    return _read(OptimizerSpec, obj, "optimizer", ftol=_NUMBER, gradient_step=_NUMBER, isoma=isoma)
 
 
 def _theta0(obj) -> Theta0Policy:
     if isinstance(obj, str):
         return Theta0Policy(kind=obj)
-    return _read(Theta0Policy, obj, "theta0_policy")
+    return _read(Theta0Policy, obj, "theta0_policy", low=_NUMBER, high=_NUMBER)
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -145,12 +164,12 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
         ExperimentConfig,
         data,
         "config",
-        hamiltonian_path=((str,), path),
-        circuit_path=((str,), path),
+        hamiltonian_path=(("string",), path),
+        circuit_path=(("string",), path),
         families=_list_of(_family),
         optimizers=_list_of(_optimizer),
-        seeds=((list,), tuple),
-        theta0_policy=((str, dict), _theta0),
+        seeds=(("list",), tuple),
+        theta0_policy=(("string", "object"), _theta0),
     )
 
 
@@ -160,10 +179,7 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterDomainError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return config_from_dict(data, base_dir=path.parent)
-    except TypeError as exc:  # a value of the wrong type
-        raise ParameterDomainError(f"malformed config {path}: {exc}") from None
+    return config_from_dict(data, base_dir=path.parent)
 
 
 def toy_problem_paths() -> tuple[str, str]:

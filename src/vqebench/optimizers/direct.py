@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from .result import OptimizerSpec
-from .session import LINE_EVAL_CAP, TR_MAX_RAY
 
 # Nelder-Mead coefficients
 REFLECT, EXPAND, CONTRACT, SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -19,10 +18,12 @@ BRACKET_GROW = 1.618033988749895
 BRACKET_MAX_STEPS = 20
 BRENT_MAX_ITER = 50
 POWELL_IMPROVEMENT_TOL = 1e-10
+LINE_EVAL_CAP = 80  # a line minimization makes fewer evaluations than this
 
 # trust-region schedule for the linear-model method
 TR_RHO_BEG = 0.5
 TR_RHO_END = 1e-8
+TR_MAX_RAY = 6  # evaluations per trust-region ray
 
 
 def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
@@ -152,7 +153,7 @@ def _line_minimize(session, x, direction, f_x):
         triple, f_triple = _bracket(fn, f_x)
         alpha, f_new = _brent(fn, triple, f_triple)
     except _LineCapReached:
-        # fall back to the best point seen on this line so far
+        # fall back to the best point of the whole run so far
         return session.best_theta.copy(), session.best_f
     if f_new >= f_x:
         return x, f_x

@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from .result import OptimizerSpec
-from .session import MAX_BACKTRACKS
 
+MAX_BACKTRACKS = 30  # line-search halvings per BFGS/SQP iteration
 GRAD_NORM_TOL = 1e-8
 ARMIJO_C1 = 1e-4
 

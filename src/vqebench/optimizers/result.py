@@ -29,8 +29,10 @@ class IsomaParams:
         counts = (self.n_jump, self.pop_size, self.max_migration, self.max_fes, self.m, self.n, self.k)
         if not all(map(is_integer, counts)):
             raise ParameterDomainError("iSOMA counts must be integers")
-        if self.var_min >= self.var_max:
-            raise ParameterDomainError("var_min must be below var_max")
+        if not -math.inf < self.var_min < self.var_max < math.inf:
+            raise ParameterDomainError("var_min and var_max must be finite, var_min below var_max")
+        if not math.isfinite(self.step):
+            raise ParameterDomainError(f"iSOMA step must be finite, got {self.step!r}")
         if not self.m <= self.pop_size:
             raise ParameterDomainError("m must not exceed pop_size")
         if not self.n <= self.m:
@@ -56,10 +58,12 @@ class OptimizerSpec:
             raise ParameterDomainError(f"unknown optimizer kind {self.kind!r}")
         if not (is_integer(self.maxiter) and self.maxiter >= 1):
             raise ParameterDomainError("maxiter must be an integer >= 1")
-        if self.ftol <= 0:
-            raise ParameterDomainError("ftol must be positive")
-        if self.gradient_step <= 0:
-            raise ParameterDomainError("gradient step must be positive")
+        if not 0 < self.ftol < math.inf:
+            raise ParameterDomainError(f"ftol must be positive and finite, got {self.ftol!r}")
+        if not 0 < self.gradient_step < math.inf:
+            raise ParameterDomainError(
+                f"gradient step must be positive and finite, got {self.gradient_step!r}"
+            )
 
 
 @dataclass

@@ -6,50 +6,22 @@ import math
 import numpy as np
 
 from ..errors import CostEvaluationError
-from .result import OptimizerSpec, OptResult
-
-# evaluation caps that eval_budget counts
-MAX_BACKTRACKS = 30  # line-search halvings per BFGS/SQP iteration
-LINE_EVAL_CAP = 80  # evaluations per Powell line minimization
-TR_MAX_RAY = 6  # evaluations per trust-region ray
-
-
-def eval_budget(kind: str, dim: int, spec: OptimizerSpec) -> int:
-    """Documented hard evaluation cap for each algorithm."""
-    if kind in ("bfgs", "slsqp"):
-        # initial f + grad, then per iteration: backtracks + new gradient
-        return 1 + 2 * dim + spec.maxiter * (MAX_BACKTRACKS + 1 + 2 * dim)
-    if kind == "nelder_mead":
-        return (dim + 1) + spec.maxiter * (dim + 2)
-    if kind == "powell":
-        # per cycle: dim+1 line minimizations, each capped, plus one probe
-        return 1 + spec.maxiter * ((dim + 1) * LINE_EVAL_CAP + 1)
-    if kind == "cobyla":
-        return (dim + 1) + spec.maxiter * (2 * TR_MAX_RAY + 1)
-    if kind == "isoma":
-        return spec.isoma.max_fes
-    raise ValueError(kind)
-
-
-class BudgetExhausted(Exception):
-    """Internal signal: the evaluation cap was hit; return best-so-far."""
+from .result import OptResult
 
 
 class CostSession:
-    """Wraps a cost function with counting, tracing, NaN detection and an
-    optional hard evaluation cap."""
+    """Wraps a cost function with counting, tracing, NaN detection and the
+    best point so far.  It never stops a run: each algorithm stops by its
+    own loop."""
 
-    def __init__(self, cost, max_evals: int | None = None):
+    def __init__(self, cost):
         self._cost = cost
-        self.max_evals = max_evals
         self.n_evals = 0
         self.trace: list[tuple[int, float]] = []
         self.best_theta: np.ndarray | None = None
         self.best_f = math.inf
 
     def __call__(self, theta) -> float:
-        if self.max_evals is not None and self.n_evals >= self.max_evals:
-            raise BudgetExhausted
         theta = np.asarray(theta, dtype=float)
         value = float(self._cost(theta))
         if math.isnan(value):

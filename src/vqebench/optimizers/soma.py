@@ -4,7 +4,10 @@ from __future__ import annotations
 import numpy as np
 
 from .result import OptimizerSpec
-from .session import BudgetExhausted
+
+
+class _MaxFesSpent(Exception):
+    """Internal signal: iSOMA has made its max_fes evaluations."""
 
 
 def isoma_minimize(session, theta0, spec: OptimizerSpec, rng: np.random.Generator) -> bool:
@@ -13,14 +16,21 @@ def isoma_minimize(session, theta0, spec: OptimizerSpec, rng: np.random.Generato
     perturbation masks resampled at every jump and greedy acceptance.
 
     theta0 only fixes the dimensionality; the initial population is uniform
-    in [var_min, var_max]^dim.  max_fes is the planned stop, not a budget
-    overrun, so a run that spends it still reports converged.
+    in [var_min, var_max]^dim.  The run stops after max_fes evaluations, even
+    inside the initial population, or after max_migration migrations.  Either
+    is the planned stop, so the run reports converged.
     """
     params = spec.isoma
+
+    def evaluate(x) -> float:
+        if session.n_evals >= params.max_fes:
+            raise _MaxFesSpent
+        return session(x)
+
     dim = theta0.size
     try:
         population = rng.uniform(params.var_min, params.var_max, size=(params.pop_size, dim))
-        fitness = np.array([session(x) for x in population])
+        fitness = np.array([evaluate(x) for x in population])
         for _ in range(params.max_migration):
             chosen = rng.choice(params.pop_size, size=params.m, replace=False)
             migrants = chosen[np.argsort(fitness[chosen], kind="stable")[: params.n]]
@@ -38,11 +48,11 @@ def isoma_minimize(session, theta0, spec: OptimizerSpec, rng: np.random.Generato
                         mask[rng.integers(dim)] = 1.0
                     candidate = start + jump * params.step * (target - start) * mask
                     candidate = np.clip(candidate, params.var_min, params.var_max)
-                    f_cand = session(candidate)
+                    f_cand = evaluate(candidate)
                     if f_cand < best_f:
                         best_x, best_f = candidate, f_cand
                 population[j] = best_x
                 fitness[j] = best_f
-    except BudgetExhausted:
+    except _MaxFesSpent:
         pass
     return True

@@ -1,14 +1,13 @@
 """Few-qubit density-matrix simulation: gates, channels, estimators."""
 from .channels import (
     KrausChannel,
-    apply_channel,
     kraus_amplitude_damping,
     kraus_depolarizing,
     kraus_phase_damping,
     kraus_thermal_relaxation,
 )
 from .circuits import Circuit, Gate, load_circuit, parse_circuit
-from .density import basis_state, check_density, embed_operator, partial_trace, pure_state, purity
+from .density import basis_state, embed_operator, partial_trace, purity
 from .noise import NoiseModel, NoiseRule
 from .pauli import PauliSum, load_hamiltonian, parse_hamiltonian, pauli_string_matrix
 from .simulate import (
@@ -27,9 +26,7 @@ __all__ = [
     "NoiseModel",
     "NoiseRule",
     "PauliSum",
-    "apply_channel",
     "basis_state",
-    "check_density",
     "embed_operator",
     "evolve_circuit",
     "expectation",
@@ -45,6 +42,5 @@ __all__ = [
     "parse_hamiltonian",
     "partial_trace",
     "pauli_string_matrix",
-    "pure_state",
     "purity",
 ]

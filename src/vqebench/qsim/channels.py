@@ -8,7 +8,6 @@ from itertools import product
 import numpy as np
 
 from ..errors import DimensionError, InvalidChannelError, ParameterDomainError
-from .density import embed_operator, n_qubits_of
 from .pauli import pauli_string_matrix
 
 TRACE_PRESERVATION_TOL = 1e-10
@@ -92,17 +91,6 @@ def kraus_thermal_relaxation(t_g: float, t1: float, t2: float) -> KrausChannel:
             if np.max(np.abs(op)) > 0.0:
                 ops.append(op)
     return KrausChannel(tuple(ops), arity=1)
-
-
-def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
-    """Apply a channel on the given qubits of rho (other qubits untouched)."""
-    qubits = list(qubits)
-    if len(qubits) != channel.arity:
-        raise DimensionError(
-            f"channel arity {channel.arity} does not match {len(qubits)} target qubits"
-        )
-    n = n_qubits_of(rho)
-    return kraus_sum(rho, [embed_operator(op, qubits, n) for op in channel.operators])
 
 
 def kraus_sum(rho: np.ndarray, ops) -> np.ndarray:

@@ -5,10 +5,6 @@ import numpy as np
 
 from ..errors import DimensionError
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGVAL_TOL = 1e-9
-
 
 def basis_state(index: int, n_qubits: int) -> np.ndarray:
     """Density matrix |index><index| in the computational basis."""
@@ -20,27 +16,8 @@ def basis_state(index: int, n_qubits: int) -> np.ndarray:
     return rho
 
 
-def pure_state(vec: np.ndarray) -> np.ndarray:
-    """Density matrix of a (normalized) state vector."""
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
-
-
-def check_density(rho: np.ndarray) -> None:
-    """Raise if rho violates the density-matrix invariants."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError(f"density matrix must be square, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise DimensionError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise DimensionError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -EIGVAL_TOL:
-        raise DimensionError("density matrix has a negative eigenvalue beyond roundoff")
 
 
 def n_qubits_of(rho: np.ndarray) -> int:

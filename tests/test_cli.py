@@ -253,6 +253,16 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         # a bool is not a count
         {"optimizers": [{"kind": "bfgs", "maxiter": True}]},
         {"optimizers": [{"kind": "isoma", "isoma": {"max_fes": True}}]},
+        # JSON's NaN and Infinity literals are not finite parameter values
+        {"theta0_policy": {"kind": "uniform", "low": -float("inf")}},
+        {"theta0_policy": {"kind": "uniform", "high": float("nan")}},
+        {"optimizers": [{"kind": "isoma", "isoma": {"var_max": float("inf")}}]},
+        {"optimizers": [{"kind": "isoma", "isoma": {"var_min": float("nan")}}]},
+        {"optimizers": [{"kind": "isoma", "isoma": {"step": float("nan")}}]},
+        {"optimizers": [{"kind": "bfgs", "gradient_step": float("nan")}]},
+        {"optimizers": [{"kind": "bfgs", "gradient_step": float("inf")}]},
+        {"optimizers": [{"kind": "bfgs", "ftol": float("nan")}]},
+        {"optimizers": [{"kind": "bfgs", "ftol": float("inf")}]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
@@ -274,6 +284,12 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
         ({"families": [{"name": "dp", "noise": 5}]}, "noise"),
         ({"optimizers": [{"kind": "isoma", "isoma": 3}]}, "isoma"),
         ({"theta0_policy": 3}, "theta0_policy"),
+        # a scalar of the wrong type
+        ({"optimizers": [{"kind": "bfgs", "ftol": "small"}]}, "ftol"),
+        ({"families": [{"name": "dp", "noise": [{"gates": ["rz"], "kind": "phase_damping", "lam": "x"}]}]}, "lam"),
+        ({"theta0_policy": {"kind": "uniform", "low": "a"}}, "low"),
+        ({"families": [{"name": "dp", "noise": [{"gates": [["rz"]], "kind": "phase_damping", "lam": 0.1}]}]}, "gates"),
+        ({"families": [{"name": ["x"]}]}, "name"),
     ],
 )
 def test_wrong_shape_config_value_names_its_key(tmp_path, capsys, overrides, key):

@@ -4,13 +4,13 @@ import pytest
 from vqebench.errors import DimensionError
 from vqebench.qsim import (
     basis_state,
-    check_density,
     embed_operator,
     partial_trace,
     pauli_string_matrix,
-    pure_state,
     purity,
 )
+
+from oracles import check_density, pure_state
 
 
 def test_basis_state():

@@ -147,7 +147,8 @@ def test_toy_ansatz_reaches_reference(toy_ctx, toy_reference):
 def _polarization_resolve(theta, ctx):
     """The reference: the block from four evolved pure preparations, the cross
     term by the polarization identity."""
-    from vqebench.qsim import evolve_circuit, expectation_exact, pure_state
+    from oracles import pure_state
+    from vqebench.qsim import evolve_circuit, expectation_exact
 
     e_a = np.zeros(ctx.hamiltonian.dim)
     e_b = np.zeros(ctx.hamiltonian.dim)

@@ -6,10 +6,11 @@ from vqebench.optimizers import (
     OPTIMIZER_KINDS,
     IsomaParams,
     OptimizerSpec,
-    eval_budget,
     finite_difference_gradient,
     minimize,
 )
+from vqebench.optimizers.direct import LINE_EVAL_CAP, TR_MAX_RAY
+from vqebench.optimizers.gradient import MAX_BACKTRACKS
 
 LOCAL_KINDS = ("bfgs", "slsqp", "nelder_mead", "powell", "cobyla")
 
@@ -120,11 +121,34 @@ def test_determinism(kind):
     assert a.trace == b.trace
 
 
+def loop_bound(kind: str, dim: int, spec: OptimizerSpec) -> int:
+    """The most evaluations each algorithm's own loops allow."""
+    if kind in ("bfgs", "slsqp"):
+        # initial f + grad, then per iteration: backtracks + new gradient
+        return 1 + 2 * dim + spec.maxiter * (MAX_BACKTRACKS + 1 + 2 * dim)
+    if kind == "nelder_mead":
+        return (dim + 1) + spec.maxiter * (dim + 2)
+    if kind == "powell":
+        # per cycle: dim+1 line minimizations, each capped, plus one probe
+        return 1 + spec.maxiter * ((dim + 1) * LINE_EVAL_CAP + 1)
+    if kind == "cobyla":
+        return (dim + 1) + spec.maxiter * (2 * TR_MAX_RAY + 1)
+    return spec.isoma.max_fes
+
+
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_budget_respected(kind):
     spec = OptimizerSpec(kind=kind, maxiter=25)
     result = minimize(rastrigin, np.full(3, 1.5), spec, np.random.default_rng(2))
-    assert 1 <= result.n_evals <= eval_budget(kind, 3, spec)
+    assert 1 <= result.n_evals <= loop_bound(kind, 3, spec)
+
+
+@pytest.mark.parametrize("max_fes", [10, 25, 26, 200])  # 10 stops inside the population of 25
+def test_isoma_spends_exactly_max_fes(max_fes):
+    spec = OptimizerSpec(kind="isoma", isoma=IsomaParams(pop_size=25, max_fes=max_fes))
+    result = minimize(rastrigin, np.zeros(2), spec, np.random.default_rng(4))
+    assert result.n_evals == len(result.trace) == max_fes
+    assert result.converged
 
 
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)

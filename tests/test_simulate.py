@@ -13,7 +13,6 @@ from vqebench.qsim import (
     NoiseRule,
     PauliSum,
     basis_state,
-    check_density,
     embed_operator,
     evolve_circuit,
     expectation,
@@ -24,10 +23,11 @@ from vqebench.qsim import (
     kraus_thermal_relaxation,
     parse_circuit,
     pauli_string_matrix,
-    pure_state,
     purity,
 )
 from vqebench.qsim import simulate
+
+from oracles import check_density, pure_state
 
 
 def _random_density(rng, d):
