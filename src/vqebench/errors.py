@@ -1,12 +1,19 @@
-"""Exception hierarchy shared across the package, and the integer rule of
-its parameter checks."""
+"""Exception hierarchy shared across the package, and the integer and count
+rules of its parameter checks."""
 from numbers import Integral
+
+MAX_COUNT = 2**63 - 1  # the largest count numpy takes as an int64
 
 
 def is_integer(value) -> bool:
     """An integer parameter value: any Integral except a bool, so JSON
     ``true`` is not the count 1 and ``256.0`` is not 256."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """A count that reaches numpy: an integer from 1 to MAX_COUNT."""
+    return is_integer(value) and 1 <= value <= MAX_COUNT
 
 
 class VqeBenchError(Exception):

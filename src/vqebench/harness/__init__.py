@@ -2,7 +2,7 @@
 
 The analysis reports (`analyze_runs`, `rank_runs`, `analyze_optimizer`) live
 in `vqebench.harness.reports`; importing this package leaves the statistics
-layer, and scipy, unloaded.
+layer unloaded.
 """
 from .catalog import NOISY_SHOTS, FamilySpec, catalog_by_name, family_catalog, lookup_family
 from .config import ExperimentConfig, Theta0Policy, config_from_dict, load_config, toy_problem_paths

@@ -1,8 +1,8 @@
 """Command-line driver: run experiments, analyze runs, rank optimizers,
 print the family catalog.
 
-`analyze` and `rank` import the statistics layer (and scipy.special) when
-they run; `run` and `catalog` need numpy alone.
+`analyze` and `rank` import the statistics layer when they run; every
+command needs numpy alone.
 """
 from __future__ import annotations
 

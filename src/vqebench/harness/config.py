@@ -85,7 +85,8 @@ def _read(build, obj, what: str, **readers):
     parameters: a key build does not take, or a missing one it needs, is a
     config error that names the keys it takes.  A key with a reader, a
     (JSON shapes, convert) pair, must hold a value of one of those shapes,
-    which convert turns into build's argument."""
+    which convert turns into build's argument; a value too large to convert
+    is a config error that names its key."""
     if not isinstance(obj, dict):
         raise ParameterDomainError(f"{what} must be a JSON object, got {obj!r}")
     params = inspect.signature(build).parameters
@@ -104,7 +105,10 @@ def _read(build, obj, what: str, **readers):
         if not any(_JSON_SHAPES[shape](value) for shape in shapes):
             names = " or ".join(shapes)
             raise ParameterDomainError(f"{what} {key!r} must be a JSON {names}, got {value!r}")
-        return convert(value)
+        try:
+            return convert(value)
+        except OverflowError as exc:  # a JSON integer beyond a float's range
+            raise ParameterDomainError(f"{what} {key!r} is out of range: {exc}") from exc
 
     return build(**{key: read(key, value) for key, value in obj.items()})
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ParameterDomainError, is_integer
+from ..errors import ParameterDomainError, is_count
 
 OPTIMIZER_KINDS = ("bfgs", "slsqp", "nelder_mead", "powell", "cobyla", "isoma")
 
@@ -26,9 +26,9 @@ class IsomaParams:
     prt: float = 0.3  # probability that a coordinate takes part in a jump
 
     def __post_init__(self):
-        counts = (self.n_jump, self.pop_size, self.max_migration, self.max_fes, self.m, self.n, self.k)
-        if not all(map(is_integer, counts)):
-            raise ParameterDomainError("iSOMA counts must be integers")
+        for count in ("n_jump", "pop_size", "max_migration", "max_fes", "m", "n", "k"):
+            if not is_count(getattr(self, count)):
+                raise ParameterDomainError(f"iSOMA {count} must be an integer from 1 to 2**63 - 1")
         if not -math.inf < self.var_min < self.var_max < math.inf:
             raise ParameterDomainError("var_min and var_max must be finite, var_min below var_max")
         if not math.isfinite(self.step):
@@ -39,8 +39,6 @@ class IsomaParams:
             raise ParameterDomainError("n must not exceed m")
         if not self.k <= self.pop_size:
             raise ParameterDomainError("k must not exceed pop_size")
-        if min(self.n_jump, self.pop_size, self.max_migration, self.max_fes) < 1:
-            raise ParameterDomainError("iSOMA counts must be positive")
         if not 0.0 < self.prt <= 1.0:
             raise ParameterDomainError("prt must lie in (0, 1]")
 
@@ -56,8 +54,8 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ParameterDomainError(f"unknown optimizer kind {self.kind!r}")
-        if not (is_integer(self.maxiter) and self.maxiter >= 1):
-            raise ParameterDomainError("maxiter must be an integer >= 1")
+        if not is_count(self.maxiter):
+            raise ParameterDomainError("maxiter must be an integer from 1 to 2**63 - 1")
         if not 0 < self.ftol < math.inf:
             raise ParameterDomainError(f"ftol must be positive and finite, got {self.ftol!r}")
         if not 0 < self.gradient_step < math.inf:

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DimensionError, ParameterDomainError, is_integer
+from ..errors import DimensionError, ParameterDomainError, is_count
 from .channels import kraus_sum
 from .circuits import Circuit, rotation
 from .density import embed_operator, n_qubits_of
@@ -27,8 +27,10 @@ class EstimatorSpec:
     noise: NoiseModel | None = None
 
     def __post_init__(self):
-        if self.n_m is not None and not (is_integer(self.n_m) and self.n_m >= 1):
-            raise ParameterDomainError(f"shot count must be an integer >= 1, got {self.n_m!r}")
+        if self.n_m is not None and not is_count(self.n_m):
+            raise ParameterDomainError(
+                f"shot count must be an integer from 1 to 2**63 - 1, got {self.n_m!r}"
+            )
 
     @property
     def mode(self) -> str:

@@ -1,30 +1,120 @@
 """Multivariate normality and variance-homogeneity checks, and the chi-square,
-F and normal tails the battery's p-values come from."""
+F and normal tails the battery's p-values come from, in closed form with
+``math`` alone (Abramowitz & Stegun 26.4.4-5 and 26.6.2; Numerical Recipes
+6.4)."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
 
 from ..errors import DegenerateSampleError, ParameterDomainError
 from .types import Sample2D, TestResult
 
 _COND_LIMIT = 1e12
+_TINY = 1e-300  # keeps the continued fraction's denominators off zero
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of chi-square(df); 1 below the support, NaN stays NaN
-    (scipy.stats.chi2.sf's values, without loading scipy.stats)."""
-    return 1.0 if x < 0 else float(special.chdtrc(df, x))
+    """Upper tail of chi-square(df) for an integer df >= 1; 1 below the
+    support, NaN stays NaN.
+
+    The finite Poisson sum e^-h sum_a h^a / Gamma(a+1), h = x/2, over
+    a = df/2 - 1, df/2 - 2, ... down to 0 or 1/2, plus erfc(sqrt h) for odd
+    df.  Each term is exponentiated from its logarithm, so e^-h alone never
+    underflows a representable tail.
+    """
+    if math.isnan(x):
+        return math.nan
+    h = 0.5 * x
+    if h <= 0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+    half = 0.5 * (df % 2)
+    terms = [
+        math.exp((half + j) * log_h - h - math.lgamma(half + j + 1.0)) for j in range(df // 2)
+    ]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(1.0, math.fsum(terms))
+
+
+def _beta_cf(a: float, b: float, w: float) -> float:
+    """The continued fraction of I_w(a, b), by the modified Lentz method."""
+    c, d = 1.0, 1.0 - (a + b) * w / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 10_000):
+        even = m * (b - m) * w / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * w / ((a + 2 * m) * (a + 2 * m + 1))
+        for coef in (even, odd):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return h
+
+
+def _stirling_error(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), from its asymptotic
+    series for large z, where the difference would lose lgamma's digits."""
+    if z < 30.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_2PI
+    zz = z * z
+    return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * zz)) / zz) / zz) / z
+
+
+def _times_log(a: float, y: float, y_minus_1: float) -> float:
+    """a log y, read from y - 1 (computed without cancellation) near y = 1."""
+    return a * (math.log1p(y_minus_1) if abs(y_minus_1) < 0.5 else math.log(y))
+
+
+def _beta_cdf(a: float, b: float, w: float, wc: float) -> float:
+    """I_w(a, b), the Beta(a, b) CDF at w, with wc = 1 - w passed in so that
+    neither side loses digits to a subtraction.  The fraction runs on the
+    side where it converges fast; the other side is 1 minus it.  Its front
+    factor w^a wc^b / B(a, b) is taken in Stirling form, relative to the
+    mean a / (a + b), so large a and b do not cancel digits away."""
+    swap = w > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, w, wc = b, a, wc, w
+    s = a + b
+    gap = b * w - a * wc  # w s - a
+    log_front = (
+        _times_log(a, w * s / a, gap / a)
+        + _times_log(b, wc * s / b, -gap / b)
+        + 0.5 * math.log(a * b / s)
+        - _HALF_LOG_2PI
+        + _stirling_error(s)
+        - _stirling_error(a)
+        - _stirling_error(b)
+    )
+    tail = math.exp(log_front) * _beta_cf(a, b, w) / a
+    return 1.0 - tail if swap else tail
 
 
 def f_sf(x: float, dfn: int, dfd: int) -> float:
-    """Upper tail of F(dfn, dfd) at a ratio x >= 0 (f_ratio gives no other)."""
-    return float(special.fdtrc(dfn, dfd, x))
+    """Upper tail of F(dfn, dfd) at a ratio x >= 0 (f_ratio gives no other):
+    I_w(dfd/2, dfn/2) at w = dfd / (dfd + dfn x).  dfd = 0 gives NaN."""
+    if dfd == 0 or math.isnan(x):
+        return math.nan
+    ratio = dfn * x / dfd
+    if ratio <= 0:
+        return 1.0
+    if ratio == math.inf:
+        return 0.0
+    return _beta_cdf(0.5 * dfd, 0.5 * dfn, 1.0 / (1.0 + ratio), ratio / (1.0 + ratio))
 
 
 def norm_sf(x: float) -> float:
-    """Upper tail of the standard normal."""
-    return float(special.ndtr(-x))
+    """Upper tail of the standard normal, erfc(x / sqrt 2) / 2."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

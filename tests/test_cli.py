@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vqebench
 from vqebench.harness import RunRecord, toy_problem_paths, write_records
 from vqebench.harness.cli import main
 
@@ -32,6 +37,20 @@ def synthetic_records():
             e = 0.7 + 0.1 * seed
             records.append(RunRecord(fam, "bad", seed, -2.0 + e, -0.5 + e, -2.5 + 2 * e, 10, True, 1.0))
     return records
+
+
+def test_analyze_and_rank_run_without_scipy(tmp_path):
+    # the runtime needs numpy alone: with scipy blocked, both report commands still run
+    runs = tmp_path / "runs.csv"
+    write_records(synthetic_records(), runs)
+    code = "import sys; sys.modules['scipy'] = None; from vqebench.harness.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
+    analyze = ["analyze", "--runs", str(runs), "--per-optimizer", str(tmp_path / "a"), "--n-perm", "19"]
+    rank = ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(tmp_path / "r")]
+    for argv in (analyze, rank):
+        subprocess.run([sys.executable, "-c", code, *argv], check=True, env=env, capture_output=True)
+    assert (tmp_path / "a" / "good" / "levene.json").is_file()
+    assert (tmp_path / "r" / "rank_summary.json").is_file()
 
 
 def test_catalog_lists_21(capsys):
@@ -263,6 +282,13 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         {"optimizers": [{"kind": "bfgs", "gradient_step": float("inf")}]},
         {"optimizers": [{"kind": "bfgs", "ftol": float("nan")}]},
         {"optimizers": [{"kind": "bfgs", "ftol": float("inf")}]},
+        # counts are positive and fit an int64
+        {"optimizers": [{"kind": "isoma", "isoma": {"k": -7}}]},
+        {"optimizers": [{"kind": "isoma", "isoma": {"n": -2}}]},
+        {"optimizers": [{"kind": "isoma", "isoma": {"pop_size": 10**400}}]},
+        {"optimizers": [{"kind": "bfgs", "maxiter": 10**400}]},
+        {"families": [{"name": "sh", "n_m": 10**400}]},
+        {"families": [{"name": "sh", "n_m": 2**63}]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
@@ -297,6 +323,22 @@ def test_wrong_shape_config_value_names_its_key(tmp_path, capsys, overrides, key
     assert main(["run", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and f"{key!r} must be a JSON" in err[0]
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"optimizers": [{"kind": "bfgs", "ftol": 10**400}]}, "ftol"),
+        ({"families": [{"name": "dp", "noise": [{"gates": ["rz"], "kind": "phase_damping", "lam": 10**400}]}]}, "lam"),
+        ({"theta0_policy": {"kind": "uniform", "low": -(10**400)}}, "low"),
+    ],
+)
+def test_number_beyond_float_range_names_its_key(tmp_path, capsys, overrides, key):
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and f"{key!r} is out of range" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "rank"])

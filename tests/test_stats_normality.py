@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -20,31 +21,75 @@ def gaussian_sample(rng, n, mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0))):
 
 
 # --- distribution tails ----------------------------------------------------
+#
+# The tails are computed in closed form, not by scipy, so their values are
+# checked against an independent oracle: mpmath at 60 digits.  Only where a
+# tail is fixed by a limit rather than by arithmetic (below or at the edge of
+# the support, 1e-300 from it, infinity, NaN, dfd = 0) must it still equal
+# scipy's value bit for bit.
 
 TAIL_POINTS = [-math.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.0, 4.7, 38.0, 1e3, math.inf, math.nan]
+LIMIT_POINTS = [x for x in TAIL_POINTS if not 1e-300 < abs(x) < math.inf]
+FINITE_POINTS = [x for x in TAIL_POINTS if 1e-300 < x < math.inf]
+CHI2_DFS = [1, 2, 3, 4, 6, 20, 60]
+# (20, 189): Levene over 21 families of 10 points; (1, 5000) far beyond any grid
+F_DFS = [(1, 1), (2, 9), (5, 3), (20, 200), (20, 189), (1, 5000)]
 
 
 def same_float(ours, theirs):
     return ours == theirs or (math.isnan(ours) and math.isnan(theirs))
 
 
-@pytest.mark.parametrize("df", [1, 2, 3, 4, 6, 20, 60])
+def assert_accurate(ours, true, where):
+    """Within 1e-12 relative of the true tail wherever that is >= 1e-300."""
+    if true >= 1e-300:
+        assert abs(mpmath.mpf(ours) - true) <= 1e-12 * true, (where, ours, true)
+    else:
+        assert 0.0 <= ours <= 1e-300, (where, ours, true)
+
+
+@pytest.mark.parametrize("df", CHI2_DFS)
 def test_chi2_sf_equals_scipy(df):
-    for x in TAIL_POINTS:
+    for x in [-3.0, *LIMIT_POINTS]:  # below the support, too
         assert same_float(chi2_sf(x, df), float(sps.chi2.sf(x, df))), x
 
 
 @pytest.mark.parametrize("dfn, dfd", [(1, 0), (1, 1), (2, 0), (2, 9), (5, 3), (20, 200)])
 def test_f_sf_equals_scipy(dfn, dfd):
-    for x in [v for v in TAIL_POINTS if not v < 0]:  # an F ratio is never negative
+    # an F ratio is never negative; dfd = 0 gives NaN at every ratio
+    points = TAIL_POINTS if dfd == 0 else LIMIT_POINTS
+    for x in [v for v in points if not v < 0]:
         assert same_float(f_sf(x, dfn, dfd), float(sps.f.sf(x, dfn, dfd))), x
 
 
 def test_norm_sf_equals_scipy():
-    for x in TAIL_POINTS + [-40.0, -8.3, 8.3, 40.0]:
+    for x in LIMIT_POINTS:
         assert same_float(norm_sf(x), float(sps.norm.sf(x))), x
         # the Wilcoxon normal approximation takes its lower tail as norm_sf(-z)
         assert same_float(norm_sf(-x), float(sps.norm.cdf(x))), x
+
+
+@pytest.mark.parametrize("df", CHI2_DFS + [5, 41, 100])
+def test_chi2_sf_matches_mpmath(df):
+    with mpmath.workdps(60):
+        for x in FINITE_POINTS + list(np.logspace(-6, 3.5, 58)):
+            true = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+            assert_accurate(chi2_sf(x, df), true, x)
+
+
+@pytest.mark.parametrize("dfn, dfd", F_DFS)
+def test_f_sf_matches_mpmath(dfn, dfd):
+    with mpmath.workdps(60):
+        for x in FINITE_POINTS + list(np.logspace(-6, 6, 49)):
+            w = mpmath.mpf(dfd) / (dfd + dfn * mpmath.mpf(x))
+            true = mpmath.betainc(mpmath.mpf(dfd) / 2, mpmath.mpf(dfn) / 2, 0, w, regularized=True)
+            assert_accurate(f_sf(x, dfn, dfd), true, x)
+
+
+def test_norm_sf_matches_mpmath():
+    with mpmath.workdps(60):
+        for x in [*FINITE_POINTS, -3.0, *np.linspace(-40.0, 40.0, 321)]:
+            assert_accurate(norm_sf(x), mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2, x)
 
 
 # --- Mardia ----------------------------------------------------------------
