@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class Gate:
     qubits: tuple[int, ...]
     param_index: int | None = None
     pauli_string: str | None = None
-    duration_ns: float = field(default=0.0)
+    duration_ns: float | None = None  # None: the default for the gate's arity
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -56,11 +56,15 @@ class Gate:
             raise ParameterDomainError(
                 f"gate {self.kind!r} expects {expected_arity} qubits, got {len(self.qubits)}"
             )
-        if self.duration_ns == 0.0:
+        if self.duration_ns is None:
             default = (
                 DEFAULT_DURATION_1Q_NS if len(self.qubits) == 1 else DEFAULT_DURATION_MULTIQ_NS
             )
             object.__setattr__(self, "duration_ns", default)
+        elif not 0.0 < self.duration_ns < math.inf:
+            raise ParameterDomainError(
+                f"gate duration must be positive and finite, got {self.duration_ns!r} ns"
+            )
 
     def generator(self) -> np.ndarray:
         """Pauli generator P of a parametric gate, exp(-i theta/2 P)."""

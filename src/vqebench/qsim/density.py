@@ -16,10 +16,6 @@ def basis_state(index: int, n_qubits: int) -> np.ndarray:
     return rho
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
-
-
 def n_qubits_of(rho: np.ndarray) -> int:
     """Qubit count of a density matrix or of a (k, d, d) stack of them."""
     dim = rho.shape[-1]
@@ -49,17 +45,3 @@ def embed_operator(op: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
     t = t.transpose(perm + [n_qubits + p for p in perm])
     return np.ascontiguousarray(t.reshape(2 ** n_qubits, 2 ** n_qubits))
 
-
-def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
-    """Reduced density matrix over the `keep` qubits (in the given order)."""
-    keep = list(keep)
-    t = rho.reshape((2,) * (2 * n_qubits))
-    traced = [q for q in range(n_qubits) if q not in keep]
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
-    # remaining axes are the kept qubits in increasing order
-    kept_sorted = sorted(keep)
-    perm = [kept_sorted.index(q) for q in keep]
-    k = len(keep)
-    t = t.transpose(perm + [k + p for p in perm])
-    return t.reshape(2 ** k, 2 ** k)

@@ -8,7 +8,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError, is_count
-from .channels import kraus_sum
 from .circuits import Circuit, rotation
 from .density import embed_operator, n_qubits_of
 from .noise import NoiseModel
@@ -61,26 +60,22 @@ def evolve_circuit(
     for param_index, op, channels in _schedule(circuit, noise):
         if param_index is not None:
             op = rotation(float(theta[param_index]), op)
-        rho = kraus_sum(rho, (op,))
-        for kraus in channels:
-            rho = kraus_sum(rho, kraus)
+        rho = op @ rho @ op.conj().T
+        for channel in channels:
+            rho = channel(rho)
     return rho
 
 
 @functools.lru_cache(maxsize=64)
 def _schedule(circuit: Circuit, noise: NoiseModel | None) -> tuple:
-    """Per gate, in the full space: its parameter index, its unitary (a
-    rotation's Pauli generator instead) and the Kraus operators of each channel
-    attached after it.  maxsize covers the catalog's noise models for a circuit."""
+    """Per gate: its parameter index, its full-space unitary (a rotation's
+    Pauli generator instead) and the channel maps attached after it.  maxsize
+    covers the catalog's noise models for a circuit."""
     n = circuit.n_qubits
     steps = []
     for gate in circuit.gates:
         local = gate.unitary() if gate.param_index is None else gate.generator()
-        applications = () if noise is None else noise.applications_for(gate)
-        channels = tuple(
-            tuple(embed_operator(op, qubits, n) for op in channel.operators)
-            for channel, qubits in applications
-        )
+        channels = () if noise is None else noise.channels(gate)
         steps.append((gate.param_index, embed_operator(local, gate.qubits, n), channels))
     return tuple(steps)
 

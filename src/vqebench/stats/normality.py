@@ -101,14 +101,19 @@ def _beta_cdf(a: float, b: float, w: float, wc: float) -> float:
 
 def f_sf(x: float, dfn: int, dfd: int) -> float:
     """Upper tail of F(dfn, dfd) at a ratio x >= 0 (f_ratio gives no other):
-    I_w(dfd/2, dfn/2) at w = dfd / (dfd + dfn x).  dfd = 0 gives NaN."""
+    I_w(dfd/2, dfn/2) at w = dfd / (dfd + dfn x).  dfd = 0 gives NaN.  Where
+    dfn x / dfd overflows a float, w is read from its logarithm (1 + that
+    ratio is the ratio itself to within 1e-308) and 1 - w rounds to 1."""
     if dfd == 0 or math.isnan(x):
         return math.nan
+    if x == math.inf:
+        return 0.0
     ratio = dfn * x / dfd
     if ratio <= 0:
         return 1.0
     if ratio == math.inf:
-        return 0.0
+        w = math.exp(math.log(dfd) - math.log(dfn) - math.log(x))
+        return _beta_cdf(0.5 * dfd, 0.5 * dfn, w, 1.0 - w)
     return _beta_cdf(0.5 * dfd, 0.5 * dfn, 1.0 / (1.0 + ratio), ratio / (1.0 + ratio))
 
 

@@ -16,15 +16,15 @@ from vqebench.harness.runner import _record_row
 from vqebench.optimizers import OptimizerSpec, minimize
 from vqebench.qsim import (
     EstimatorSpec,
+    Gate,
     NoiseModel,
     NoiseRule,
     basis_state,
+    damp,
+    depolarize,
     evolve_circuit,
     expectation_exact,
     expectation_shots,
-    kraus_depolarizing,
-    kraus_phase_damping,
-    kraus_thermal_relaxation,
     load_circuit,
     load_hamiltonian,
 )
@@ -39,7 +39,7 @@ from vqebench.stats import (
     permdisp,
 )
 
-from oracles import apply_channel, pure_state
+from oracles import pure_state
 
 
 _CAPTURE = None
@@ -80,33 +80,45 @@ def toy_problem():
     return load_hamiltonian(ham_path), load_circuit(circ_path)
 
 
+def _after(rule, qubits, rho, duration_ns=None):
+    """rho after the maps `rule` attaches to a gate on `qubits`."""
+    gate = Gate("prot", qubits, 0, "Z" * len(qubits), duration_ns)
+    for channel in rule.channels(gate):
+        rho = channel(rho)
+    return rho
+
+
 def test_criterion_1_channel_analytics():
     with criterion(1, "channel analytics"):
         plus = pure_state([1.0, 1.0])
         # phase damping: off-diagonal factor sqrt(1 - lam)
         for lam in (0.1, 0.37, 0.8):
-            out = apply_channel(plus, kraus_phase_damping(lam), (0,))
+            out = _after(NoiseRule(frozenset({"prot"}), "phase_damping", lam=lam), (0,), plus)
             assert abs(abs(out[0, 1]) - 0.5 * math.sqrt(1.0 - lam)) < 1e-9
-        # depolarizing: fixed point I/d and closed form
+        # depolarizing: fixed point I/d and closed form, on one to three qubits
         rng = np.random.default_rng(0)
-        for arity in (1, 2):
+        for arity in (1, 2, 3):
             d = 2 ** arity
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = a @ a.conj().T
             rho /= np.trace(rho)
-            out = apply_channel(rho, kraus_depolarizing(1.0, arity), tuple(range(arity)))
+            qubits = tuple(range(arity))
+            out = depolarize(rho, qubits, 1.0)
             assert np.max(np.abs(out - np.eye(d) / d)) < 1e-9
             p = 0.23
-            out = apply_channel(rho, kraus_depolarizing(p, arity), tuple(range(arity)))
+            out = _after(NoiseRule(frozenset({"prot"}), "depolarizing", p=p), qubits, rho)
             assert np.max(np.abs(out - ((1 - p) * rho + p * np.eye(d) / d))) < 1e-9
         # thermal relaxation: population factor e^{-t/T1}, coherence e^{-t/T2}
         t1, t2, t_g = 220.0, 180.0, 65.0
-        ch = kraus_thermal_relaxation(t_g, t1, t2)
+        thermal = NoiseRule(frozenset({"prot"}), "thermal_relaxation", t1_ns=t1, t2_ns=t2)
         excited = pure_state([0.0, 1.0])
-        out = apply_channel(excited, ch, (0,))
+        out = _after(thermal, (0,), excited, t_g)
         assert abs(out[1, 1].real - math.exp(-t_g / t1)) < 1e-9
-        out = apply_channel(plus, ch, (0,))
+        out = _after(thermal, (0,), plus, t_g)
         assert abs(abs(out[0, 1]) - 0.5 * math.exp(-t_g / t2)) < 1e-9
+        # amplitude damping: b11 -> (1 - gamma) b11, the rest to |0>
+        out = damp(excited, 0, 0.3, math.sqrt(0.7))
+        assert abs(out[0, 0].real - 0.3) < 1e-9 and abs(out[1, 1].real - 0.7) < 1e-9
 
 
 def test_criterion_2_variational_lower_bound():

@@ -194,27 +194,16 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("data error:")
 
 
-@pytest.mark.parametrize(
-    "bad_problem", ["missing_ham", "nine_qubits", "phi_out_of_range", "depolarizing_on_3q_prot"]
-)
+@pytest.mark.parametrize("bad_problem", ["missing_ham", "nine_qubits", "phi_out_of_range"])
 def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_problem):
     ham = tmp_path / "big.ham"
     ham.write_text("1.0 " + "Z" * 9 + "\n")
     circ = tmp_path / "big.circ"
     circ.write_text("ry 0 t0\nry 8 t1\n")
-    ham3 = tmp_path / "3q.ham"
-    ham3.write_text("1.0 ZZZ\n")
-    circ3 = tmp_path / "3q.circ"
-    circ3.write_text("prot XYZ t0 0 1 2\n")
-    depolarized = {"name": "dp", "noise": [{"gates": ["prot"], "kind": "depolarizing", "p": 0.1}]}
     overrides = {
         "missing_ham": {"hamiltonian_path": str(tmp_path / "absent.ham")},
         "nine_qubits": {"hamiltonian_path": str(ham), "circuit_path": str(circ)},
         "phi_out_of_range": {"phi_b": 4},  # the toy problem has 2 qubits
-        # depolarizing takes one or two qubits; the ideal family would run first
-        "depolarizing_on_3q_prot": {
-            "hamiltonian_path": str(ham3), "circuit_path": str(circ3), "families": ["ideal", depolarized],
-        },
     }[bad_problem]
     out = tmp_path / "o.csv"
     out.write_bytes(b"an earlier grid's runs\n")
@@ -223,6 +212,25 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:")
     assert out.read_bytes() == b"an earlier grid's runs\n"
+
+
+def test_depolarizing_on_3q_prot_runs(tmp_path):
+    # depolarizing acts on a gate of any arity: here all three qubits of a prot
+    ham = tmp_path / "3q.ham"
+    ham.write_text("1.0 ZZZ\n0.5 XII\n")
+    circ = tmp_path / "3q.circ"
+    circ.write_text("ry 0 t0\nprot XYZ t1 0 1 2\n")
+    depolarized = {"name": "dp", "noise": [{"gates": ["prot"], "kind": "depolarizing", "p": 0.1}]}
+    cfg = write_config(
+        tmp_path, hamiltonian_path=str(ham), circuit_path=str(circ), families=["ideal", depolarized]
+    )
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["family"], r["seed"]) for r in rows] == [("ideal", "0"), ("ideal", "1"), ("dp", "0"), ("dp", "1")]
+    ideal, noisy = (min(float(r["e_sa"]) for r in rows if r["family"] == f) for f in ("ideal", "dp"))
+    assert ideal < noisy < 0.0  # depolarizing pulls the ensemble toward Tr(H)/8 = 0
 
 
 @pytest.mark.parametrize(
@@ -289,6 +297,9 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         {"optimizers": [{"kind": "bfgs", "maxiter": 10**400}]},
         {"families": [{"name": "sh", "n_m": 10**400}]},
         {"families": [{"name": "sh", "n_m": 2**63}]},
+        # a NaN relaxation time fails every bound check
+        {"families": [{"name": "tr", "noise": [{"gates": ["cx"], "kind": "thermal_relaxation", "t1_ns": 50.0, "t2_ns": float("nan")}]}]},
+        {"families": [{"name": "tr", "noise": [{"gates": ["cx"], "kind": "thermal_relaxation", "t1_ns": float("nan"), "t2_ns": 50.0}]}]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):

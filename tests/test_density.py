@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from vqebench.errors import DimensionError
-from vqebench.qsim import (
-    basis_state,
-    embed_operator,
-    partial_trace,
-    pauli_string_matrix,
-    purity,
-)
+from vqebench.qsim import basis_state, embed_operator, pauli_string_matrix
 
-from oracles import check_density, pure_state
+from oracles import check_density, partial_trace, pure_state, purity
 
 
 def test_basis_state():

@@ -7,8 +7,12 @@ converged must always match; wall_time_ms is ignored.
 Regenerate the CSV only for a declared change to the run outputs:
 
     PYTHONPATH=src python tests/test_golden_runs.py
+
+It prints, per family, the rows that moved, the largest change of the three
+energies and any change of n_evals or converged, then rewrites the CSV.
 """
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from vqebench.harness import (
     config_from_dict,
     lookup_family,
+    read_records,
     run_experiment,
     toy_problem_paths,
     write_records,
@@ -82,6 +87,43 @@ def test_golden_runs_unchanged():
             assert [got[c] for c in FLOAT_COLUMNS] == [want[c] for c in FLOAT_COLUMNS], key
 
 
+def _key(record):
+    return record.family, record.optimizer, record.seed
+
+
+def rebaseline_report(pinned, fresh) -> list[str]:
+    """For records of the same grid in the same order, one line per family:
+    the rows whose energies moved, the largest |change| of the three
+    energies, and each change of n_evals or converged."""
+    pinned, fresh = (_as_dicts(map(_record_row, records)) for records in (pinned, fresh))
+    lines = []
+    for family in dict.fromkeys(r["family"] for r in pinned):
+        pairs = [(w, g) for w, g in zip(pinned, fresh) if w["family"] == family]
+        moved = [(w, g) for w, g in pairs if any(w[c] != g[c] for c in FLOAT_COLUMNS)]
+        delta = max(
+            (abs(float(g[c]) - float(w[c])) for w, g in moved for c in FLOAT_COLUMNS), default=0.0
+        )
+        changed = [
+            f"{w['optimizer']}/{w['seed']} {c} {w[c]} -> {g[c]}"
+            for w, g in pairs
+            for c in ("n_evals", "converged")
+            if w[c] != g[c]
+        ]
+        lines.append(
+            f"{family}: {len(moved)} of {len(pairs)} rows moved, max |delta energy| {delta:.3g}; "
+            + (", ".join(changed) or "n_evals and converged unchanged")
+        )
+    return lines
+
+
 if __name__ == "__main__":
+    records = golden_records()
+    pinned = read_records(GOLDEN) if GOLDEN.exists() else []
+    if list(map(_key, pinned)) == list(map(_key, records)):
+        print("\n".join(rebaseline_report(pinned, records)))
+        # wall_time_ms is not pinned: keeping the old values leaves unmoved rows byte-identical
+        records = [replace(r, wall_time_ms=p.wall_time_ms) for r, p in zip(records, pinned)]
+    else:
+        print("the grid's rows are not the pinned CSV's rows; writing them afresh")
     GOLDEN.parent.mkdir(exist_ok=True)
-    write_records(golden_records(), GOLDEN)
+    write_records(records, GOLDEN)

@@ -18,16 +18,19 @@ from vqebench.qsim import (
     expectation,
     expectation_exact,
     expectation_shots,
-    kraus_depolarizing,
-    kraus_phase_damping,
-    kraus_thermal_relaxation,
     parse_circuit,
     pauli_string_matrix,
-    purity,
 )
 from vqebench.qsim import simulate
 
-from oracles import check_density, pure_state
+from oracles import (
+    check_density,
+    kraus_depolarizing,
+    kraus_phase_damping,
+    kraus_thermal_relaxation,
+    pure_state,
+    purity,
+)
 
 
 def _random_density(rng, d):
@@ -296,15 +299,15 @@ def test_evolution_matches_reference_on_every_gate_kind(case, rng):
 
 def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circuit):
     calls = []
+    channels = NoiseRule.channels
 
-    def counting(p, arity=1):
-        calls.append(arity)
-        return kraus_depolarizing(p, arity)
+    def counting(rule, gate):
+        calls.append(len(gate.qubits))
+        return channels(rule, gate)
 
-    # a model no other test builds, so the simulator has not seen it yet; the
-    # rule builds one channel to check p, before the count starts
+    # a model no other test builds, so the simulator has not seen it yet
     noise = NoiseModel((NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),))
-    monkeypatch.setattr("vqebench.qsim.noise.kraus_depolarizing", counting)
+    monkeypatch.setattr(NoiseRule, "channels", counting)
     for theta in np.linspace(-1.0, 1.0, 15).reshape(5, 3):
         evolve_circuit(basis_state(0, 2), toy_circuit, theta, noise)
     matched = [len(g.qubits) for g in toy_circuit.gates if g.kind in {"ry", "cx"}]

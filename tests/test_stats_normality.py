@@ -32,8 +32,11 @@ TAIL_POINTS = [-math.inf, -3.0, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.0, 4.7, 38.0
 LIMIT_POINTS = [x for x in TAIL_POINTS if not 1e-300 < abs(x) < math.inf]
 FINITE_POINTS = [x for x in TAIL_POINTS if 1e-300 < x < math.inf]
 CHI2_DFS = [1, 2, 3, 4, 6, 20, 60]
-# (20, 189): Levene over 21 families of 10 points; (1, 5000) far beyond any grid
-F_DFS = [(1, 1), (2, 9), (5, 3), (20, 200), (20, 189), (1, 5000)]
+# (20, 189): Levene over 21 families of 10 points; (1, 5000) far beyond any grid;
+# (2, 1) and (20, 1): dfn x / dfd overflows while the tail is still ~1e-155
+F_DFS = [(1, 1), (2, 9), (5, 3), (20, 200), (20, 189), (1, 5000), (2, 1), (20, 1)]
+# ratios near the top of the float range, where dfn x / dfd overflows for dfn > dfd
+F_OVERFLOW_POINTS = [1e306, 1e307, 5e307, 1e308, 1.7e308, 1.7976931348623157e308]
 
 
 def same_float(ours, theirs):
@@ -80,7 +83,7 @@ def test_chi2_sf_matches_mpmath(df):
 @pytest.mark.parametrize("dfn, dfd", F_DFS)
 def test_f_sf_matches_mpmath(dfn, dfd):
     with mpmath.workdps(60):
-        for x in FINITE_POINTS + list(np.logspace(-6, 6, 49)):
+        for x in FINITE_POINTS + list(np.logspace(-6, 6, 49)) + F_OVERFLOW_POINTS:
             w = mpmath.mpf(dfd) / (dfd + dfn * mpmath.mpf(x))
             true = mpmath.betainc(mpmath.mpf(dfd) / 2, mpmath.mpf(dfn) / 2, 0, w, regularized=True)
             assert_accurate(f_sf(x, dfn, dfd), true, x)
