@@ -12,7 +12,6 @@ from .qsim import (
     Circuit,
     EstimatorSpec,
     PauliSum,
-    basis_state,
     evolve_circuit,
     expectation,
     expectation_exact,
@@ -62,14 +61,24 @@ class ReferencePair:
         return self.e0 + self.e1
 
 
-def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None) -> float:
+def sa_cost(
+    theta, ctx: EnsembleContext, rng: np.random.Generator | None = None
+) -> float | np.ndarray:
     """Sum of the Hamiltonian expectations over the two evolved states,
-    evolved and measured as one stack."""
-    n = ctx.ansatz.n_qubits
-    initial = np.stack([basis_state(ctx.phi_a, n), basis_state(ctx.phi_b, n)])
+    evolved and measured as one stack.
+
+    theta is one parameter vector, or an (m, p) stack of them, which gives
+    m costs.  Their 2m states are measured as one stack ordered
+    [theta_0 a, theta_0 b, theta_1 a, ...], so the shots drawn are those of
+    m calls on one vector each."""
+    dim = ctx.hamiltonian.dim
+    initial = np.zeros((2, dim, dim), dtype=complex)
+    initial[0, ctx.phi_a, ctx.phi_a] = initial[1, ctx.phi_b, ctx.phi_b] = 1.0
     rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
-    e_a, e_b = expectation(rhos, ctx.hamiltonian, ctx.estimator, rng)
-    return float(0.0 + e_a + e_b)
+    pairs = expectation(rhos.reshape(-1, dim, dim), ctx.hamiltonian, ctx.estimator, rng)
+    pairs = pairs.reshape(-1, 2)
+    costs = 0.0 + pairs[:, 0] + pairs[:, 1]
+    return costs if np.ndim(theta) == 2 else float(costs[0])
 
 
 def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:

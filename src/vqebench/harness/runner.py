@@ -7,7 +7,6 @@ import csv
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from ..ensemble import EnsembleContext, resolve_states, sa_cost
 from ..errors import CostEvaluationError, ParameterDomainError
-from ..optimizers import OptimizerSpec, minimize
+from ..optimizers import OptimizerSpec, StackCost, minimize
 from ..qsim import load_circuit, load_hamiltonian
 from .catalog import FamilySpec
 from .config import ExperimentConfig, Theta0Policy
@@ -99,12 +98,12 @@ def execute_run(task: _RunTask) -> RunRecord:
     theta0 = task.theta0_policy.draw(ctx.ansatz.n_params, np.random.default_rng(theta_ss))
     spec = _effective_optimizer(task.optimizer, task.family)
 
-    def cost(theta):
-        return sa_cost(theta, ctx, shot_rng)
+    def cost(thetas):  # sa_cost is looked up here at every evaluation
+        return sa_cost(thetas, ctx, shot_rng)
 
     start = time.perf_counter()
     try:
-        result = minimize(cost, theta0, spec, np.random.default_rng(opt_ss))
+        result = minimize(StackCost(cost), theta0, spec, np.random.default_rng(opt_ss))
     except CostEvaluationError as exc:
         e_ground = e_excited = math.nan
         n_evals, converged = exc.n_evals, False
@@ -162,6 +161,8 @@ def run_experiment(
             sinks.append(progress)
         runs = map(execute_run, tasks)
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # its import costs every command
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             runs = pool.map(execute_run, tasks)
         for record in runs:

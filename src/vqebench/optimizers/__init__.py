@@ -7,7 +7,7 @@ from ..errors import ParameterDomainError
 from .direct import cobyla_minimize, nelder_mead_minimize, powell_minimize
 from .gradient import bfgs_minimize, finite_difference_gradient, slsqp_minimize
 from .result import OPTIMIZER_KINDS, IsomaParams, OptimizerSpec, OptResult
-from .session import CostSession
+from .session import CostSession, StackCost
 from .soma import isoma_minimize
 
 _DISPATCH = {
@@ -22,10 +22,13 @@ _DISPATCH = {
 
 def minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator | None = None) -> OptResult:
     """Run the algorithm named by spec.kind as algo(session, theta0, spec,
-    rng) -> converged on one CostSession that counts the evaluations.  Each
-    algorithm stops by its own loop (maxiter; iSOMA at max_fes), and a NaN
-    cost raises CostEvaluationError.  Deterministic given (theta0, spec, rng
-    seed)."""
+    rng) -> converged on one CostSession that counts the evaluations.  cost
+    is a function of one point or a StackCost; with a StackCost, points an
+    algorithm knows before it needs their values (a gradient's 2*dim, an
+    initial simplex or population, a Nelder-Mead shrink, a migrant's jumps)
+    are evaluated as one stack, with the same result.  Each algorithm stops
+    by its own loop (maxiter; iSOMA at max_fes), and a NaN cost raises
+    CostEvaluationError.  Deterministic given (theta0, spec, rng seed)."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim != 1 or theta0.size < 1:
         raise ParameterDomainError("theta0 must be a non-empty 1-D vector")
@@ -40,6 +43,7 @@ __all__ = [
     "IsomaParams",
     "OptResult",
     "OptimizerSpec",
+    "StackCost",
     "finite_difference_gradient",
     "minimize",
 ]

@@ -34,7 +34,7 @@ def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool
         point = theta0.copy()
         point[i] += INITIAL_SIMPLEX_SCALE * max(1.0, abs(theta0[i]))
         simplex.append(point)
-    values = [session(p) for p in simplex]
+    values = session.many(simplex)
     for _ in range(spec.maxiter):
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
@@ -63,9 +63,8 @@ def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool
             if f_c < min(f_r, values[-1]):
                 simplex[-1], values[-1] = contracted, f_c
             else:  # shrink toward the best vertex
-                for i in range(1, dim + 1):
-                    simplex[i] = simplex[0] + SHRINK * (simplex[i] - simplex[0])
-                    values[i] = session(simplex[i])
+                simplex[1:] = [simplex[0] + SHRINK * (p - simplex[0]) for p in simplex[1:]]
+                values[1:] = session.many(simplex[1:])
     return False
 
 
@@ -212,12 +211,11 @@ def cobyla_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
     rho = TR_RHO_BEG
     refresh_axis = 0
     points = [theta0.copy()]
-    values = [session(theta0)]
     for i in range(dim):
         p = theta0.copy()
         p[i] += rho
         points.append(p)
-        values.append(session(p))
+    values = session.many(points)
     prev_best = theta0.copy()
     for _ in range(spec.maxiter):
         if rho <= TR_RHO_END:

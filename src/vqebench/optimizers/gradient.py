@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .result import OptimizerSpec
+from .session import CostSession
 
 MAX_BACKTRACKS = 30  # line-search halvings per BFGS/SQP iteration
 GRAD_NORM_TOL = 1e-8
@@ -11,14 +12,15 @@ ARMIJO_C1 = 1e-4
 
 
 def finite_difference_gradient(cost, theta, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient; 2*dim cost evaluations."""
+    """Central-difference gradient from 2*dim cost evaluations, made as one
+    stack ordered +h, -h per coordinate.  cost is a CostSession, or a cost
+    the gradient wraps in one; a NaN value raises CostEvaluationError."""
+    session = cost if isinstance(cost, CostSession) else CostSession(cost)
     theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h
-        grad[i] = (cost(theta + step) - cost(theta - step)) / (2.0 * h)
-    return grad
+    steps = h * np.eye(theta.size)
+    points = np.stack([theta + steps, theta - steps], axis=1).reshape(-1, theta.size)
+    values = np.array(session.many(points)).reshape(-1, 2)
+    return (values[:, 0] - values[:, 1]) / (2.0 * h)
 
 
 def _line_search(session, x, f, g, direction):

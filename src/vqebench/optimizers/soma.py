@@ -22,15 +22,18 @@ def isoma_minimize(session, theta0, spec: OptimizerSpec, rng: np.random.Generato
     """
     params = spec.isoma
 
-    def evaluate(x) -> float:
-        if session.n_evals >= params.max_fes:
+    def evaluate(points) -> list[float]:
+        """The points' values as one stack, cut at max_fes."""
+        left = params.max_fes - session.n_evals
+        values = session.many(points[:left]) if left else []
+        if len(points) > left:
             raise _MaxFesSpent
-        return session(x)
+        return values
 
     dim = theta0.size
     try:
         population = rng.uniform(params.var_min, params.var_max, size=(params.pop_size, dim))
-        fitness = np.array([evaluate(x) for x in population])
+        fitness = np.array(evaluate(population))
         for _ in range(params.max_migration):
             chosen = rng.choice(params.pop_size, size=params.m, replace=False)
             migrants = chosen[np.argsort(fitness[chosen], kind="stable")[: params.n]]
@@ -41,14 +44,15 @@ def isoma_minimize(session, theta0, spec: OptimizerSpec, rng: np.random.Generato
                     continue
                 start = population[j].copy()
                 target = population[leader]
+                # masks for the jumps max_fes allows and for the first one past
+                # it, which draws its mask before the run stops
+                n_jumps = min(params.n_jump, params.max_fes - session.n_evals + 1)
+                masks = np.array([_jump_mask(rng, dim, params.prt) for _ in range(n_jumps)])
+                jumps = np.arange(1, n_jumps + 1)[:, None]
+                candidates = start + jumps * params.step * (target - start) * masks
+                candidates = np.clip(candidates, params.var_min, params.var_max)
                 best_x, best_f = start, fitness[j]
-                for jump in range(1, params.n_jump + 1):
-                    mask = (rng.random(dim) < params.prt).astype(float)
-                    if not mask.any():
-                        mask[rng.integers(dim)] = 1.0
-                    candidate = start + jump * params.step * (target - start) * mask
-                    candidate = np.clip(candidate, params.var_min, params.var_max)
-                    f_cand = evaluate(candidate)
+                for candidate, f_cand in zip(candidates, evaluate(candidates)):
                     if f_cand < best_f:
                         best_x, best_f = candidate, f_cand
                 population[j] = best_x
@@ -56,3 +60,12 @@ def isoma_minimize(session, theta0, spec: OptimizerSpec, rng: np.random.Generato
     except _MaxFesSpent:
         pass
     return True
+
+
+def _jump_mask(rng: np.random.Generator, dim: int, prt: float) -> np.ndarray:
+    """Which coordinates take part in one jump: each with probability prt,
+    and one drawn at random if none did."""
+    mask = (rng.random(dim) < prt).astype(float)
+    if not mask.any():
+        mask[rng.integers(dim)] = 1.0
+    return mask

@@ -45,9 +45,12 @@ def evolve_circuit(
 ) -> np.ndarray:
     """Apply the circuit's gates in order, inserting noise channels after
     each gate matched by the noise model.  rho0 is one density matrix or a
-    (k, d, d) stack of them, evolved together."""
+    (k, d, d) stack of them, evolved together.  theta is one parameter
+    vector, or an (m, p) stack of them: then each row evolves the whole of
+    rho0, and the result is (m, *rho0.shape), each slice equal to evolving
+    under that row alone."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.n_params,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != circuit.n_params:
         raise DimensionError(
             f"expected {circuit.n_params} parameters, got shape {theta.shape}"
         )
@@ -56,28 +59,52 @@ def evolve_circuit(
         raise DimensionError(
             f"state has {n} qubits but circuit expects {circuit.n_qubits}"
         )
+    plan = _schedule(circuit, noise)
+    # Every rotation gate of every row at once, gate first: ops[i] is
+    # (*rows, 1 if rho0 is a stack, d, d), which broadcasts over rho0.
+    r, d = len(plan.params), rho0.shape[-1]
+    angles = theta.T[plan.params].reshape(r, *theta.shape[:-1], *(1,) * rho0.ndim)
+    ops = rotation(angles, plan.generators.reshape(r, *(1,) * (angles.ndim - 3), d, d))
+    adjoints = ops.conj().swapaxes(-1, -2)
     rho = rho0
-    for param_index, op, channels in _schedule(circuit, noise):
-        if param_index is not None:
-            op = rotation(float(theta[param_index]), op)
-        rho = op @ rho @ op.conj().T
+    for number, fixed, channels in plan.steps:
+        op, adjoint = fixed if number is None else (ops[number], adjoints[number])
+        rho = op @ rho @ adjoint
         for channel in channels:
             rho = channel(rho)
     return rho
 
 
+class _Schedule(NamedTuple):
+    """What evolving a circuit under a noise model needs that does not
+    depend on theta."""
+
+    params: np.ndarray  # (r,) the parameter index of each rotation gate, in gate order
+    generators: np.ndarray  # (r, d, d) their full-space Pauli generators
+    steps: tuple  # per gate: its rotation number, or its (unitary, adjoint); its channel maps
+
+
 @functools.lru_cache(maxsize=64)
-def _schedule(circuit: Circuit, noise: NoiseModel | None) -> tuple:
-    """Per gate: its parameter index, its full-space unitary (a rotation's
-    Pauli generator instead) and the channel maps attached after it.  maxsize
-    covers the catalog's noise models for a circuit."""
+def _schedule(circuit: Circuit, noise: NoiseModel | None) -> _Schedule:
+    """The circuit's schedule, built once.  maxsize covers the catalog's
+    noise models for a circuit."""
     n = circuit.n_qubits
-    steps = []
+    params, generators, steps = [], [], []
     for gate in circuit.gates:
-        local = gate.unitary() if gate.param_index is None else gate.generator()
         channels = () if noise is None else noise.channels(gate)
-        steps.append((gate.param_index, embed_operator(local, gate.qubits, n), channels))
-    return tuple(steps)
+        if gate.param_index is None:
+            unitary = embed_operator(gate.unitary(), gate.qubits, n)
+            steps.append((None, (unitary, unitary.conj().T), channels))
+        else:
+            steps.append((len(params), None, channels))
+            params.append(gate.param_index)
+            generators.append(embed_operator(gate.generator(), gate.qubits, n))
+    d = 2 ** n
+    return _Schedule(
+        params=np.array(params, dtype=np.intp),
+        generators=np.array(generators, dtype=complex).reshape(len(params), d, d),
+        steps=tuple(steps),
+    )
 
 
 class _Readout(NamedTuple):

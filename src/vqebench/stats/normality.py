@@ -75,19 +75,23 @@ def _times_log(a: float, y: float, y_minus_1: float) -> float:
     return a * (math.log1p(y_minus_1) if abs(y_minus_1) < 0.5 else math.log(y))
 
 
-def _beta_cdf(a: float, b: float, w: float, wc: float) -> float:
+def _beta_cdf(a: float, b: float, w: float, wc: float, log_w: float | None = None) -> float:
     """I_w(a, b), the Beta(a, b) CDF at w, with wc = 1 - w passed in so that
     neither side loses digits to a subtraction.  The fraction runs on the
     side where it converges fast; the other side is 1 minus it.  Its front
     factor w^a wc^b / B(a, b) is taken in Stirling form, relative to the
-    mean a / (a + b), so large a and b do not cancel digits away."""
+    mean a / (a + b), so large a and b do not cancel digits away.
+
+    log_w, when given, is log w for a w that is subnormal or 0 and so holds
+    too few digits for w^a; such a w lies far below the mean, on the side
+    the fraction runs on."""
     swap = w > (a + 1.0) / (a + b + 2.0)
     if swap:
         a, b, w, wc = b, a, wc, w
     s = a + b
     gap = b * w - a * wc  # w s - a
     log_front = (
-        _times_log(a, w * s / a, gap / a)
+        (_times_log(a, w * s / a, gap / a) if log_w is None else a * (log_w + math.log(s / a)))
         + _times_log(b, wc * s / b, -gap / b)
         + 0.5 * math.log(a * b / s)
         - _HALF_LOG_2PI
@@ -103,7 +107,8 @@ def f_sf(x: float, dfn: int, dfd: int) -> float:
     """Upper tail of F(dfn, dfd) at a ratio x >= 0 (f_ratio gives no other):
     I_w(dfd/2, dfn/2) at w = dfd / (dfd + dfn x).  dfd = 0 gives NaN.  Where
     dfn x / dfd overflows a float, w is read from its logarithm (1 + that
-    ratio is the ratio itself to within 1e-308) and 1 - w rounds to 1."""
+    ratio is the ratio itself to within 1e-308), 1 - w rounds to 1, and the
+    front factor takes w^a from log w, since w itself is subnormal or 0."""
     if dfd == 0 or math.isnan(x):
         return math.nan
     if x == math.inf:
@@ -112,8 +117,9 @@ def f_sf(x: float, dfn: int, dfd: int) -> float:
     if ratio <= 0:
         return 1.0
     if ratio == math.inf:
-        w = math.exp(math.log(dfd) - math.log(dfn) - math.log(x))
-        return _beta_cdf(0.5 * dfd, 0.5 * dfn, w, 1.0 - w)
+        log_w = math.log(dfd) - math.log(dfn) - math.log(x)
+        w = math.exp(log_w)
+        return _beta_cdf(0.5 * dfd, 0.5 * dfn, w, 1.0 - w, log_w)
     return _beta_cdf(0.5 * dfd, 0.5 * dfn, 1.0 / (1.0 + ratio), ratio / (1.0 + ratio))
 
 

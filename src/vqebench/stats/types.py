@@ -67,11 +67,3 @@ class Ellipse:
     mu: np.ndarray
     sigma: np.ndarray
     d95_sq: float
-
-    def mahalanobis_sq(self, points: np.ndarray) -> np.ndarray:
-        diff = np.atleast_2d(points) - self.mu
-        sol = np.linalg.solve(self.sigma, diff.T)
-        return np.einsum("ij,ji->i", diff, sol)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return self.mahalanobis_sq(points) <= self.d95_sq

@@ -1,7 +1,7 @@
-"""Reference helpers the tests check the simulator against: a state
-vector's density matrix, the density-matrix invariants, purity and partial
-trace, and the noise channels as Kraus sets applied one embedded operator at
-a time."""
+"""Reference helpers the tests check the program against: a state vector's
+density matrix, the density-matrix invariants, purity and partial trace, the
+noise channels as Kraus sets applied one embedded operator at a time, and a
+prediction ellipse's Mahalanobis distance and coverage."""
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -151,3 +151,15 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
         )
     n = n_qubits_of(rho)
     return kraus_sum(rho, [embed_operator(op, qubits, n) for op in channel.operators])
+
+
+def mahalanobis_sq(ellipse, points: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of each point from the ellipse's mean."""
+    diff = np.atleast_2d(points) - ellipse.mu
+    sol = np.linalg.solve(ellipse.sigma, diff.T)
+    return np.einsum("ij,ji->i", diff, sol)
+
+
+def ellipse_contains(ellipse, points: np.ndarray) -> np.ndarray:
+    """Which points lie inside the 95% prediction ellipse."""
+    return mahalanobis_sq(ellipse, points) <= ellipse.d95_sq

@@ -39,7 +39,7 @@ from vqebench.stats import (
     permdisp,
 )
 
-from oracles import pure_state
+from oracles import ellipse_contains, pure_state
 
 
 _CAPTURE = None
@@ -288,7 +288,7 @@ def test_criterion_9_bootstrap_ellipse():
         ell = bootstrap_ellipse(sample, n_boot=400, rng=np.random.default_rng(8))
         assert abs(ell.d95_sq - 5.991) / 5.991 < 0.10
         fresh = rng.normal(size=(20_000, 2))
-        coverage = ell.contains(fresh).mean()
+        coverage = ellipse_contains(ell, fresh).mean()
         assert 0.93 <= coverage <= 0.97
 
 

@@ -53,6 +53,17 @@ def test_analyze_and_rank_run_without_scipy(tmp_path):
     assert (tmp_path / "r" / "rank_summary.json").is_file()
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # only `run --jobs N` with N > 1 uses a process pool, so no command start imports one
+    code = (
+        "import sys, vqebench.harness.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[:2] == ['concurrent', 'futures'])\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_catalog_lists_21(capsys):
     assert main(["catalog"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

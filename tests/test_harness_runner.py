@@ -139,14 +139,17 @@ def test_nan_cost_partway_writes_nan_row_and_grid_continues(tmp_path, monkeypatc
 
     clean = run_experiment(make_config(seeds=(1,)))
     sa_cost = runner.sa_cost
-    calls = []
+    stacks = []  # rows per call: the runner passes sa_cost stacks of points
 
-    def nan_on_fifth_call(theta, ctx, rng):
-        calls.append(theta)
-        value = sa_cost(theta, ctx, rng)
-        return math.nan if len(calls) == 5 else value
+    def nan_on_fifth_evaluation(thetas, ctx, rng):
+        values = sa_cost(thetas, ctx, rng)
+        fifth = 4 - sum(stacks)
+        stacks.append(len(thetas))
+        if 0 <= fifth < len(values):
+            values[fifth] = math.nan
+        return values
 
-    monkeypatch.setattr(runner, "sa_cost", nan_on_fifth_call)
+    monkeypatch.setattr(runner, "sa_cost", nan_on_fifth_evaluation)
     path = tmp_path / "runs.csv"
     failed, after = run_experiment(make_config(seeds=(0, 1)), out_path=path)
 
@@ -156,7 +159,8 @@ def test_nan_cost_partway_writes_nan_row_and_grid_continues(tmp_path, monkeypatc
     assert failed.n_evals == 5  # the NaN evaluation counts
     row = path.read_text().splitlines()[1]
     assert row.rsplit(",", 1)[0] == "ideal,bfgs,0,nan,nan,nan,5,false"
-    assert len(calls) > 5  # the next run of the grid executed
+    assert stacks[:2] == [1, 6]  # theta0, then the gradient stack that holds the NaN
+    assert sum(stacks) > 5  # the next run of the grid executed
     assert (after.e_ground, after.e_excited, after.n_evals, after.converged) == (
         clean[0].e_ground, clean[0].e_excited, clean[0].n_evals, clean[0].converged
     )

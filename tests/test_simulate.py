@@ -328,6 +328,40 @@ def test_stacked_evolution_equals_per_state(case, rng):
             assert np.array_equal(evolve_circuit(rho, circuit, theta, noise), want)
 
 
+def _wide_circuit(n):
+    """A few gates of every arity that reach the first, middle and last qubit."""
+    lines = ["ry 0 t0", f"rz {n - 1} t1", f"h {n // 2}", f"rx {n // 2} t2"]
+    if n > 1:
+        lines += [f"cx 0 {n - 1}", f"prot XY t3 {n - 1} 0"]
+    return parse_circuit("\n".join(lines), n_qubits=n)
+
+
+@pytest.mark.parametrize("case", sorted(_NOISE_CASES))
+def test_parameter_stack_equals_one_vector_at_a_time(case, rng):
+    # each slice of a stacked evolution is the per-vector evolution bit for bit:
+    # the exact estimator's golden rows pin the summation order of this path
+    rule, _ = _NOISE_CASES[case]
+    noise = None if rule is None else NoiseModel((rule,))
+    for n in range(1, 9):
+        circuit = _wide_circuit(n)
+        thetas = rng.uniform(-math.pi, math.pi, size=(2, circuit.n_params))
+        pair = np.stack([basis_state(0, n), basis_state(2**n - 1, n)])
+        for rho0 in (_random_density(rng, 2**n), pair):
+            got = evolve_circuit(rho0, circuit, thetas, noise)
+            assert got.shape == (2, *rho0.shape)
+            for theta, want in zip(thetas, got):
+                assert np.array_equal(evolve_circuit(rho0, circuit, theta, noise), want), n
+
+
+def test_parameter_stack_shape_is_checked(toy_circuit):
+    for shape in [(3,), (2, 3)]:
+        got = evolve_circuit(basis_state(0, 2), toy_circuit, np.zeros(shape))
+        assert got.shape == shape[:-1] + (4, 4)
+    for shape in [(2, 2), (2, 4), (1, 2, 3)]:
+        with pytest.raises(DimensionError):
+            evolve_circuit(basis_state(0, 2), toy_circuit, np.zeros(shape))
+
+
 # --- shot readout: one binomial draw per state and term ----------------------
 
 def _per_term_estimator(rho, hamiltonian, n_m, rng):

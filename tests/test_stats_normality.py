@@ -37,6 +37,11 @@ CHI2_DFS = [1, 2, 3, 4, 6, 20, 60]
 F_DFS = [(1, 1), (2, 9), (5, 3), (20, 200), (20, 189), (1, 5000), (2, 1), (20, 1)]
 # ratios near the top of the float range, where dfn x / dfd overflows for dfn > dfd
 F_OVERFLOW_POINTS = [1e306, 1e307, 5e307, 1e308, 1.7e308, 1.7976931348623157e308]
+# dfn far above dfd: at the overflow points w = 1 / (1 + dfn x / dfd) is subnormal
+# (10**6) or 0 (10**16).  They are checked there alone: below ratio 1e-4 mpmath's
+# series does not converge for them, and near the mean at dfn = 10**16 f_sf's
+# continued fraction stops at its step cap before it converges.
+F_FAR_TAIL_DFS = [(10**6, 1), (10**16, 1)]
 
 
 def same_float(ours, theirs):
@@ -80,10 +85,13 @@ def test_chi2_sf_matches_mpmath(df):
             assert_accurate(chi2_sf(x, df), true, x)
 
 
-@pytest.mark.parametrize("dfn, dfd", F_DFS)
+@pytest.mark.parametrize("dfn, dfd", F_DFS + F_FAR_TAIL_DFS)
 def test_f_sf_matches_mpmath(dfn, dfd):
+    points = FINITE_POINTS + list(np.logspace(-6, 6, 49)) + F_OVERFLOW_POINTS
+    if (dfn, dfd) in F_FAR_TAIL_DFS:
+        points = F_OVERFLOW_POINTS
     with mpmath.workdps(60):
-        for x in FINITE_POINTS + list(np.logspace(-6, 6, 49)) + F_OVERFLOW_POINTS:
+        for x in points:
             w = mpmath.mpf(dfd) / (dfd + dfn * mpmath.mpf(x))
             true = mpmath.betainc(mpmath.mpf(dfd) / 2, mpmath.mpf(dfn) / 2, 0, w, regularized=True)
             assert_accurate(f_sf(x, dfn, dfd), true, x)
