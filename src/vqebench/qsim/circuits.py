@@ -80,13 +80,11 @@ class Gate:
         return rotation(theta, self.generator())
 
 
-def rotation(theta, generator: np.ndarray) -> np.ndarray:
-    """exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P for a Pauli string P.
-    Angles shaped (..., 1, 1) give one rotation per angle, broadcast
-    against a generator or a stack of them."""
-    half = np.asarray(theta, dtype=float) / 2.0
-    identity = np.eye(generator.shape[-1], dtype=complex)
-    return np.cos(half) * identity - 1j * np.sin(half) * generator
+def rotation(theta: float, generator: np.ndarray) -> np.ndarray:
+    """exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P for a Pauli string P."""
+    half = theta / 2.0
+    identity = np.eye(len(generator), dtype=complex)
+    return math.cos(half) * identity - 1j * math.sin(half) * generator
 
 
 @dataclass(frozen=True)

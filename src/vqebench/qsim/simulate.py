@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError, is_count
-from .circuits import Circuit, rotation
+from .circuits import Circuit
 from .density import embed_operator, n_qubits_of
 from .noise import NoiseModel
 from .pauli import PauliSum, pauli_string_matrix
@@ -59,17 +59,18 @@ def evolve_circuit(
         raise DimensionError(
             f"state has {n} qubits but circuit expects {circuit.n_qubits}"
         )
+    # cos(theta/2) I - i sin(theta/2) P as in circuits.rotation, one (d, d)
+    # rotation per row at each rotation gate, shaped (*rows, 1 if rho0 is a
+    # stack, d, d) to broadcast over rho0.  Only the current gate's rotations
+    # are live, so memory stays a few copies of the evolved stack.
+    half = theta.T.reshape(circuit.n_params, *theta.shape[:-1], *(1,) * rho0.ndim) / 2.0
+    cosines, i_sines = np.cos(half), 1j * np.sin(half)
     plan = _schedule(circuit, noise)
-    # Every rotation gate of every row at once, gate first: ops[i] is
-    # (*rows, 1 if rho0 is a stack, d, d), which broadcasts over rho0.
-    r, d = len(plan.params), rho0.shape[-1]
-    angles = theta.T[plan.params].reshape(r, *theta.shape[:-1], *(1,) * rho0.ndim)
-    ops = rotation(angles, plan.generators.reshape(r, *(1,) * (angles.ndim - 3), d, d))
-    adjoints = ops.conj().swapaxes(-1, -2)
     rho = rho0
-    for number, fixed, channels in plan.steps:
-        op, adjoint = fixed if number is None else (ops[number], adjoints[number])
-        rho = op @ rho @ adjoint
+    for param_index, op, channels in plan.steps:
+        if param_index is not None:
+            op = cosines[param_index] * plan.identity - i_sines[param_index] * op
+        rho = op @ rho @ op.conj().swapaxes(-1, -2)
         for channel in channels:
             rho = channel(rho)
     return rho
@@ -79,9 +80,10 @@ class _Schedule(NamedTuple):
     """What evolving a circuit under a noise model needs that does not
     depend on theta."""
 
-    params: np.ndarray  # (r,) the parameter index of each rotation gate, in gate order
-    generators: np.ndarray  # (r, d, d) their full-space Pauli generators
-    steps: tuple  # per gate: its rotation number, or its (unitary, adjoint); its channel maps
+    identity: np.ndarray  # (d, d)
+    # per gate: its parameter index, its full-space unitary (a rotation's
+    # Pauli generator instead) and the channel maps attached after it
+    steps: tuple
 
 
 @functools.lru_cache(maxsize=64)
@@ -89,22 +91,12 @@ def _schedule(circuit: Circuit, noise: NoiseModel | None) -> _Schedule:
     """The circuit's schedule, built once.  maxsize covers the catalog's
     noise models for a circuit."""
     n = circuit.n_qubits
-    params, generators, steps = [], [], []
+    steps = []
     for gate in circuit.gates:
+        local = gate.unitary() if gate.param_index is None else gate.generator()
         channels = () if noise is None else noise.channels(gate)
-        if gate.param_index is None:
-            unitary = embed_operator(gate.unitary(), gate.qubits, n)
-            steps.append((None, (unitary, unitary.conj().T), channels))
-        else:
-            steps.append((len(params), None, channels))
-            params.append(gate.param_index)
-            generators.append(embed_operator(gate.generator(), gate.qubits, n))
-    d = 2 ** n
-    return _Schedule(
-        params=np.array(params, dtype=np.intp),
-        generators=np.array(generators, dtype=complex).reshape(len(params), d, d),
-        steps=tuple(steps),
-    )
+        steps.append((gate.param_index, embed_operator(local, gate.qubits, n), channels))
+    return _Schedule(identity=np.eye(2**n, dtype=complex), steps=tuple(steps))
 
 
 class _Readout(NamedTuple):

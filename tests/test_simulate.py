@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,28 @@ def test_parameter_stack_equals_one_vector_at_a_time(case, rng):
             assert got.shape == (2, *rho0.shape)
             for theta, want in zip(thetas, got):
                 assert np.array_equal(evolve_circuit(rho0, circuit, theta, noise), want), n
+
+
+def test_parameter_stack_memory_does_not_grow_with_rotation_count():
+    # a gradient-sized stack (m = 2 * n_params) at n = 8, where one operator
+    # is 1 MiB: each gate builds only its own rotations, so the peak stays a
+    # few copies of the (m, d, d) result however many rotations there are
+    n = 8
+    circuit = parse_circuit(
+        "\n".join([f"ry {q} t{q}" for q in range(n)] + ["cx 0 7"]), n_qubits=n
+    )
+    thetas = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(2 * n, n))
+    rho0 = basis_state(0, n)
+    tracemalloc.start()
+    try:
+        got = evolve_circuit(rho0, circuit, thetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2 * n, 2**n, 2**n)
+    assert peak <= 6 * got.nbytes
+    for i in (0, 2 * n - 1):
+        assert np.array_equal(evolve_circuit(rho0, circuit, thetas[i]), got[i])
 
 
 def test_parameter_stack_shape_is_checked(toy_circuit):
