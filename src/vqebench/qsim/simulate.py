@@ -109,6 +109,7 @@ class _Readout(NamedTuple):
     coeffs: np.ndarray  # (T,) coefficients of the measured (non-identity) terms
     flips: np.ndarray  # (T, d) column of each row's nonzero entry
     phases: np.ndarray  # (T, d) that entry
+    rows: np.ndarray  # (d,) the row index i
 
 
 @functools.lru_cache(maxsize=16)
@@ -131,6 +132,7 @@ def _readout(hamiltonian: PauliSum) -> _Readout:
         coeffs=np.array(coeffs, dtype=float),
         flips=np.array(flips, dtype=np.intp).reshape(len(coeffs), d),
         phases=np.array(phases, dtype=complex).reshape(len(coeffs), d),
+        rows=rows,
     )
 
 
@@ -170,7 +172,7 @@ def expectation_shots(
     _check_state(rho, hamiltonian)
     plan = _readout(hamiltonian)
     states = rho if rho.ndim == 3 else rho[None]
-    paulis = (states[:, plan.flips, np.arange(hamiltonian.dim)] * plan.phases).sum(axis=-1)
+    paulis = (states[:, plan.flips, plan.rows] * plan.phases).sum(axis=-1)
     traces = np.trace(states, axis1=1, axis2=2).real
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0 for a zero-trace state
         p_plus = (1.0 + paulis.real / traces[:, None]) / 2.0

@@ -43,7 +43,8 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 def _beta_cf(a: float, b: float, w: float) -> float:
-    """The continued fraction of I_w(a, b), by the modified Lentz method."""
+    """The continued fraction of I_w(a, b), by the modified Lentz method;
+    NaN if it has not converged within its 10,000 steps."""
     c, d = 1.0, 1.0 - (a + b) * w / (a + 1.0)
     d = 1.0 / (d if abs(d) > _TINY else _TINY)
     h = d
@@ -57,8 +58,8 @@ def _beta_cf(a: float, b: float, w: float) -> float:
             c = c if abs(c) > _TINY else _TINY
             h *= c * d
         if abs(c * d - 1.0) < 1e-15:
-            break
-    return h
+            return h
+    return math.nan
 
 
 def _stirling_error(z: float) -> float:
@@ -108,7 +109,15 @@ def f_sf(x: float, dfn: int, dfd: int) -> float:
     I_w(dfd/2, dfn/2) at w = dfd / (dfd + dfn x).  dfd = 0 gives NaN.  Where
     dfn x / dfd overflows a float, w is read from its logarithm (1 + that
     ratio is the ratio itself to within 1e-308), 1 - w rounds to 1, and the
-    front factor takes w^a from log w, since w itself is subnormal or 0."""
+    front factor takes w^a from log w, since w itself is subnormal or 0.
+
+    Domain: within 1e-12 relative of mpmath for degrees of freedom up to
+    about 3e4 (dfn, dfd <= 5000 on the tests' grid; 3e4 against a dfn or dfd
+    up to 1000), and at overflowing ratios for dfn up to 1e16.  Nearer the
+    mean, rounding grows about as 1e-16 * max(dfn, dfd): 4e-11 relative at
+    dfd = 1e6 and 5e-5 at 1e12.  Where the continued fraction does not
+    converge within its 10,000 steps (both dfs near 1e12 or more, at the
+    mean) the tail is NaN."""
     if dfd == 0 or math.isnan(x):
         return math.nan
     if x == math.inf:
@@ -129,15 +138,24 @@ def norm_sf(x: float) -> float:
 
 
 def covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample covariances (ddof 1) of an (m, n, p) stack of samples, and a
+    """Sample covariances (ddof 1) of an (m, n, 2) stack of samples, and a
     mask of the singular ones (condition number above 1e12).
 
     The centred product goes through the same BLAS call as ``np.cov``, so
-    each covariance equals ``np.cov(sample, rowvar=False)`` bit for bit.
+    each covariance equals ``np.cov(sample, rowvar=False)`` bit for bit.  The
+    condition number comes from the closed-form eigenvalues h +- r of a
+    symmetric 2x2 [[a, b], [b, c]], h = (a + c)/2, r = hypot((a - c)/2, b),
+    not from an SVD per matrix: a matrix is singular when its smaller
+    eigenvalue is not positive or the ratio exceeds the limit.
     """
     diff = samples - samples.mean(axis=1)[:, None, :]
     cov = np.matmul(diff.transpose(0, 2, 1), diff) * (1.0 / (samples.shape[1] - 1))
-    return cov, np.linalg.cond(cov) > _COND_LIMIT
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    h, r = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    low = h - r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (low <= 0.0) | ((h + r) / low > _COND_LIMIT)
+    return cov, singular
 
 
 def sample_cov(points: np.ndarray) -> np.ndarray:

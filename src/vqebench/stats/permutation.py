@@ -14,11 +14,13 @@ the permutation budget, the exact exhaustive p-value is reported instead.
 Labellings are scored in blocks of rows through one ``sums_of_squares``
 call.  Random labellings are drawn independently: one ``rng.permuted`` call
 shuffles each row of a block of label copies, drawing the numbers of one
-``rng.permutation(codes)`` per labelling.
+``rng.permutation(codes)`` per labelling.  Exhaustive blocks are slices of
+one read-only table of every labelling, built once per tuple of group sizes.
 """
 from __future__ import annotations
 
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -58,6 +60,18 @@ def _assignments(counts):
     return fill(list(range(labels.size)), 0)
 
 
+@lru_cache(maxsize=16)
+def _assignment_table(counts: tuple[int, ...]) -> np.ndarray:
+    """Every labelling with these group sizes as the rows of one read-only
+    (C, n) array, in ``_assignments`` order; built once per size tuple.  The
+    codes take the smallest integer type that holds them, so the table is C·n
+    bytes: C is at most the permutation budget."""
+    code = np.min_scalar_type(len(counts) - 1)
+    table = np.fromiter(_assignments(counts), dtype=np.dtype((code, sum(counts))))
+    table.flags.writeable = False
+    return table
+
+
 def _f_stat(values, codes, k):
     return f_ratio(*sums_of_squares(values, codes, k), (k - 1, codes.shape[-1] - k))
 
@@ -67,9 +81,8 @@ def _permutation_p(values, codes, f_obs, n_perm, rng):
     k = int(codes.max()) + 1
     exact = _n_assignments(codes) <= n_perm
     if exact:
-        assignments = _assignments(np.bincount(codes))
-        chunks = iter(lambda: list(islice(assignments, _BLOCK)), [])
-        blocks = (np.array(chunk) for chunk in chunks)
+        table = _assignment_table(tuple(np.bincount(codes).tolist()))
+        blocks = (table[start : start + _BLOCK] for start in range(0, len(table), _BLOCK))
     else:
         blocks = (
             rng.permuted(np.tile(codes, (min(_BLOCK, n_perm - start), 1)), axis=1)
@@ -96,13 +109,13 @@ def _prologue(points, labels, rng):
     return np.asarray(points, dtype=float), uniq, codes, rng
 
 
-def _f_test(values, codes, n_perm, rng, **extras) -> TestResult:
-    """One-way F of the values across the coded groups, with its
-    permutation p-value."""
+def _f_test(values, codes, sums, n_perm, rng, **extras) -> TestResult:
+    """One-way F of the values across the coded groups, from their observed
+    sums of squares, with its permutation p-value."""
     if np.any(np.bincount(codes) < 2):
         raise ParameterDomainError("every group needs at least two observations")
     k = int(codes.max()) + 1
-    f_obs = _f_stat(values, codes, k)
+    f_obs = f_ratio(*sums, (k - 1, codes.size - k))
     p, n_used, exact = _permutation_p(values, codes, f_obs, n_perm, rng)
     return TestResult(
         statistic=float(f_obs),
@@ -116,10 +129,10 @@ def permanova(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
     """Pseudo-F test of equal group centroids under Euclidean distance, with
     permutation of group labels."""
     points, uniq, codes, rng = _prologue(points, labels, rng)
-    ss_between, ss_within = sums_of_squares(points, codes, len(uniq))
+    ss_between, ss_within = sums = sums_of_squares(points, codes, len(uniq))
     ss_total = ss_between + ss_within
     r2 = 0.0 if ss_total <= 0.0 else ss_between / ss_total
-    return _f_test(points, codes, n_perm, rng, r2=float(r2))
+    return _f_test(points, codes, sums, n_perm, rng, r2=float(r2))
 
 
 def permdisp(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
@@ -130,7 +143,7 @@ def permdisp(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
     for g in range(len(uniq)):
         idx = np.flatnonzero(codes == g)
         dists[idx] = np.linalg.norm(points[idx] - points[idx].mean(axis=0), axis=1)
-    return _f_test(dists, codes, n_perm, rng)
+    return _f_test(dists, codes, sums_of_squares(dists, codes, len(uniq)), n_perm, rng)
 
 
 def pairwise_posthoc(

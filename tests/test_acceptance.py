@@ -1,6 +1,4 @@
 """Acceptance suite: one criterion per test, one PASS/FAIL line each."""
-import csv
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -8,7 +6,6 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 from vqebench.ensemble import EnsembleContext, reference_energies, resolve_states, sa_cost
 from vqebench.harness import config_from_dict, run_experiment, toy_problem_paths

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,20 +133,34 @@ def test_ellipse_equals_one_at_a_time(n, kind, n_boot):
 
 @pytest.mark.parametrize("kind,n", [("gaussian", 10), ("tied", 8), ("three_sites", 12)])
 def test_ellipse_equals_one_at_a_time_2000(kind, n):
+    # each of these families takes all 2000 resamples in one block
     points = _cloud(kind, n, seed=n)
     assert _outcome(bootstrap_ellipse, points, 2000, 5) == _outcome(_loop_ellipse, points, 2000, 5)
 
 
-@pytest.mark.parametrize("n_boot,seed", [(1, 33), (3, 85)])
+@pytest.mark.parametrize(
+    "kind,n,n_boot",
+    [("near_collinear", 40, 2000), ("gaussian", 900, 300), ("tied", 900, 300)],
+)
+def test_ellipse_equals_one_at_a_time_across_blocks(kind, n, n_boot):
+    # 819 resamples per block at n = 40, 36 at n = 900
+    points = _cloud(kind, n, seed=n)
+    assert _outcome(bootstrap_ellipse, points, n_boot, 5) == _outcome(
+        _loop_ellipse, points, n_boot, 5
+    )
+
+
+@pytest.mark.parametrize("n_boot,seed", [(1, 33), (3, 85), (300, 0)])
 def test_ellipse_redraw_budget_exhausted_like_loop(n_boot, seed):
-    # three points: a resample is non-singular only when it takes all three.
-    # At these seeds fewer than n_boot of the 10 * n_boot draws do; at
-    # (3, 85) the last block is cut to the attempts left, below the shortfall
+    # three points: a resample is non-singular only when it takes all three
+    # (2 in 9).  At (1, 33) and (3, 85) fewer than n_boot of the 10 * n_boot
+    # draws do; at (3, 85) the last block is cut to the attempts left, below
+    # the shortfall.  At (300, 0) about 1350 draws fill the 300 resamples
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     block = _outcome(bootstrap_ellipse, points, n_boot, seed)
     loop = _outcome(_loop_ellipse, points, n_boot, seed)
     assert block == loop
-    assert block[0] == "DegenerateSampleError"
+    assert (block[0] == "DegenerateSampleError") == (n_boot < 300)
     assert block[1] != np.random.default_rng(seed).bit_generator.state
 
 
@@ -186,3 +201,18 @@ def test_skipped_ellipse_is_logged(tmp_path, caplog):
     assert record.levelno == logging.WARNING
     assert "cobyla" in record.getMessage() and "T2=70us" in record.getMessage()
     assert "singular" in record.getMessage()
+
+
+# --- memory ---------------------------------------------------------------------
+
+def test_ellipse_memory_is_bounded_for_a_large_family():
+    # a block holds at most 2**15 resampled points: about 2 MB at peak for
+    # 1000 points, where blocks of 256 resamples peaked near 16 MB
+    sample = Sample2D(np.random.default_rng(1).normal(size=(1000, 2)))
+    tracemalloc.start()
+    try:
+        bootstrap_ellipse(sample, n_boot=300, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak

@@ -13,7 +13,7 @@ from vqebench.stats import (
     levene_like_test,
     mardia_test,
 )
-from vqebench.stats.normality import chi2_sf, f_sf, norm_sf
+from vqebench.stats.normality import chi2_sf, covariances, f_sf, norm_sf
 
 
 def gaussian_sample(rng, n, mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0))):
@@ -39,8 +39,8 @@ F_DFS = [(1, 1), (2, 9), (5, 3), (20, 200), (20, 189), (1, 5000), (2, 1), (20, 1
 F_OVERFLOW_POINTS = [1e306, 1e307, 5e307, 1e308, 1.7e308, 1.7976931348623157e308]
 # dfn far above dfd: at the overflow points w = 1 / (1 + dfn x / dfd) is subnormal
 # (10**6) or 0 (10**16).  They are checked there alone: below ratio 1e-4 mpmath's
-# series does not converge for them, and near the mean at dfn = 10**16 f_sf's
-# continued fraction stops at its step cap before it converges.
+# series does not converge for them, and near the mean at dfn = 10**16 f_sf
+# loses digits to rounding (its docstring states the domain).
 F_FAR_TAIL_DFS = [(10**6, 1), (10**16, 1)]
 
 
@@ -95,6 +95,16 @@ def test_f_sf_matches_mpmath(dfn, dfd):
             w = mpmath.mpf(dfd) / (dfd + dfn * mpmath.mpf(x))
             true = mpmath.betainc(mpmath.mpf(dfd) / 2, mpmath.mpf(dfn) / 2, 0, w, regularized=True)
             assert_accurate(f_sf(x, dfn, dfd), true, x)
+
+
+def test_f_sf_is_nan_where_the_fraction_does_not_converge():
+    # F(10**12, 10**12) has median 1, where the continued fraction would need
+    # far more than its 10,000 steps; its value at the cap is 0.482, not 0.5
+    assert math.isnan(f_sf(1.0, 10**12, 10**12))
+    # one standard deviation (2e-6) off it, the fraction converges to the
+    # normal limit's tail
+    assert f_sf(1.0 + 2e-6, 10**12, 10**12) == pytest.approx(norm_sf(1.0), rel=1e-4)
+    assert 1.0 - f_sf(1.0 - 2e-6, 10**12, 10**12) == pytest.approx(norm_sf(1.0), rel=1e-4)
 
 
 def test_norm_sf_matches_mpmath():
@@ -247,3 +257,29 @@ def test_anova_matches_scipy(rng):
     ref = sps.f_oneway(*groups)
     assert ours.statistic == pytest.approx(ref.statistic, rel=1e-10)
     assert ours.p == pytest.approx(ref.pvalue, rel=1e-10)
+
+
+# --- the singular check of 2x2 covariances ------------------------------------
+
+def _clouds(rng, n):
+    t = rng.normal(size=n)
+    yield rng.normal(size=(n, 2))  # normal
+    yield np.round(rng.normal(scale=0.2, size=(n, 2)), 1)  # duplicate points
+    yield np.column_stack([t, 2.0 * t])  # collinear
+    yield np.column_stack([t, 2.0 * t + 1e-5 * rng.normal(size=n)])  # nearly collinear
+    yield rng.normal(size=(n, 2)) * [1e-6, 1e3]  # badly scaled
+    yield rng.normal(size=(n, 2)) * 1e-150  # tiny
+    yield rng.normal(size=(n, 2)) + 1e6  # far from the origin
+    yield rng.normal(size=(3, 2))[np.arange(n) % 3]  # three sites
+
+
+def test_closed_form_singular_mask_equals_cond():
+    rng = np.random.default_rng(11)
+    singular_seen = 0
+    for n in (3, 4, 5, 7, 10, 17, 40):
+        for points in _clouds(rng, n):
+            resamples = points[rng.integers(0, n, size=(500, n))]
+            cov, singular = covariances(resamples)
+            assert np.array_equal(singular, np.linalg.cond(cov) > 1e12)
+            singular_seen += int(singular.sum())
+    assert 0 < singular_seen < 7 * 8 * 500

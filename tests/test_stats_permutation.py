@@ -412,3 +412,43 @@ def test_sums_of_squares_block_rows_equal_single_rows():
         for row, b, w in zip(block, ss_between, ss_within):
             assert (b, w) == _loop_sums_of_squares(values, row, 3)
             assert sums_of_squares(values, row, 3) == (b, w)
+
+
+# --- the exhaustive labelling table ---------------------------------------------
+
+@pytest.mark.parametrize("counts", [(4, 4), (3, 5), (10, 4), (2, 3, 4), (3, 3, 3)])
+def test_assignment_table_is_the_assignments_in_order(counts):
+    table = permutation._assignment_table(counts)
+    expected = list(permutation._assignments(counts))
+    assert table.shape == (len(expected), sum(counts))
+    assert all(np.array_equal(row, labels) for row, labels in zip(table, expected))
+    assert len(expected) == permutation._n_assignments(np.repeat(np.arange(len(counts)), counts))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert permutation._assignment_table(counts) is table  # built once per size tuple
+
+
+# --- one two-group test per pair, looked up where the benchmark counts it -------
+
+@pytest.mark.parametrize("test", ["permanova", "permdisp"])
+def test_pairwise_calls_module_test_once_per_valid_pair(monkeypatch, test):
+    # five groups, one of them a single point: the 4 pairs with it cannot run,
+    # the other 6 must each reach the module's test function exactly once
+    points, labels = _groups(5, 6, seed=8)
+    keep = [i for i, label in enumerate(labels) if label != "g3" or i % 6 == 0]
+    points, labels = points[keep], [labels[i] for i in keep]
+    results = []
+    original = getattr(permutation, test)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(permutation, test, counted)
+    matrix = pairwise_posthoc(points, labels, test=test, n_perm=99)
+    valid = np.isfinite(matrix.p_raw[np.triu_indices(5, k=1)])
+    assert valid.sum() == 6
+    assert len(results) == 6
+    assert sorted(r.p for r in results) == sorted(matrix.p_raw[np.triu_indices(5, k=1)][valid])
