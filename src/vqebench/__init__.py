@@ -3,9 +3,11 @@ optimizers under configurable noise.
 
 Subpackages: qsim (density-matrix simulation), ensemble (state-averaged
 cost), optimizers (six from-scratch minimizers), stats (multivariate
-statistical battery), harness (noise catalog, run execution, CLI).
+statistical battery), harness (noise catalog, run execution, CLI).  The
+ensemble names below load the simulator on first use, not on import.
 """
-from .ensemble import EnsembleContext, ReferencePair, reference_energies, resolve_states, sa_cost
+import importlib
+
 from .errors import (
     CapacityError,
     CostEvaluationError,
@@ -17,6 +19,8 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
+
+_ENSEMBLE = ("EnsembleContext", "ReferencePair", "reference_energies", "resolve_states", "sa_cost")
 
 __all__ = [
     "CapacityError",
@@ -33,3 +37,9 @@ __all__ = [
     "resolve_states",
     "sa_cost",
 ]
+
+
+def __getattr__(name):
+    if name not in _ENSEMBLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(".ensemble", __name__), name)

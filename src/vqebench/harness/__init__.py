@@ -1,37 +1,31 @@
 """Experiment harness: family catalog, configuration, run execution, CLI.
 
-The analysis reports (`analyze_runs`, `rank_runs`, `analyze_optimizer`) live
-in `vqebench.harness.reports`; importing this package leaves the statistics
-layer unloaded.
+Names load with their module on first use, so each command loads only the
+layers it runs: the runs-CSV format (`vqebench.harness.records`) needs
+neither the simulator nor the optimizers, and the analysis reports
+(`analyze_runs`, `rank_runs`, `analyze_optimizer`) live in
+`vqebench.harness.reports`, the one module that loads the statistics layer.
 """
-from .catalog import NOISY_SHOTS, FamilySpec, catalog_by_name, family_catalog, lookup_family
-from .config import ExperimentConfig, Theta0Policy, config_from_dict, load_config, toy_problem_paths
-from .runner import (
-    CSV_HEADER,
-    RunRecord,
-    derive_run_seed,
-    execute_run,
-    read_records,
-    run_experiment,
-    write_records,
-)
+import importlib
 
-__all__ = [
-    "CSV_HEADER",
-    "ExperimentConfig",
-    "FamilySpec",
-    "NOISY_SHOTS",
-    "RunRecord",
-    "Theta0Policy",
-    "catalog_by_name",
-    "config_from_dict",
-    "derive_run_seed",
-    "execute_run",
-    "family_catalog",
-    "load_config",
-    "lookup_family",
-    "read_records",
-    "run_experiment",
-    "toy_problem_paths",
-    "write_records",
-]
+_EXPORTS = {
+    "catalog": ("NOISY_SHOTS", "FamilySpec", "catalog_by_name", "family_catalog", "lookup_family"),
+    "config": (
+        "ExperimentConfig",
+        "Theta0Policy",
+        "config_from_dict",
+        "load_config",
+        "toy_problem_paths",
+    ),
+    "records": ("CSV_HEADER", "RunRecord", "read_records", "write_records"),
+    "runner": ("derive_run_seed", "execute_run", "run_experiment"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -1,8 +1,10 @@
 """Command-line driver: run experiments, analyze runs, rank optimizers,
 print the family catalog.
 
-`analyze` and `rank` import the statistics layer when they run; every
-command needs numpy alone.
+Each command loads only the layers it runs: `run` the simulator, the
+ensemble and the optimizers; `analyze` and `rank` the runs CSV
+(`records`), the reports and the statistics layer; `catalog` the catalog
+and the simulator's noise models.  Every command needs numpy alone.
 """
 from __future__ import annotations
 
@@ -11,9 +13,7 @@ import math
 import sys
 
 from ..errors import VqeBenchError
-from .catalog import family_catalog
-from .config import load_config
-from .runner import read_records, run_experiment
+from .records import read_records
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,7 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_experiment(cfg, out_path=None, jobs: int = 1, progress=None):
+    """`runner.run_experiment`, whose module (and the simulator, ensemble
+    and optimizers with it) loads on the first call.  `_cmd_run` calls it
+    through this module, as it does `read_records`."""
+    from .runner import run_experiment as run
+
+    return run(cfg, out_path=out_path, jobs=jobs, progress=progress)
+
+
 def _cmd_run(args) -> int:
+    from .config import load_config
+
     try:
         cfg = load_config(args.config)
     except VqeBenchError as exc:
@@ -120,6 +131,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_catalog(_args) -> int:
+    from .catalog import family_catalog
+
     for family in family_catalog():
         print(family.name)
     return EXIT_OK

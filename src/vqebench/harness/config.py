@@ -180,8 +180,8 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConf
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterDomainError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data, base_dir=path.parent)
 

@@ -1,69 +1,26 @@
 """Run execution: seeded independent runs over the (family, optimizer, seed)
-grid and CSV persistence."""
+grid, streamed to the runs CSV as they finish."""
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import math
 import time
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..ensemble import EnsembleContext, resolve_states, sa_cost
-from ..errors import CostEvaluationError, ParameterDomainError
+from ..errors import CostEvaluationError
 from ..optimizers import OptimizerSpec, StackCost, minimize
 from ..qsim import load_circuit, load_hamiltonian
 from .catalog import FamilySpec
 from .config import ExperimentConfig, Theta0Policy
+from .records import RunRecord, row_writer
 
 #: Enlarged central-difference step used under shot-based estimation.
 NOISY_GRADIENT_STEP = 5e-2
 _DEFAULT_GRADIENT_STEP = OptimizerSpec("bfgs").gradient_step
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One row of the runs CSV; its fields, in order, are the CSV columns."""
-
-    family: str
-    optimizer: str
-    seed: int
-    e_ground: float
-    e_excited: float
-    e_sa: float
-    n_evals: int
-    converged: bool
-    wall_time_ms: float
-
-    def __post_init__(self):
-        if self.n_evals < 1:
-            raise ParameterDomainError("n_evals must be >= 1")
-        if (
-            math.isfinite(self.e_ground)
-            and math.isfinite(self.e_excited)
-            and self.e_ground > self.e_excited
-        ):
-            raise ParameterDomainError("e_ground must not exceed e_excited")
-
-
-def _flag(cell: str) -> bool:
-    if cell not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {cell!r}")
-    return cell == "true"
-
-
-#: (format, parse) of a cell by field type; 17 significant digits round-trip a float.
-_CELL = {
-    "str": (str, str),
-    "int": (str, int),
-    "float": (lambda x: format(x, ".17g"), float),
-    "bool": (lambda b: "true" if b else "false", _flag),
-}
-_COLUMNS = tuple((f.name, *_CELL[f.type]) for f in fields(RunRecord))
-CSV_HEADER = tuple(name for name, _, _ in _COLUMNS)
 
 
 def derive_run_seed(family: str, optimizer: str, seed: int) -> int:
@@ -132,18 +89,6 @@ def _tasks(cfg: ExperimentConfig) -> list[_RunTask]:
     ]
 
 
-def _row_writer(handle):
-    """Write the runs-CSV header to handle; return a writer of one flushed row."""
-    writer = csv.writer(handle)
-    writer.writerow(CSV_HEADER)
-
-    def write(record: RunRecord) -> None:
-        writer.writerow(_record_row(record))
-        handle.flush()
-
-    return write
-
-
 def run_experiment(
     cfg: ExperimentConfig, out_path=None, jobs: int = 1, progress=None
 ) -> list[RunRecord]:
@@ -156,7 +101,8 @@ def run_experiment(
     sinks = [records.append]
     with contextlib.ExitStack() as stack:
         if out_path is not None:
-            sinks.append(_row_writer(stack.enter_context(open(out_path, "w", newline=""))))
+            handle = stack.enter_context(open(out_path, "w", newline="", encoding="utf-8"))
+            sinks.append(row_writer(handle))
         if progress is not None:
             sinks.append(progress)
         runs = map(execute_run, tasks)
@@ -168,35 +114,4 @@ def run_experiment(
         for record in runs:
             for sink in sinks:
                 sink(record)
-    return records
-
-
-def _record_row(r: RunRecord) -> list[str]:
-    return [fmt(getattr(r, name)) for name, fmt, _ in _COLUMNS]
-
-
-def write_records(records, path) -> None:
-    with open(path, "w", newline="") as handle:
-        write = _row_writer(handle)
-        for record in records:
-            write(record)
-
-
-def read_records(path) -> list[RunRecord]:
-    path = Path(path)
-    try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise ParameterDomainError(f"cannot read runs file {path}: {exc}") from exc
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ParameterDomainError(f"{path} does not start with the runs CSV header")
-    records = []
-    for number, row in enumerate(rows[1:], start=1):
-        if len(row) != len(CSV_HEADER):
-            raise ParameterDomainError(f"malformed row {number} in {path}: {row!r}")
-        try:
-            records.append(RunRecord(*(parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row))))
-        except ValueError as exc:
-            raise ParameterDomainError(f"bad row {number} in {path}: {row!r}: {exc}") from None
     return records

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError
-from .pauli import PAULI_1Q, pauli_string_matrix
+from .pauli import PAULI_1Q, pauli_string_matrix, read_text
 
 SINGLE_QUBIT_KINDS = frozenset({"x", "y", "z", "h", "rx", "ry", "rz"})
 PARAMETRIC_KINDS = frozenset({"rx", "ry", "rz", "prot"})
@@ -71,20 +71,13 @@ class Gate:
         string = self.pauli_string if self.kind == "prot" else self.kind[1]
         return pauli_string_matrix(string.upper())
 
-    def unitary(self, theta: float | None = None) -> np.ndarray:
-        """Local unitary on the gate's own qubits (tensor order as listed)."""
-        if self.kind in _FIXED_UNITARIES:
-            return _FIXED_UNITARIES[self.kind].copy()
-        if theta is None:
-            raise ParameterDomainError(f"gate {self.kind!r} needs a parameter value")
-        return rotation(theta, self.generator())
-
-
-def rotation(theta: float, generator: np.ndarray) -> np.ndarray:
-    """exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P for a Pauli string P."""
-    half = theta / 2.0
-    identity = np.eye(len(generator), dtype=complex)
-    return math.cos(half) * identity - 1j * math.sin(half) * generator
+    def unitary(self) -> np.ndarray:
+        """Local unitary of a fixed gate on its own qubits (tensor order as
+        listed).  `evolve_circuit` builds a rotation's unitaries from its
+        `generator()`."""
+        if self.kind not in _FIXED_UNITARIES:
+            raise ParameterDomainError(f"gate {self.kind!r} is a rotation; it has a generator")
+        return _FIXED_UNITARIES[self.kind].copy()
 
 
 @dataclass(frozen=True)
@@ -159,5 +152,4 @@ def _parse_param(token: str, lineno: int) -> int:
 
 
 def load_circuit(path, n_qubits: int | None = None) -> Circuit:
-    with open(path, encoding="utf-8") as fh:
-        return parse_circuit(fh.read(), n_qubits=n_qubits)
+    return parse_circuit(read_text(path, "circuit"), n_qubits=n_qubits)

@@ -100,5 +100,14 @@ def parse_hamiltonian(text: str) -> PauliSum:
 
 
 def load_hamiltonian(path) -> PauliSum:
+    return parse_hamiltonian(read_text(path, "Hamiltonian"))
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a problem file; bytes that do not decode are a
+    ParameterDomainError that names the file, not a UnicodeDecodeError."""
     with open(path, encoding="utf-8") as fh:
-        return parse_hamiltonian(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterDomainError(f"cannot read {what} {path}: {exc}") from exc

@@ -59,7 +59,7 @@ def evolve_circuit(
         raise DimensionError(
             f"state has {n} qubits but circuit expects {circuit.n_qubits}"
         )
-    # cos(theta/2) I - i sin(theta/2) P as in circuits.rotation, one (d, d)
+    # exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P, one (d, d)
     # rotation per row at each rotation gate, shaped (*rows, 1 if rho0 is a
     # stack, d, d) to broadcast over rho0.  Only the current gate's rotations
     # are live, so memory stays a few copies of the evolved stack.

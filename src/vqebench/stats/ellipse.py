@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateSampleError
-from .normality import covariances, sample_cov
+from .normality import centred_covariances, sample_cov
 from .types import Ellipse, Sample2D
 
 _MAX_REDRAW_FACTOR = 10
@@ -43,9 +43,9 @@ def bootstrap_ellipse(sample: Sample2D, n_boot: int = 2000, rng=None) -> Ellipse
         m = min(n_boot - filled, attempts_left, block)
         attempts_left -= m
         resamples = points[rng.integers(0, n, size=(m, n))]
-        cov, singular = covariances(resamples)
-        resamples, cov = resamples[~singular], cov[~singular]
         diff = resamples - resamples.mean(axis=1)[:, None, :]
+        cov, singular = centred_covariances(diff)
+        diff, cov = diff[~singular], cov[~singular]
         d_sq = np.einsum("bij,bji->bi", diff, np.linalg.solve(cov, diff.transpose(0, 2, 1)))
         percentiles[filled : filled + len(cov)] = np.percentile(d_sq, 95.0, axis=1)
         filled += len(cov)

@@ -139,7 +139,13 @@ def norm_sf(x: float) -> float:
 
 def covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample covariances (ddof 1) of an (m, n, 2) stack of samples, and a
-    mask of the singular ones (condition number above 1e12).
+    mask of the singular ones (condition number above 1e12)."""
+    return centred_covariances(samples - samples.mean(axis=1)[:, None, :])
+
+
+def centred_covariances(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`covariances` of the samples whose centred stack, each sample minus
+    its own mean, is diff.
 
     The centred product goes through the same BLAS call as ``np.cov``, so
     each covariance equals ``np.cov(sample, rowvar=False)`` bit for bit.  The
@@ -148,8 +154,7 @@ def covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     not from an SVD per matrix: a matrix is singular when its smaller
     eigenvalue is not positive or the ratio exceeds the limit.
     """
-    diff = samples - samples.mean(axis=1)[:, None, :]
-    cov = np.matmul(diff.transpose(0, 2, 1), diff) * (1.0 / (samples.shape[1] - 1))
+    cov = np.matmul(diff.transpose(0, 2, 1), diff) * (1.0 / (diff.shape[1] - 1))
     a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     h, r = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
     low = h - r
@@ -273,15 +278,19 @@ def sums_of_squares(values, codes: np.ndarray, k: int):
     values = np.asarray(values, dtype=float)
     values = values.reshape(values.shape[0], -1)
     block = np.atleast_2d(codes)
-    rows, d = block.shape[0], values.shape[1]
+    (rows, n), d = block.shape, values.shape[1]
     flat = (block + k * np.arange(rows)[:, None]).ravel()
     counts = np.bincount(flat, minlength=rows * k)
-    sums = [np.bincount(flat, weights=np.tile(col, rows), minlength=rows * k) for col in values.T]
-    means = np.column_stack(sums) / counts[:, None]
-    deviations = (values - means[flat].reshape(rows, -1, d)) ** 2
-    spread = counts[:, None] * (means - values.mean(axis=0)) ** 2
-    ss_within = np.sum(deviations, axis=(1, 2))
-    ss_between = np.sum(spread.reshape(rows, k, d), axis=(1, 2))
+    weights = np.empty((d, rows, n))
+    weights[:] = values.T[:, None, :]  # weights[j]: column j once per row, contiguous
+    means = np.empty((rows * k, d))
+    for j in range(d):
+        means[:, j] = np.bincount(flat, weights=weights[j].ravel(), minlength=rows * k)
+    means /= counts[:, None]
+    deviations = (values - means[flat].reshape(rows, n, d)) ** 2
+    spread = counts[:, None] * (means - np.add.reduce(values, axis=0) / n) ** 2
+    ss_within = np.add.reduce(deviations, axis=(1, 2))
+    ss_between = np.add.reduce(spread.reshape(rows, k, d), axis=(1, 2))
     if np.ndim(codes) == 1:
         return float(ss_between[0]), float(ss_within[0])
     return ss_between, ss_within

@@ -1,7 +1,8 @@
 """Reference helpers the tests check the program against: a state vector's
-density matrix, the density-matrix invariants, purity and partial trace, the
-noise channels as Kraus sets applied one embedded operator at a time, and a
-prediction ellipse's Mahalanobis distance and coverage."""
+density matrix, the density-matrix invariants, purity and partial trace, a
+rotation gate's unitary, the noise channels as Kraus sets applied one
+embedded operator at a time, and a prediction ellipse's Mahalanobis distance
+and coverage."""
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -54,6 +55,13 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     k = len(keep)
     t = t.transpose(perm + [k + p for p in perm])
     return t.reshape(2 ** k, 2 ** k)
+
+
+def rotation(theta: float, generator: np.ndarray) -> np.ndarray:
+    """exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P for a Pauli string P."""
+    half = theta / 2.0
+    identity = np.eye(len(generator), dtype=complex)
+    return math.cos(half) * identity - 1j * math.sin(half) * generator
 
 
 # --- the channels as Kraus sets ----------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from vqebench.ensemble import EnsembleContext, reference_energies, resolve_states, sa_cost
 from vqebench.harness import config_from_dict, run_experiment, toy_problem_paths
-from vqebench.harness.runner import _record_row
+from vqebench.harness.records import _record_row
 from vqebench.optimizers import OptimizerSpec, minimize
 from vqebench.qsim import (
     EstimatorSpec,

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from oracles import pure_state, rotation
 from vqebench.errors import DimensionError, ParameterDomainError
-from vqebench.qsim import Circuit, Gate, parse_circuit, pauli_string_matrix
+from vqebench.qsim import Circuit, Gate, evolve_circuit, parse_circuit, pauli_string_matrix
 
 
 def test_gate_durations_default():
@@ -13,23 +15,41 @@ def test_gate_durations_default():
     assert Gate("prot", (0, 1), param_index=0, pauli_string="XY").duration_ns == 150.0
 
 
+def _evolved(gate, theta, rho):
+    """rho after the one-gate circuit of a rotation gate at parameter theta."""
+    circuit = Circuit(n_qubits=rho.shape[0].bit_length() - 1, gates=(gate,), n_params=1)
+    return evolve_circuit(rho, circuit, np.array([theta]))
+
+
 def test_rz_unitary():
-    u = Gate("rz", (0,), param_index=0).unitary(math.pi)
+    gate = Gate("rz", (0,), param_index=0)
+    u = rotation(math.pi, gate.generator())
     assert np.allclose(u, np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)]))
+    rho = pure_state([1.0, 1.0j])
+    assert np.allclose(_evolved(gate, math.pi, rho), u @ rho @ u.conj().T)
 
 
 def test_ry_unitary_rotates_zero_to_one():
-    u = Gate("ry", (0,), param_index=0).unitary(math.pi)
-    vec = u @ np.array([1.0, 0.0])
+    gate = Gate("ry", (0,), param_index=0)
+    vec = rotation(math.pi, gate.generator()) @ np.array([1.0, 0.0])
     assert abs(vec[1]) == pytest.approx(1.0)
+    assert _evolved(gate, math.pi, pure_state([1.0, 0.0]))[1, 1].real == pytest.approx(1.0)
 
 
-def test_prot_unitary_matches_exponential():
+def test_prot_unitary_matches_exponential(rng):
     gate = Gate("prot", (0, 1), param_index=0, pauli_string="XY")
     theta = 0.83
     p = pauli_string_matrix("XY")
-    expected = math.cos(theta / 2) * np.eye(4) - 1j * math.sin(theta / 2) * p
-    assert np.allclose(gate.unitary(theta), expected)
+    u = rotation(theta, gate.generator())
+    assert np.allclose(u, scipy.linalg.expm(-0.5j * theta * p))
+    rho = pure_state(rng.normal(size=4) + 1j * rng.normal(size=4))
+    assert np.allclose(_evolved(gate, theta, rho), u @ rho @ u.conj().T)
+
+
+def test_unitary_serves_fixed_gates_only():
+    assert np.array_equal(Gate("cx", (0, 1)).unitary()[2:, 2:], [[0, 1], [1, 0]])
+    with pytest.raises(ParameterDomainError):
+        Gate("rz", (0,), param_index=0).unitary()
 
 
 def test_prot_requires_matching_string_length():

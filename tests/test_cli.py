@@ -225,6 +225,84 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
     assert out.read_bytes() == b"an earlier grid's runs\n"
 
 
+@pytest.mark.parametrize(
+    "bad_file, command, code, prefix",
+    [
+        ("config", "run", 2, "config error:"),
+        ("hamiltonian", "run", 3, "data error:"),
+        ("circuit", "run", 3, "data error:"),
+        ("runs", "analyze", 3, "data error:"),
+        ("runs", "rank", 3, "data error:"),
+    ],
+)
+def test_input_that_is_not_utf8_exits_with_its_code(tmp_path, capsys, bad_file, command, code, prefix):
+    ham, circ = (Path(p) for p in toy_problem_paths())
+    files = {"hamiltonian": tmp_path / "toy.ham", "circuit": tmp_path / "toy.circ"}
+    for path, source in zip(files.values(), (ham, circ)):
+        path.write_bytes(source.read_bytes())
+    files["config"] = write_config(tmp_path, hamiltonian_path=str(files["hamiltonian"]),
+                                   circuit_path=str(files["circuit"]))
+    files["runs"] = tmp_path / "runs.csv"
+    write_records(synthetic_records(), files["runs"])
+    with open(files[bad_file], "ab") as handle:
+        handle.write(b"# \xff\n")  # one byte that is not UTF-8
+    argv = {
+        "run": ["run", "--config", str(files["config"]), "--out", str(tmp_path / "o.csv")],
+        "analyze": ["analyze", "--runs", str(files["runs"]), "--per-optimizer", str(tmp_path / "a")],
+        "rank": ["rank", "--runs", str(files["runs"]), "--reference", "-2.0", "-0.5", "--out", str(tmp_path / "r")],
+    }[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix) and "UTF-8" in err[0].upper(), err
+
+
+#: Modules each command must not load: a command loads only the layers it runs.
+_NOT_LOADED = {
+    "catalog": (
+        "vqebench.optimizers",
+        "vqebench.ensemble",
+        "vqebench.harness.runner",
+        "vqebench.harness.config",
+        "vqebench.stats",
+    ),
+    "analyze": (
+        "vqebench.qsim",
+        "vqebench.optimizers",
+        "vqebench.ensemble",
+        "vqebench.harness.runner",
+        "vqebench.harness.config",
+        "vqebench.harness.catalog",
+    ),
+    "run": ("vqebench.stats", "vqebench.harness.reports", "concurrent.futures"),
+}
+_NOT_LOADED["rank"] = _NOT_LOADED["analyze"]
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_command_loads_only_its_layers(tmp_path, command):
+    runs = tmp_path / "runs.csv"
+    write_records(synthetic_records(), runs)
+    argv = {
+        "catalog": ["catalog"],
+        "analyze": ["analyze", "--runs", str(runs), "--per-optimizer", str(tmp_path / "a"), "--n-perm", "19"],
+        "rank": ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(tmp_path / "r")],
+        "run": ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o.csv"), "--jobs", "1"],
+    }[command]
+    loaded = tmp_path / "modules.txt"
+    code = (
+        "import sys\n"
+        "from vqebench.harness.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "open(sys.argv[1], 'w').write('\\n'.join(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code, str(loaded), *argv], check=True, env=env, capture_output=True)
+    modules = loaded.read_text().split()
+    unwanted = [m for m in modules if any(m == u or m.startswith(u + ".") for u in _NOT_LOADED[command])]
+    assert unwanted == []
+
+
 def test_depolarizing_on_3q_prot_runs(tmp_path):
     # depolarizing acts on a gate of any arity: here all three qubits of a prot
     ham = tmp_path / "3q.ham"

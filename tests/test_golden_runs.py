@@ -25,7 +25,7 @@ from vqebench.harness import (
     toy_problem_paths,
     write_records,
 )
-from vqebench.harness.runner import CSV_HEADER, _record_row
+from vqebench.harness.records import CSV_HEADER, _record_row
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.csv"
 
