@@ -37,7 +37,7 @@ class EnsembleContext:
                 f"Hamiltonian has {self.hamiltonian.n_qubits} qubits, "
                 f"ansatz {self.ansatz.n_qubits}"
             )
-        # the simulator keeps every embedded 2^n x 2^n operator of the ansatz
+        # the simulator keeps every gate's 2^n x 2^n operator of the ansatz
         if self.ansatz.n_qubits > MAX_REFERENCE_QUBITS:
             raise CapacityError(
                 f"dense simulation supports at most {MAX_REFERENCE_QUBITS} qubits"

@@ -67,6 +67,8 @@ class ExperimentConfig:
         kinds = [o.kind for o in self.optimizers]
         if len(kinds) != len(set(kinds)):
             raise ParameterDomainError("optimizer kinds must be unique")
+        if len(self.seeds) != len(set(self.seeds)):
+            raise ParameterDomainError("seeds must be unique")
 
 
 _JSON_SHAPES = {

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..ensemble import EnsembleContext, resolve_states, sa_cost
-from ..errors import CostEvaluationError
+from ..errors import CostEvaluationError, ParameterDomainError
 from ..optimizers import OptimizerSpec, StackCost, minimize
 from ..qsim import load_circuit, load_hamiltonian
 from .catalog import FamilySpec
@@ -73,10 +73,13 @@ def execute_run(task: _RunTask) -> RunRecord:
 
 
 def _tasks(cfg: ExperimentConfig) -> list[_RunTask]:
-    """The grid's runs in order.  The problem files are read once, and every
-    family's context is built, and so checked, before any run starts."""
+    """The grid's runs in order.  The problem files are read once, and the
+    ansatz's parameters and every family's context are checked before any
+    run starts."""
     hamiltonian = load_hamiltonian(cfg.hamiltonian_path)
     ansatz = load_circuit(cfg.circuit_path)
+    if ansatz.n_params == 0:
+        raise ParameterDomainError(f"ansatz {cfg.circuit_path} has no t<k> parameter")
     contexts = [
         EnsembleContext(hamiltonian, ansatz, cfg.phi_a, cfg.phi_b, family.estimator)
         for family in cfg.families

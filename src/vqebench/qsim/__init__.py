@@ -1,7 +1,6 @@
 """Few-qubit density-matrix simulation: gates, channels, estimators."""
 from .channels import damp, depolarize
 from .circuits import Circuit, Gate, load_circuit, parse_circuit
-from .density import basis_state, embed_operator
 from .noise import NoiseModel, NoiseRule
 from .pauli import PauliSum, load_hamiltonian, parse_hamiltonian, pauli_string_matrix
 from .simulate import (
@@ -19,10 +18,8 @@ __all__ = [
     "NoiseModel",
     "NoiseRule",
     "PauliSum",
-    "basis_state",
     "damp",
     "depolarize",
-    "embed_operator",
     "evolve_circuit",
     "expectation",
     "expectation_exact",

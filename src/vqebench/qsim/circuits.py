@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError
-from .pauli import PAULI_1Q, pauli_string_matrix, read_text
+from .pauli import PauliSum, read_text
 
 SINGLE_QUBIT_KINDS = frozenset({"x", "y", "z", "h", "rx", "ry", "rz"})
 PARAMETRIC_KINDS = frozenset({"rx", "ry", "rz", "prot"})
@@ -16,12 +16,14 @@ GATE_KINDS = SINGLE_QUBIT_KINDS | {"cx", "prot"}
 DEFAULT_DURATION_1Q_NS = 50.0
 DEFAULT_DURATION_MULTIQ_NS = 150.0
 
-_FIXED_UNITARIES = {
-    "x": PAULI_1Q["X"],
-    "y": PAULI_1Q["Y"],
-    "z": PAULI_1Q["Z"],
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+_H = 1 / math.sqrt(2)
+# Each fixed gate as Pauli terms on its own qubits, in the order listed.
+_FIXED_TERMS = {
+    "x": ((1.0, "X"),),
+    "y": ((1.0, "Y"),),
+    "z": ((1.0, "Z"),),
+    "h": ((_H, "X"), (_H, "Z")),
+    "cx": ((0.5, "II"), (0.5, "ZI"), (0.5, "IX"), (-0.5, "ZX")),  # control first
 }
 
 
@@ -66,18 +68,22 @@ class Gate:
                 f"gate duration must be positive and finite, got {self.duration_ns!r} ns"
             )
 
-    def generator(self) -> np.ndarray:
-        """Pauli generator P of a parametric gate, exp(-i theta/2 P)."""
-        string = self.pauli_string if self.kind == "prot" else self.kind[1]
-        return pauli_string_matrix(string.upper())
-
-    def unitary(self) -> np.ndarray:
-        """Local unitary of a fixed gate on its own qubits (tensor order as
-        listed).  `evolve_circuit` builds a rotation's unitaries from its
-        `generator()`."""
-        if self.kind not in _FIXED_UNITARIES:
-            raise ParameterDomainError(f"gate {self.kind!r} is a rotation; it has a generator")
-        return _FIXED_UNITARIES[self.kind].copy()
+    def operator(self, n_qubits: int) -> np.ndarray:
+        """The gate's 2^n x 2^n operator: a fixed gate's unitary, or a
+        rotation's Pauli generator P, the gate being exp(-i theta/2 P)."""
+        if any(not 0 <= q < n_qubits for q in self.qubits):
+            raise DimensionError(f"gate qubits {self.qubits} outside 0..{n_qubits - 1}")
+        if self.kind in PARAMETRIC_KINDS:
+            terms = ((1.0, self.pauli_string if self.kind == "prot" else self.kind[1]),)
+        else:
+            terms = _FIXED_TERMS[self.kind]
+        padded = []
+        for coeff, local in terms:
+            string = ["I"] * n_qubits
+            for q, c in zip(self.qubits, local):
+                string[q] = c
+            padded.append((coeff, "".join(string)))
+        return PauliSum.from_terms(padded).to_matrix()
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class Circuit:
     def __post_init__(self):
         used = set()
         for gate in self.gates:
-            if any(q >= self.n_qubits for q in gate.qubits):
+            if any(not 0 <= q < self.n_qubits for q in gate.qubits):
                 raise DimensionError(
                     f"gate {gate.kind!r} addresses qubit outside 0..{self.n_qubits - 1}"
                 )

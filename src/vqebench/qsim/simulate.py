@@ -9,7 +9,6 @@ import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError, is_count
 from .circuits import Circuit
-from .density import embed_operator, n_qubits_of
 from .noise import NoiseModel
 from .pauli import PauliSum, pauli_string_matrix
 
@@ -54,10 +53,10 @@ def evolve_circuit(
         raise DimensionError(
             f"expected {circuit.n_params} parameters, got shape {theta.shape}"
         )
-    n = n_qubits_of(rho0)
-    if n != circuit.n_qubits:
+    if rho0.shape[-1] != 2**circuit.n_qubits:
         raise DimensionError(
-            f"state has {n} qubits but circuit expects {circuit.n_qubits}"
+            f"state dimension {rho0.shape[-1]} does not match the circuit's"
+            f" {circuit.n_qubits} qubits"
         )
     # exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P, one (d, d)
     # rotation per row at each rotation gate, shaped (*rows, 1 if rho0 is a
@@ -81,8 +80,8 @@ class _Schedule(NamedTuple):
     depend on theta."""
 
     identity: np.ndarray  # (d, d)
-    # per gate: its parameter index, its full-space unitary (a rotation's
-    # Pauli generator instead) and the channel maps attached after it
+    # per gate: its parameter index, its operator (a fixed gate's unitary, a
+    # rotation's Pauli generator) and the channel maps attached after it
     steps: tuple
 
 
@@ -93,9 +92,8 @@ def _schedule(circuit: Circuit, noise: NoiseModel | None) -> _Schedule:
     n = circuit.n_qubits
     steps = []
     for gate in circuit.gates:
-        local = gate.unitary() if gate.param_index is None else gate.generator()
         channels = () if noise is None else noise.channels(gate)
-        steps.append((gate.param_index, embed_operator(local, gate.qubits, n), channels))
+        steps.append((gate.param_index, gate.operator(n), channels))
     return _Schedule(identity=np.eye(2**n, dtype=complex), steps=tuple(steps))
 
 

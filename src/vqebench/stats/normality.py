@@ -137,15 +137,10 @@ def norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def covariances(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample covariances (ddof 1) of an (m, n, 2) stack of samples, and a
-    mask of the singular ones (condition number above 1e12)."""
-    return centred_covariances(samples - samples.mean(axis=1)[:, None, :])
-
-
 def centred_covariances(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`covariances` of the samples whose centred stack, each sample minus
-    its own mean, is diff.
+    """Sample covariances (ddof 1) of an (m, n, 2) stack of samples given as
+    diff, each sample minus its own mean, and a mask of the singular ones
+    (condition number above 1e12).
 
     The centred product goes through the same BLAS call as ``np.cov``, so
     each covariance equals ``np.cov(sample, rowvar=False)`` bit for bit.  The
@@ -164,7 +159,7 @@ def centred_covariances(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_cov(points: np.ndarray) -> np.ndarray:
-    cov, singular = covariances(points[None])
+    cov, singular = centred_covariances((points - points.mean(axis=0))[None])
     if singular[0]:
         raise DegenerateSampleError("sample covariance is singular")
     return cov[0]

@@ -1,8 +1,11 @@
-"""Reference helpers the tests check the program against: a state vector's
-density matrix, the density-matrix invariants, purity and partial trace, a
-rotation gate's unitary, the noise channels as Kraus sets applied one
-embedded operator at a time, and a prediction ellipse's Mahalanobis distance
-and coverage."""
+"""Reference helpers the tests check the program against: basis and
+state-vector density matrices, each gate's local unitary or Pauli generator
+written out entry by entry, an operator embedded on a qubit subset by
+permuting tensor axes (a builder independent of the program's Pauli-sum
+gates), the density-matrix invariants, purity and partial trace, a rotation
+gate's unitary, the noise channels as Kraus sets applied one embedded
+operator at a time, and a prediction ellipse's Mahalanobis distance and
+coverage."""
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -10,13 +13,51 @@ from itertools import product
 import numpy as np
 
 from vqebench.errors import DimensionError, InvalidChannelError, ParameterDomainError
-from vqebench.qsim import embed_operator, pauli_string_matrix
-from vqebench.qsim.density import n_qubits_of
+from vqebench.qsim import pauli_string_matrix
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGVAL_TOL = 1e-9
 TRACE_PRESERVATION_TOL = 1e-10
+
+
+def basis_state(index: int, n_qubits: int) -> np.ndarray:
+    """Density matrix |index><index| in the computational basis."""
+    dim = 2 ** n_qubits
+    if not 0 <= index < dim:
+        raise DimensionError(f"basis index {index} out of range for {n_qubits} qubits")
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[index, index] = 1.0
+    return rho
+
+
+def n_qubits_of(rho: np.ndarray) -> int:
+    """Qubit count of a density matrix or of a (k, d, d) stack of them."""
+    dim = rho.shape[-1]
+    n = dim.bit_length() - 1
+    if 2 ** n != dim:
+        raise DimensionError(f"dimension {dim} is not a power of two")
+    return n
+
+
+def embed_operator(op: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
+    """Embed an operator acting on `qubits` into the full 2^n space by
+    permuting tensor axes.  `op` acts on len(qubits) qubits, its tensor slots
+    ordered as listed."""
+    k = len(qubits)
+    if op.shape != (2 ** k, 2 ** k):
+        raise DimensionError(f"operator shape {op.shape} does not match {k} qubits")
+    if len(set(qubits)) != k or any(not 0 <= q < n_qubits for q in qubits):
+        raise DimensionError(f"bad qubit list {qubits} for {n_qubits} qubits")
+    rest = [q for q in range(n_qubits) if q not in qubits]
+    full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
+    # Axis i of the tensor currently holds (list(qubits)+rest)[i]; permute so
+    # that axis q holds qubit q, for rows and columns alike.
+    order = list(qubits) + rest
+    perm = [order.index(q) for q in range(n_qubits)]
+    t = full.reshape((2,) * (2 * n_qubits))
+    t = t.transpose(perm + [n_qubits + p for p in perm])
+    return np.ascontiguousarray(t.reshape(2 ** n_qubits, 2 ** n_qubits))
 
 
 def pure_state(vec) -> np.ndarray:
@@ -55,6 +96,32 @@ def partial_trace(rho: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     k = len(keep)
     t = t.transpose(perm + [k + p for p in perm])
     return t.reshape(2 ** k, 2 ** k)
+
+
+#: The Paulis and each fixed gate's unitary on its own qubits, written out
+#: entry by entry (cx: control first).
+REF_PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+REF_FIXED_UNITARIES = {
+    "x": REF_PAULI["X"],
+    "y": REF_PAULI["Y"],
+    "z": REF_PAULI["Z"],
+    "h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+}
+
+
+def ref_generator(gate) -> np.ndarray:
+    """A rotation gate's Pauli generator on its own qubits, as listed."""
+    string = gate.pauli_string if gate.kind == "prot" else gate.kind[1]
+    generator = np.array([[1.0]])
+    for c in string.upper():
+        generator = np.kron(generator, REF_PAULI[c])
+    return generator.astype(complex)
 
 
 def rotation(theta: float, generator: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from vqebench.qsim import (
     Gate,
     NoiseModel,
     NoiseRule,
-    basis_state,
     damp,
     depolarize,
     evolve_circuit,
@@ -36,7 +35,7 @@ from vqebench.stats import (
     permdisp,
 )
 
-from oracles import ellipse_contains, pure_state
+from oracles import basis_state, ellipse_contains, pure_state
 
 
 _CAPTURE = None

@@ -205,16 +205,25 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("data error:")
 
 
-@pytest.mark.parametrize("bad_problem", ["missing_ham", "nine_qubits", "phi_out_of_range"])
+@pytest.mark.parametrize(
+    "bad_problem",
+    ["missing_ham", "nine_qubits", "phi_out_of_range", "no_parameters", "negative_qubit"],
+)
 def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_problem):
     ham = tmp_path / "big.ham"
     ham.write_text("1.0 " + "Z" * 9 + "\n")
     circ = tmp_path / "big.circ"
     circ.write_text("ry 0 t0\nry 8 t1\n")
+    fixed = tmp_path / "fixed.circ"
+    fixed.write_text("cx 0 1\nx 0\n")
+    negative = tmp_path / "negative.circ"
+    negative.write_text("ry 0 t0\nry -1 t1\ncx 0 1\n")
     overrides = {
         "missing_ham": {"hamiltonian_path": str(tmp_path / "absent.ham")},
         "nine_qubits": {"hamiltonian_path": str(ham), "circuit_path": str(circ)},
         "phi_out_of_range": {"phi_b": 4},  # the toy problem has 2 qubits
+        "no_parameters": {"circuit_path": str(fixed)},  # nothing to optimize
+        "negative_qubit": {"circuit_path": str(negative)},
     }[bad_problem]
     out = tmp_path / "o.csv"
     out.write_bytes(b"an earlier grid's runs\n")
@@ -389,6 +398,8 @@ def test_depolarizing_on_3q_prot_runs(tmp_path):
         # a NaN relaxation time fails every bound check
         {"families": [{"name": "tr", "noise": [{"gates": ["cx"], "kind": "thermal_relaxation", "t1_ns": 50.0, "t2_ns": float("nan")}]}]},
         {"families": [{"name": "tr", "noise": [{"gates": ["cx"], "kind": "thermal_relaxation", "t1_ns": float("nan"), "t2_ns": 50.0}]}]},
+        # a repeated seed would write each of its rows twice
+        {"seeds": [0, 0, 1]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from vqebench.errors import DimensionError
-from vqebench.qsim import basis_state, embed_operator, pauli_string_matrix
+from vqebench.qsim import pauli_string_matrix
 
-from oracles import check_density, partial_trace, pure_state, purity
+from oracles import (
+    basis_state,
+    check_density,
+    embed_operator,
+    partial_trace,
+    pure_state,
+    purity,
+)
 
 
 def test_basis_state():

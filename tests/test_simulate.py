@@ -13,8 +13,6 @@ from vqebench.qsim import (
     NoiseModel,
     NoiseRule,
     PauliSum,
-    basis_state,
-    embed_operator,
     evolve_circuit,
     expectation,
     expectation_exact,
@@ -25,12 +23,16 @@ from vqebench.qsim import (
 from vqebench.qsim import simulate
 
 from oracles import (
+    REF_FIXED_UNITARIES,
+    basis_state,
     check_density,
+    embed_operator,
     kraus_depolarizing,
     kraus_phase_damping,
     kraus_thermal_relaxation,
     pure_state,
     purity,
+    ref_generator,
 )
 
 
@@ -200,19 +202,6 @@ def test_estimator_spec_validation():
 
 # --- reference evolution over every gate kind ------------------------------
 
-_REF_PAULI = {
-    "I": np.eye(2),
-    "X": np.array([[0, 1], [1, 0]]),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.diag([1, -1]),
-}
-_REF_FIXED = {
-    "x": _REF_PAULI["X"],
-    "y": _REF_PAULI["Y"],
-    "z": _REF_PAULI["Z"],
-    "h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
-    "cx": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
-}
 #: Every gate kind on three qubits, multi-qubit targets out of order.
 _ALL_KINDS_CIRCUIT = """
 x 0
@@ -265,14 +254,10 @@ def _reference_evolution(rho, circuit, theta, rule, attach):
     rotations), then sum_i E_i rho E_i^dag for each attached channel."""
     n = circuit.n_qubits
     for gate in circuit.gates:
-        if gate.kind in _REF_FIXED:
-            local = _REF_FIXED[gate.kind].astype(complex)
+        if gate.kind in REF_FIXED_UNITARIES:
+            local = REF_FIXED_UNITARIES[gate.kind].astype(complex)
         else:
-            string = gate.pauli_string if gate.kind == "prot" else gate.kind[1].upper()
-            generator = np.array([[1.0]])
-            for c in string:
-                generator = np.kron(generator, _REF_PAULI[c])
-            local = scipy.linalg.expm(-0.5j * theta[gate.param_index] * generator)
+            local = scipy.linalg.expm(-0.5j * theta[gate.param_index] * ref_generator(gate))
         u = embed_operator(local, gate.qubits, n)
         rho = u @ rho @ u.conj().T
         if rule is None or gate.kind not in rule.gates:

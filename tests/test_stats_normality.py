@@ -13,7 +13,7 @@ from vqebench.stats import (
     levene_like_test,
     mardia_test,
 )
-from vqebench.stats.normality import chi2_sf, covariances, f_sf, norm_sf
+from vqebench.stats.normality import centred_covariances, chi2_sf, f_sf, norm_sf
 
 
 def gaussian_sample(rng, n, mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0))):
@@ -279,7 +279,7 @@ def test_closed_form_singular_mask_equals_cond():
     for n in (3, 4, 5, 7, 10, 17, 40):
         for points in _clouds(rng, n):
             resamples = points[rng.integers(0, n, size=(500, n))]
-            cov, singular = covariances(resamples)
+            cov, singular = centred_covariances(resamples - resamples.mean(axis=1)[:, None, :])
             assert np.array_equal(singular, np.linalg.cond(cov) > 1e12)
             singular_seen += int(singular.sum())
     assert 0 < singular_seen < 7 * 8 * 500
