@@ -125,19 +125,22 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
         try:
             if kind == "prot":
                 pauli = parts[1]
-                param = _parse_param(parts[2], lineno)
+                param = _parse_param(parts[2])
                 qubits = tuple(int(p) for p in parts[3:])
                 gate = Gate(kind, qubits, param_index=param, pauli_string=pauli)
             else:
                 param = None
                 qubit_tokens = parts[1:]
                 if qubit_tokens and qubit_tokens[-1].startswith("t"):
-                    param = _parse_param(qubit_tokens[-1], lineno)
+                    param = _parse_param(qubit_tokens[-1])
                     qubit_tokens = qubit_tokens[:-1]
                 qubits = tuple(int(p) for p in qubit_tokens)
                 gate = Gate(kind, qubits, param_index=param)
         except (IndexError, ValueError) as exc:
-            raise ParameterDomainError(f"line {lineno}: cannot parse gate {raw!r}") from exc
+            reason = "missing fields" if isinstance(exc, IndexError) else exc
+            raise ParameterDomainError(
+                f"line {lineno}: cannot parse gate {raw!r}: {reason}"
+            ) from exc
         gates.append(gate)
         max_qubit = max(max_qubit, *gate.qubits)
     if n_qubits is None:
@@ -145,10 +148,11 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
-def _parse_param(token: str, lineno: int) -> int:
-    if not token.startswith("t"):
-        raise ParameterDomainError(f"line {lineno}: expected parameter token, got {token!r}")
-    return int(token[1:])
+def _parse_param(token: str) -> int:
+    index = token[1:]
+    if not token.startswith("t") or not index.removeprefix("-").isdecimal():
+        raise ParameterDomainError(f"expected a parameter token t<index>, got {token!r}")
+    return int(index)
 
 
 def load_circuit(path, n_qubits: int | None = None) -> Circuit:

@@ -12,8 +12,6 @@ from .circuits import Circuit
 from .noise import NoiseModel
 from .pauli import PauliSum, pauli_string_matrix
 
-_IMAG_RESIDUE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -102,7 +100,6 @@ class _Readout(NamedTuple):
     A Pauli string P has one nonzero entry per row i, at column i XOR the mask
     of its X/Y positions, so <P> = sum_i phases[i] * rho[flips[i], i]."""
 
-    matrix: np.ndarray  # the dense Hamiltonian
     constant: float  # the identity terms' coefficients, summed
     coeffs: np.ndarray  # (T,) coefficients of the measured (non-identity) terms
     flips: np.ndarray  # (T, d) column of each row's nonzero entry
@@ -125,7 +122,6 @@ def _readout(hamiltonian: PauliSum) -> _Readout:
         flips.append(flip)
         phases.append(pauli_string_matrix(string)[rows, flip])
     return _Readout(
-        matrix=hamiltonian.to_matrix(),
         constant=constant,
         coeffs=np.array(coeffs, dtype=float),
         flips=np.array(flips, dtype=np.intp).reshape(len(coeffs), d),
@@ -134,23 +130,30 @@ def _readout(hamiltonian: PauliSum) -> _Readout:
     )
 
 
-def _check_state(rho: np.ndarray, hamiltonian: PauliSum) -> None:
+def _read_terms(rho: np.ndarray, hamiltonian: PauliSum):
+    """The readout, and per state of rho (one density matrix or a (k, d, d)
+    stack) Re Tr(rho) and each measured term's Re Tr(P rho), (k,) and (k, T)."""
     d = hamiltonian.dim
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise DimensionError(
             f"state shape {rho.shape} does not match Hamiltonian dimension {d}"
         )
+    plan = _readout(hamiltonian)
+    states = rho if rho.ndim == 3 else rho[None]
+    # The gather comes back with the stack axis innermost, so numpy's sum over
+    # d would change order with k; C-ordered, a stack reads as its states do.
+    gathered = np.ascontiguousarray(states[:, plan.flips, plan.rows])
+    paulis = (gathered * plan.phases).sum(axis=-1).real
+    return plan, np.trace(states, axis1=1, axis2=2).real, paulis
 
 
 def expectation_exact(rho: np.ndarray, hamiltonian: PauliSum) -> float | np.ndarray:
-    """Tr(rho H), discarding the (tiny) imaginary roundoff residue; one value
-    per state for a (k, d, d) stack."""
-    _check_state(rho, hamiltonian)
-    values = np.trace(rho @ _readout(hamiltonian).matrix, axis1=-2, axis2=-1)
-    residue = np.max(np.abs(values.imag))
-    if residue > _IMAG_RESIDUE_TOL:
-        raise DimensionError(f"expectation has non-negligible imaginary part {residue}")
-    return values.real if rho.ndim == 3 else float(values.real)
+    """Re Tr(rho H) = constant * Tr(rho) + sum_t c_t Re Tr(P_t rho), read from
+    the Hamiltonian's readout table; one value per state for a (k, d, d)
+    stack, equal to reading its states one at a time bit for bit."""
+    plan, traces, paulis = _read_terms(rho, hamiltonian)
+    total = plan.constant * traces + (paulis * plan.coeffs).sum(axis=-1)
+    return total if rho.ndim == 3 else float(total[0])
 
 
 def expectation_shots(
@@ -167,13 +170,9 @@ def expectation_shots(
     entries, zero trace) gives NaN and draws nothing."""
     if n_m < 1:
         raise ParameterDomainError(f"shot count must be >= 1, got {n_m}")
-    _check_state(rho, hamiltonian)
-    plan = _readout(hamiltonian)
-    states = rho if rho.ndim == 3 else rho[None]
-    paulis = (states[:, plan.flips, plan.rows] * plan.phases).sum(axis=-1)
-    traces = np.trace(states, axis1=1, axis2=2).real
+    plan, traces, paulis = _read_terms(rho, hamiltonian)
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0 for a zero-trace state
-        p_plus = (1.0 + paulis.real / traces[:, None]) / 2.0
+        p_plus = (1.0 + paulis / traces[:, None]) / 2.0
     lost = ~np.isfinite(p_plus)
     counts = rng.binomial(n_m, np.where(lost, 0.0, p_plus).clip(0.0, 1.0))
     estimates = np.where(lost, np.nan, 2.0 * counts / n_m - 1.0)

@@ -115,6 +115,22 @@ def test_parse_circuit_bad_line():
         parse_circuit("ry zero t0\n")
 
 
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("rzz 0 1 t1", "unknown gate kind 'rzz'"),
+        ("prot XY t0 0", "prot Pauli string length must match the number of target qubits"),
+        ("rx 0 t-1", "negative parameter index t-1"),
+        ("ry 0 tx", "expected a parameter token t<index>, got 'tx'"),
+        ("prot", "missing fields"),
+    ],
+)
+def test_parse_circuit_names_why_a_gate_is_rejected(line, cause):
+    with pytest.raises(ParameterDomainError) as info:
+        parse_circuit(f"h 0\n{line}\n")
+    assert str(info.value) == f"line 2: cannot parse gate {line!r}: {cause}"
+
+
 def test_circuit_rejects_unreferenced_params():
     gates = (Gate("ry", (0,), param_index=1),)
     with pytest.raises(ParameterDomainError, match=r"unreferenced parameter indices: \[0\]"):

@@ -242,6 +242,7 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
         "no_parameters",
         "negative_qubit",
         "qubit_too_high",
+        "unknown_gate",
     ],
 )
 def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_problem):
@@ -255,6 +256,8 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
     negative.write_text("ry 0 t0\nry -1 t1\ncx 0 1\n")
     too_high = tmp_path / "too_high.circ"
     too_high.write_text("ry 0 t0\nry 2 t1\n")  # the toy Hamiltonian has qubits 0 and 1
+    unknown = tmp_path / "unknown.circ"
+    unknown.write_text("ry 0 t0\nrzz 0 1 t1\n")
     overrides = {
         "missing_ham": {"hamiltonian_path": str(tmp_path / "absent.ham")},
         "nine_qubits": {"hamiltonian_path": str(ham), "circuit_path": str(circ)},
@@ -262,6 +265,7 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         "no_parameters": {"circuit_path": str(fixed)},  # nothing to optimize
         "negative_qubit": {"circuit_path": str(negative)},
         "qubit_too_high": {"circuit_path": str(too_high)},
+        "unknown_gate": {"circuit_path": str(unknown)},
     }[bad_problem]
     out = tmp_path / "o.csv"
     out.write_bytes(b"an earlier grid's runs\n")

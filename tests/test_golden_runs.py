@@ -9,7 +9,8 @@ Regenerate the CSV only for a declared change to the run outputs:
     PYTHONPATH=src python tests/test_golden_runs.py
 
 It prints, per family, the rows that moved, the largest change of the three
-energies and any change of n_evals or converged, then rewrites the CSV.
+energies and any change of n_evals or converged, and lists each row whose
+energy moved by more than 1e-12; then it rewrites the CSV.
 """
 import csv
 from dataclasses import replace
@@ -25,7 +26,7 @@ from vqebench.harness import (
     toy_problem_paths,
     write_records,
 )
-from vqebench.harness.records import CSV_HEADER, _record_row
+from vqebench.harness.records import CSV_HEADER, RunRecord, _record_row
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.csv"
 
@@ -91,21 +92,27 @@ def _key(record):
     return record.family, record.optimizer, record.seed
 
 
+#: A row whose energy moved by more than this is listed with its changes.
+LISTED_DELTA = 1e-12
+
+
 def rebaseline_report(pinned, fresh) -> list[str]:
     """For records of the same grid in the same order, one line per family:
     the rows whose energies moved, the largest |change| of the three
-    energies, and each change of n_evals or converged."""
+    energies, and each change of n_evals or converged.  Under it, one line
+    per row of that family whose energy moved by more than LISTED_DELTA:
+    its 1-based row in the CSV, and the change of each energy."""
     pinned, fresh = (_as_dicts(map(_record_row, records)) for records in (pinned, fresh))
+    rows = list(enumerate(zip(pinned, fresh), start=1))
     lines = []
     for family in dict.fromkeys(r["family"] for r in pinned):
-        pairs = [(w, g) for w, g in zip(pinned, fresh) if w["family"] == family]
-        moved = [(w, g) for w, g in pairs if any(w[c] != g[c] for c in FLOAT_COLUMNS)]
-        delta = max(
-            (abs(float(g[c]) - float(w[c])) for w, g in moved for c in FLOAT_COLUMNS), default=0.0
-        )
+        pairs = [(i, w, g) for i, (w, g) in rows if w["family"] == family]
+        deltas = {i: [float(g[c]) - float(w[c]) for c in FLOAT_COLUMNS] for i, w, g in pairs}
+        moved = [i for i, w, g in pairs if any(w[c] != g[c] for c in FLOAT_COLUMNS)]
+        delta = max((abs(x) for i in moved for x in deltas[i]), default=0.0)
         changed = [
             f"{w['optimizer']}/{w['seed']} {c} {w[c]} -> {g[c]}"
-            for w, g in pairs
+            for _, w, g in pairs
             for c in ("n_evals", "converged")
             if w[c] != g[c]
         ]
@@ -113,7 +120,36 @@ def rebaseline_report(pinned, fresh) -> list[str]:
             f"{family}: {len(moved)} of {len(pairs)} rows moved, max |delta energy| {delta:.3g}; "
             + (", ".join(changed) or "n_evals and converged unchanged")
         )
+        lines.extend(
+            f"  row {i} {w['optimizer']}/{w['seed']}: "
+            + ", ".join(f"{c} {x:+.3g}" for c, x in zip(FLOAT_COLUMNS, deltas[i]))
+            for i, w, _ in pairs
+            if i in moved and not all(abs(x) <= LISTED_DELTA for x in deltas[i])
+        )
     return lines
+
+
+def test_rebaseline_report_lists_moved_rows():
+    def record(family, optimizer, e_ground, n_evals=40):
+        return RunRecord(family, optimizer, 0, e_ground, 1.0, e_ground + 1.0, n_evals, True, 5.0)
+
+    pinned = [
+        record("ideal", "bfgs", -2.0),
+        record("ideal", "powell", -1.5, n_evals=108),
+        record("ideal", "cobyla", -1.25),
+        record("SN-256", "bfgs", -1.0),
+    ]
+    fresh = [
+        record("ideal", "bfgs", -2.0 + 3e-9),
+        record("ideal", "powell", -1.5, n_evals=114),
+        record("ideal", "cobyla", -1.25 - 2**-52),  # moved, but by less than 1e-12
+        record("SN-256", "bfgs", -1.0),
+    ]
+    assert rebaseline_report(pinned, fresh) == [
+        "ideal: 2 of 3 rows moved, max |delta energy| 3e-09; powell/0 n_evals 108 -> 114",
+        "  row 1 bfgs/0: e_ground +3e-09, e_excited +0, e_sa +3e-09",
+        "SN-256: 0 of 1 rows moved, max |delta energy| 0; n_evals and converged unchanged",
+    ]
 
 
 if __name__ == "__main__":

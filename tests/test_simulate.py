@@ -129,6 +129,20 @@ def test_expectation_exact_dense_oracle(rng):
     assert expectation_exact(rho, h) == pytest.approx(
         float(np.real(np.trace(rho @ dense))), abs=1e-12
     )
+    # every size, on density matrices and traceless Hermitian operators, with
+    # identity terms and with an identity-only Hamiltonian
+    for n in _TABLE_STRINGS:
+        stack = _hermitian_stack(rng, n, 8)
+        for ham in _readout_hamiltonians(rng, n):
+            got = expectation_exact(stack, ham)
+            want = [np.trace(op @ ham.to_matrix()).real for op in stack]
+            scale = sum(abs(c) for c, _ in ham)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, ham)
+    # a NaN state gives NaN, and the rest of its stack reads as if alone
+    lost = np.full((4, 4), np.nan + 0j)
+    assert math.isnan(expectation_exact(lost, h))
+    got = expectation_exact(np.stack([lost, rho]), h)
+    assert math.isnan(got[0]) and got[1] == expectation_exact(rho, h)
 
 
 def test_expectation_exact_dimension_mismatch():
@@ -174,12 +188,48 @@ def test_expectation_shots_y_basis():
     assert got == pytest.approx(1.0)
 
 
+def _hermitian_stack(rng, n, k):
+    """k operators on n qubits, cycling through a density matrix and the
+    traceless Hermitian operators resolve_states evolves: (|a><b| + |b><a|)/2,
+    (|a><b| - |b><a|)/(2i) and a random traceless Hermitian one."""
+    d = 2 ** n
+    a, b = rng.choice(d, size=2, replace=False)
+    re_cross, im_cross = np.zeros((2, d, d), dtype=complex)
+    re_cross[a, b] = re_cross[b, a] = 0.5
+    im_cross[a, b], im_cross[b, a] = -0.5j, 0.5j
+
+    def traceless():
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        g = (g + g.conj().T) / 2.0
+        return g - np.trace(g) / d * np.eye(d)
+
+    makers = (lambda: _random_density(rng, d), lambda: re_cross, lambda: im_cross, traceless)
+    return np.stack([makers[i % 4]() for i in range(k)])
+
+
+def _readout_hamiltonians(rng, n):
+    """A Hamiltonian of _TABLE_STRINGS[n] with random coefficients and an
+    identity term, and an identity-only one."""
+    strings = _TABLE_STRINGS[n]
+    terms = list(zip(rng.normal(size=len(strings)).tolist(), strings))
+    return [
+        PauliSum.from_terms([*terms, (0.3, "I" * n)]),
+        PauliSum.from_terms([(-0.35, "I" * n)]),
+    ]
+
+
 def test_expectation_exact_stack_matches_per_state(rng):
-    h = PauliSum.from_terms([(0.5, "ZZ"), (0.25, "XI"), (-0.4, "YX"), (0.1, "II")])
-    stack = np.stack([_random_density(rng, 4) for _ in range(3)])
-    got = expectation_exact(stack, h)
-    assert got.shape == (3,)
-    assert all(got[i] == expectation_exact(stack[i], h) for i in range(3))
+    """A stack reads as its states do, bit for bit, whatever its size: the
+    readout's gather is C-ordered, so numpy sums each term in one order."""
+    for n in _TABLE_STRINGS:
+        for k in (2, 3, 64):
+            stack = _hermitian_stack(rng, n, k)
+            for h in _readout_hamiltonians(rng, n):
+                got = expectation_exact(stack, h)
+                singles = [expectation_exact(rho, h) for rho in stack]
+                assert got.shape == (k,)
+                assert all(isinstance(v, float) for v in singles)
+                assert np.array_equal(got, singles), (n, k, h)
 
 
 def test_expectation_dispatch():
