@@ -61,29 +61,23 @@ class ReferencePair:
         return self.e0 + self.e1
 
 
-def sa_cost(
-    theta, ctx: EnsembleContext, rng: np.random.Generator | None = None
-) -> float | np.ndarray:
-    """Sum of the Hamiltonian expectations over the two evolved states,
-    evolved and measured as one stack.
-
-    theta is one parameter vector, or an (m, p) stack of them, which gives
-    m costs.  Their 2m states are measured as one stack ordered
-    [theta_0 a, theta_0 b, theta_1 a, ...], so the shots drawn are those of
-    m calls on one vector each."""
+def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Sum of the Hamiltonian expectations over the two evolved states, one
+    cost per row of an (m, p) parameter stack.  The 2m states are evolved
+    and measured as one stack ordered [theta_0 a, theta_0 b, theta_1 a, ...],
+    so the shots drawn are those of m calls on stacks of one."""
     dim = ctx.hamiltonian.dim
     initial = np.zeros((2, dim, dim), dtype=complex)
     initial[0, ctx.phi_a, ctx.phi_a] = initial[1, ctx.phi_b, ctx.phi_b] = 1.0
     rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
     pairs = expectation(rhos.reshape(-1, dim, dim), ctx.hamiltonian, ctx.estimator, rng)
     pairs = pairs.reshape(-1, 2)
-    costs = 0.0 + pairs[:, 0] + pairs[:, 1]
-    return costs if np.ndim(theta) == 2 else float(costs[0])
+    return 0.0 + pairs[:, 0] + pairs[:, 1]
 
 
 def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
-    """Eigenvalues of the 2x2 Hamiltonian block spanned by the two evolved
-    states, sorted ascending.
+    """Eigenvalues of the 2x2 Hamiltonian block spanned by the two states
+    evolved under one parameter vector, sorted ascending.
 
     Expectations are taken exactly; the estimator's noise model still applies
     to state preparation.  The cross term z = Tr(H E(|a><b|)) is read from
@@ -96,8 +90,8 @@ def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
     initial[0, a, a] = initial[1, b, b] = 1.0
     initial[2, a, b] = initial[2, b, a] = 0.5
     initial[3, a, b], initial[3, b, a] = -0.5j, 0.5j
-    rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
-    m_aa, m_bb, re_z, im_z = expectation_exact(rhos, ctx.hamiltonian)
+    rhos = evolve_circuit(initial, ctx.ansatz, np.asarray(theta)[None], ctx.estimator.noise)
+    m_aa, m_bb, re_z, im_z = expectation_exact(rhos[0], ctx.hamiltonian)
     block = np.array([[m_aa, re_z - 1j * im_z], [re_z + 1j * im_z, m_bb]])
     e0, e1 = np.linalg.eigvalsh(block)
     return float(e0), float(e1)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParameterDomainError, is_integer
-from ..optimizers import IsomaParams, OptimizerSpec
+from ..optimizers import SPEC_FIELDS, IsomaParams, OptimizerSpec
 from ..qsim import EstimatorSpec, NoiseModel, NoiseRule
 from .catalog import FamilySpec, lookup_family
 
@@ -30,8 +30,8 @@ class Theta0Policy:
     def __post_init__(self):
         if self.kind not in ("zeros", "uniform"):
             raise ParameterDomainError(f"unknown theta0 policy {self.kind!r}")
-        if not -math.inf < self.low < self.high < math.inf:
-            raise ParameterDomainError("theta0 policy bounds must be finite with low < high")
+        if not (self.low < self.high and math.isfinite(self.high - self.low)):
+            raise ParameterDomainError("theta0 policy bounds need low < high and a finite high - low")
 
     def draw(self, n_params: int, rng):
         if self.kind == "zeros":
@@ -146,11 +146,29 @@ def _isoma(obj) -> IsomaParams:
     return _read(IsomaParams, obj, "isoma", **numbers)
 
 
+def _taking(build, names):
+    """build, with a signature of only its parameters in names."""
+    signature = inspect.signature(build)
+
+    def narrowed(**kwargs):
+        return build(**kwargs)
+
+    kept = [p for p in signature.parameters.values() if p.name in names]
+    narrowed.__signature__ = signature.replace(parameters=kept)
+    return narrowed
+
+
 def _optimizer(obj) -> OptimizerSpec:
+    """An optimizer name, or an object that takes its kind and only the
+    fields that kind reads (SPEC_FIELDS)."""
     if isinstance(obj, str):
         return OptimizerSpec(kind=obj)
+    build, what = OptimizerSpec, "optimizer"
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if isinstance(kind, str) and kind in SPEC_FIELDS:
+        build, what = _taking(OptimizerSpec, ("kind", *SPEC_FIELDS[kind])), f"optimizer {kind!r}"
     isoma = (("object",), _isoma)
-    return _read(OptimizerSpec, obj, "optimizer", ftol=_NUMBER, gradient_step=_NUMBER, isoma=isoma)
+    return _read(build, obj, what, ftol=_NUMBER, gradient_step=_NUMBER, isoma=isoma)
 
 
 def _theta0(obj) -> Theta0Policy:

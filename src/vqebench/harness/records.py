@@ -83,7 +83,7 @@ def read_records(path) -> list[RunRecord]:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParameterDomainError(f"cannot read runs file {path}: {exc}") from exc
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ParameterDomainError(f"{path} does not start with the runs CSV header")

@@ -19,6 +19,16 @@ _DISPATCH = {
     "isoma": isoma_minimize,
 }
 
+#: The OptimizerSpec fields each kind's algorithm reads, besides its kind.
+SPEC_FIELDS = {
+    "bfgs": ("maxiter", "ftol", "gradient_step"),
+    "slsqp": ("maxiter", "ftol", "gradient_step"),
+    "nelder_mead": ("maxiter",),
+    "powell": ("maxiter",),
+    "cobyla": ("maxiter",),
+    "isoma": ("isoma",),
+}
+
 
 def minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator | None = None) -> OptResult:
     """Run the algorithm named by spec.kind as algo(session, theta0, spec,
@@ -42,6 +52,7 @@ def minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator | None 
 
 __all__ = [
     "OPTIMIZER_KINDS",
+    "SPEC_FIELDS",
     "IsomaParams",
     "OptResult",
     "OptimizerSpec",

@@ -29,8 +29,8 @@ class IsomaParams:
         for count in ("n_jump", "pop_size", "max_migration", "max_fes", "m", "n", "k"):
             if not is_count(getattr(self, count)):
                 raise ParameterDomainError(f"iSOMA {count} must be an integer from 1 to 2**63 - 1")
-        if not -math.inf < self.var_min < self.var_max < math.inf:
-            raise ParameterDomainError("var_min and var_max must be finite, var_min below var_max")
+        if not (self.var_min < self.var_max and math.isfinite(self.var_max - self.var_min)):
+            raise ParameterDomainError("iSOMA needs var_min < var_max and a finite var_max - var_min")
         if not math.isfinite(self.step):
             raise ParameterDomainError(f"iSOMA step must be finite, got {self.step!r}")
         if not self.m <= self.pop_size:

@@ -47,6 +47,9 @@ class PauliSum:
             merged[string] = merged.get(string, 0.0) + coeff
         if not merged:
             raise ParameterDomainError("PauliSum needs at least one term")
+        for string, coeff in merged.items():
+            if not math.isfinite(coeff):
+                raise ParameterDomainError(f"the coefficients of {string} sum to {coeff}")
         return PauliSum(tuple((c, s) for s, c in merged.items()))
 
     @property

@@ -41,26 +41,25 @@ def evolve_circuit(
     noise: NoiseModel | None = None,
 ) -> np.ndarray:
     """Apply the circuit's gates in order, inserting noise channels after
-    each gate matched by the noise model.  rho0 is one density matrix or a
-    (k, d, d) stack of them, evolved together.  theta is one parameter
-    vector, or an (m, p) stack of them: then each row evolves the whole of
-    rho0, and the result is (m, *rho0.shape), each slice equal to evolving
-    under that row alone."""
+    each gate matched by the noise model.  rho0 is a (k, d, d) stack of
+    density matrices and theta an (m, p) stack of parameter vectors; the
+    result is (m, k, d, d), slice j the whole of rho0 evolved under row j."""
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != circuit.n_params:
+    if theta.ndim != 2 or theta.shape[1] != circuit.n_params:
         raise DimensionError(
-            f"expected {circuit.n_params} parameters, got shape {theta.shape}"
+            f"expected an (m, {circuit.n_params}) parameter stack, got shape {theta.shape}"
         )
-    if rho0.shape[-1] != 2**circuit.n_qubits:
+    d = 2**circuit.n_qubits
+    if rho0.ndim != 3 or rho0.shape[1:] != (d, d):
         raise DimensionError(
-            f"state dimension {rho0.shape[-1]} does not match the circuit's"
-            f" {circuit.n_qubits} qubits"
+            f"expected a (k, {d}, {d}) state stack for the circuit's"
+            f" {circuit.n_qubits} qubits, got shape {rho0.shape}"
         )
     # exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P, one (d, d)
-    # rotation per row at each rotation gate, shaped (*rows, 1 if rho0 is a
-    # stack, d, d) to broadcast over rho0.  Only the current gate's rotations
-    # are live, so memory stays a few copies of the evolved stack.
-    half = theta.T.reshape(circuit.n_params, *theta.shape[:-1], *(1,) * rho0.ndim) / 2.0
+    # rotation per row at each rotation gate, shaped (m, 1, d, d) to
+    # broadcast over rho0.  Only the current gate's rotations are live, so
+    # memory stays a few copies of the evolved stack.
+    half = theta.T[:, :, None, None, None] / 2.0
     cosines, i_sines = np.cos(half), 1j * np.sin(half)
     plan = _schedule(circuit, noise)
     rho = rho0
@@ -70,6 +69,8 @@ def evolve_circuit(
         rho = op @ rho @ op.conj().swapaxes(-1, -2)
         for channel in channels:
             rho = channel(rho)
+    if rho.ndim == 3:  # no rotation gate has added the m axis
+        rho = np.repeat(rho[None], len(theta), axis=0)
     return rho
 
 
@@ -131,29 +132,27 @@ def _readout(hamiltonian: PauliSum) -> _Readout:
 
 
 def _read_terms(rho: np.ndarray, hamiltonian: PauliSum):
-    """The readout, and per state of rho (one density matrix or a (k, d, d)
-    stack) Re Tr(rho) and each measured term's Re Tr(P rho), (k,) and (k, T)."""
+    """The readout, and per state of a (k, d, d) stack Re Tr(rho) and each
+    measured term's Re Tr(P rho), (k,) and (k, T)."""
     d = hamiltonian.dim
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+    if rho.ndim != 3 or rho.shape[1:] != (d, d):
         raise DimensionError(
-            f"state shape {rho.shape} does not match Hamiltonian dimension {d}"
+            f"expected a (k, {d}, {d}) state stack for the Hamiltonian, got shape {rho.shape}"
         )
     plan = _readout(hamiltonian)
-    states = rho if rho.ndim == 3 else rho[None]
     # The gather comes back with the stack axis innermost, so numpy's sum over
-    # d would change order with k; C-ordered, a stack reads as its states do.
-    gathered = np.ascontiguousarray(states[:, plan.flips, plan.rows])
+    # d would change order with k; C-ordered, a stack reads as its stacks of one do.
+    gathered = np.ascontiguousarray(rho[:, plan.flips, plan.rows])
     paulis = (gathered * plan.phases).sum(axis=-1).real
-    return plan, np.trace(states, axis1=1, axis2=2).real, paulis
+    return plan, np.trace(rho, axis1=1, axis2=2).real, paulis
 
 
-def expectation_exact(rho: np.ndarray, hamiltonian: PauliSum) -> float | np.ndarray:
+def expectation_exact(rho: np.ndarray, hamiltonian: PauliSum) -> np.ndarray:
     """Re Tr(rho H) = constant * Tr(rho) + sum_t c_t Re Tr(P_t rho), read from
-    the Hamiltonian's readout table; one value per state for a (k, d, d)
-    stack, equal to reading its states one at a time bit for bit."""
+    the Hamiltonian's readout table: one value per state of a (k, d, d)
+    stack, equal bit for bit to that state read as a stack of one."""
     plan, traces, paulis = _read_terms(rho, hamiltonian)
-    total = plan.constant * traces + (paulis * plan.coeffs).sum(axis=-1)
-    return total if rho.ndim == 3 else float(total[0])
+    return plan.constant * traces + (paulis * plan.coeffs).sum(axis=-1)
 
 
 def expectation_shots(
@@ -161,13 +160,13 @@ def expectation_shots(
     hamiltonian: PauliSum,
     n_m: int,
     rng: np.random.Generator,
-) -> float | np.ndarray:
-    """Shot-based estimate: each non-identity Pauli term P is measured with
-    n_m shots, X ~ Binomial(n_m, (1 + <P>) / 2) of them +1, and estimated as
-    2X/n_m - 1; identity terms contribute exactly.  One value per state for a
-    (k, d, d) stack, whose one `rng.binomial` call draws what measuring its
-    states one at a time would.  A state with non-finite probabilities (NaN
-    entries, zero trace) gives NaN and draws nothing."""
+) -> np.ndarray:
+    """Shot-based estimate, one value per state of a (k, d, d) stack: each
+    non-identity Pauli term P is measured with n_m shots, X ~ Binomial(n_m,
+    (1 + <P>) / 2) of them +1, and estimated as 2X/n_m - 1; identity terms
+    contribute exactly.  The one `rng.binomial` call draws what measuring
+    the states as stacks of one in turn would.  A state with non-finite
+    probabilities (NaN entries, zero trace) gives NaN and draws nothing."""
     if n_m < 1:
         raise ParameterDomainError(f"shot count must be >= 1, got {n_m}")
     plan, traces, paulis = _read_terms(rho, hamiltonian)
@@ -176,8 +175,7 @@ def expectation_shots(
     lost = ~np.isfinite(p_plus)
     counts = rng.binomial(n_m, np.where(lost, 0.0, p_plus).clip(0.0, 1.0))
     estimates = np.where(lost, np.nan, 2.0 * counts / n_m - 1.0)
-    total = plan.constant + (estimates * plan.coeffs).sum(axis=-1)
-    return total if rho.ndim == 3 else float(total[0])
+    return plan.constant + (estimates * plan.coeffs).sum(axis=-1)
 
 
 def expectation(
@@ -185,9 +183,9 @@ def expectation(
     hamiltonian: PauliSum,
     spec: EstimatorSpec,
     rng: np.random.Generator | None = None,
-) -> float | np.ndarray:
-    """Expectation under an estimator spec (rng required in shots mode); one
-    value per state for a (k, d, d) stack."""
+) -> np.ndarray:
+    """Expectation under an estimator spec (rng required in shots mode), one
+    value per state of a (k, d, d) stack."""
     if spec.mode == "exact":
         return expectation_exact(rho, hamiltonian)
     if rng is None:

@@ -20,7 +20,7 @@ def test_gate_durations_default():
 def _evolved(gate, theta, rho):
     """rho after the one-gate circuit of a rotation gate at parameter theta."""
     circuit = Circuit(n_qubits=rho.shape[0].bit_length() - 1, gates=(gate,))
-    return evolve_circuit(rho, circuit, np.array([theta]))
+    return evolve_circuit(rho[None], circuit, np.array([[theta]]))[0, 0]
 
 
 def test_rz_unitary():

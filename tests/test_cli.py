@@ -243,6 +243,7 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
         "negative_qubit",
         "qubit_too_high",
         "unknown_gate",
+        "overflowing_coefficient",
     ],
 )
 def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_problem):
@@ -258,6 +259,8 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
     too_high.write_text("ry 0 t0\nry 2 t1\n")  # the toy Hamiltonian has qubits 0 and 1
     unknown = tmp_path / "unknown.circ"
     unknown.write_text("ry 0 t0\nrzz 0 1 t1\n")
+    overflowing = tmp_path / "overflowing.ham"
+    overflowing.write_text("1e308 ZI\n-1.0 IZ\n1e308 ZI\n")  # ZI merges to inf
     overrides = {
         "missing_ham": {"hamiltonian_path": str(tmp_path / "absent.ham")},
         "nine_qubits": {"hamiltonian_path": str(ham), "circuit_path": str(circ)},
@@ -266,6 +269,7 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         "negative_qubit": {"circuit_path": str(negative)},
         "qubit_too_high": {"circuit_path": str(too_high)},
         "unknown_gate": {"circuit_path": str(unknown)},
+        "overflowing_coefficient": {"hamiltonian_path": str(overflowing)},
     }[bad_problem]
     out = tmp_path / "o.csv"
     out.write_bytes(b"an earlier grid's runs\n")
@@ -442,6 +446,15 @@ def test_depolarizing_on_3q_prot_runs(tmp_path):
         {"families": [{"name": "tr", "noise": [{"gates": ["cx"], "kind": "thermal_relaxation", "t1_ns": float("nan"), "t2_ns": 50.0}]}]},
         # a repeated seed would write each of its rows twice
         {"seeds": [0, 0, 1]},
+        # finite bounds whose span overflows a float
+        {"theta0_policy": {"kind": "uniform", "low": -1e308, "high": 1e308}},
+        {"optimizers": [{"kind": "isoma", "isoma": {"var_min": -1e308, "var_max": 1e308}}]},
+        # a field the optimizer's kind never reads
+        {"optimizers": [{"kind": "powell", "ftol": 0.5, "gradient_step": 0.3}]},
+        {"optimizers": [{"kind": "nelder_mead", "gradient_step": 0.3}]},
+        {"optimizers": [{"kind": "cobyla", "isoma": {"max_fes": 10}}]},
+        {"optimizers": [{"kind": "isoma", "maxiter": 1}]},
+        {"optimizers": [{"kind": "isoma", "ftol": 0.9}]},
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, overrides):
@@ -491,6 +504,23 @@ def test_number_beyond_float_range_names_its_key(tmp_path, capsys, overrides, ke
     assert main(["run", "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and f"{key!r} is out of range" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "rank"])
+def test_runs_csv_field_beyond_the_csv_limit_exits_3(tmp_path, capsys, command):
+    runs = tmp_path / "runs.csv"
+    write_records(synthetic_records(), runs)
+    with open(runs, "a", newline="") as handle:
+        handle.write("x" * (csv.field_size_limit() + 1) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["analyze", "--runs", str(runs), "--per-optimizer", str(out)],
+        "rank": ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: cannot read runs file {runs}:"), err
     assert not out.exists()
 
 

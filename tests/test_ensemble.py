@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,18 @@ from vqebench.ensemble import (
     sa_cost,
 )
 from vqebench.errors import CapacityError, DimensionError, ParameterDomainError
-from vqebench.qsim import Circuit, EstimatorSpec, Gate, PauliSum, parse_circuit
+from vqebench.harness import lookup_family
+from vqebench.qsim import (
+    Circuit,
+    EstimatorSpec,
+    Gate,
+    PauliSum,
+    evolve_circuit,
+    expectation,
+    expectation_exact,
+    expectation_shots,
+    parse_circuit,
+)
 
 # Reference eigenvalues of -ZI - IZ + 0.5 XX, computed by dense 4x4
 # diagonalization: e0 = -sqrt(4 + 0.25), e1 = -0.5.
@@ -77,18 +90,60 @@ def test_sa_cost_zero_gate_ansatz(toy_hamiltonian):
     circ = Circuit(n_qubits=2, gates=())
     ctx = EnsembleContext(toy_hamiltonian, circ, 0, 1, EstimatorSpec())
     # diagonal entries of H at |00> and |01>: -2 and 0
-    assert sa_cost(np.array([]), ctx) == pytest.approx(-2.0)
+    assert sa_cost(np.zeros((1, 0)), ctx) == pytest.approx([-2.0])
+
+
+def test_evaluation_path_takes_stacks_and_returns_arrays(toy_hamiltonian, toy_circuit, toy_ctx):
+    """One state or one parameter vector is a stack of one: the shapes of a
+    second, one-state path are rejected, an (m, 0) stack gives m values, and
+    a circuit that starts with a fixed gate evolves to (m, k, d, d)."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    theta, rng = np.zeros(3), np.random.default_rng(0)
+    removed = {
+        "evolve_circuit one state": lambda: evolve_circuit(rho, toy_circuit, theta[None]),
+        "evolve_circuit one vector": lambda: evolve_circuit(rho[None], toy_circuit, theta),
+        "expectation_exact": lambda: expectation_exact(rho, toy_hamiltonian),
+        "expectation_shots": lambda: expectation_shots(rho, toy_hamiltonian, 16, rng),
+        "expectation exact": lambda: expectation(rho, toy_hamiltonian, EstimatorSpec()),
+        "expectation shots": lambda: expectation(rho, toy_hamiltonian, EstimatorSpec(n_m=16), rng),
+        "sa_cost": lambda: sa_cost(theta, toy_ctx),
+        "resolve_states a stack": lambda: resolve_states(theta[None], toy_ctx),
+    }
+    for what, call in removed.items():
+        with pytest.raises(DimensionError):
+            call()
+            pytest.fail(what)
+    # a parameter-free ansatz: m equal costs (m shot estimates), none for m = 0
+    fixed = parse_circuit("cx 0 1", n_qubits=2)
+    for family in ("ideal", "DEPOL-5%", "TR-T1=50ns"):
+        estimator = lookup_family(family).estimator
+        for spec in (estimator, replace(estimator, n_m=None)):
+            ctx = EnsembleContext(toy_hamiltonian, fixed, 0, 1, spec)
+            for m in (0, 1, 3):
+                costs = sa_cost(np.zeros((m, 0)), ctx, rng)
+                assert costs.shape == (m,) and np.all(np.isfinite(costs))
+            if spec.mode == "exact":
+                assert np.all(costs == costs[0])
+    assert sa_cost(np.zeros((3, 0)), replace(toy_ctx, ansatz=fixed)).tolist() == [-2.0] * 3
+    # gates before the first rotation evolve the state stack once
+    circuit = parse_circuit("h 0\ncx 0 1\nry 1 t0\nprot XY t1 0 1", n_qubits=2)
+    rho0 = np.stack([rho, np.roll(rho, 1, axis=(0, 1))])
+    thetas = np.random.default_rng(1).uniform(-np.pi, np.pi, size=(3, 2))
+    got = evolve_circuit(rho0, circuit, thetas)
+    assert got.shape == (3, 2, 4, 4)
+    for j in range(3):
+        assert np.array_equal(evolve_circuit(rho0, circuit, thetas[j : j + 1])[0], got[j])
 
 
 def test_sa_cost_param_mismatch(toy_ctx):
     with pytest.raises(DimensionError):
-        sa_cost(np.zeros(5), toy_ctx)
+        sa_cost(np.zeros((1, 5)), toy_ctx)
 
 
 def test_sa_cost_variational_bound(toy_ctx, toy_reference, rng):
-    for _ in range(200):
-        theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=3)
-        assert sa_cost(theta, toy_ctx) >= toy_reference.e_sa - 1e-9
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(200, 3))
+    assert np.all(sa_cost(thetas, toy_ctx) >= toy_reference.e_sa - 1e-9)
 
 
 def test_resolve_identity_ansatz_diagonal(toy_hamiltonian):
@@ -104,7 +159,7 @@ def test_resolve_trace_matches_cost(toy_ctx, rng):
         theta = rng.uniform(-np.pi, np.pi, size=3)
         e0, e1 = resolve_states(theta, toy_ctx)
         assert e0 <= e1
-        assert e0 + e1 == pytest.approx(sa_cost(theta, toy_ctx), abs=1e-9)
+        assert e0 + e1 == pytest.approx(sa_cost(theta[None], toy_ctx)[0], abs=1e-9)
 
 
 def test_resolve_bounded_below_by_reference(toy_ctx, toy_reference, rng):
@@ -156,8 +211,8 @@ def _polarization_resolve(theta, ctx):
     e_b[ctx.phi_b] = 1.0
     preparations = (e_a, e_b, (e_a + e_b) / np.sqrt(2.0), e_a.astype(complex) + 1j * e_b)
     initial = np.stack([pure_state(vec) for vec in preparations])
-    rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
-    m_aa, m_bb, plus, imag = expectation_exact(rhos, ctx.hamiltonian)
+    rhos = evolve_circuit(initial, ctx.ansatz, theta[None], ctx.estimator.noise)
+    m_aa, m_bb, plus, imag = expectation_exact(rhos[0], ctx.hamiltonian)
     re_ab = plus - 0.5 * (m_aa + m_bb)
     im_ab = 0.5 * (m_aa + m_bb) - imag
     block = np.array([[m_aa, re_ab + 1j * im_ab], [re_ab - 1j * im_ab, m_bb]])

@@ -132,11 +132,29 @@ def test_config_uniform_theta0():
     assert np.all((draw >= -1.0) & (draw <= 1.0))
 
 
+@pytest.mark.parametrize(
+    "optimizer, takes",
+    [
+        ({"kind": "powell", "ftol": 0.5, "gradient_step": 0.3}, "'powell' takes no 'ftol'; it takes kind, maxiter"),
+        ({"kind": "isoma", "maxiter": 1, "ftol": 0.9}, "'isoma' takes no 'maxiter'; it takes kind, isoma"),
+        ({"kind": "slsqp", "isoma": {}}, "'slsqp' takes no 'isoma'; it takes kind, maxiter, ftol, gradient_step"),
+    ],
+    ids=["powell", "isoma", "slsqp"],
+)
+def test_config_optimizer_takes_only_the_fields_its_kind_reads(optimizer, takes):
+    data = base_config_dict()
+    data["optimizers"] = [optimizer]
+    with pytest.raises(ParameterDomainError, match=f"^optimizer {takes}$"):
+        config_from_dict(data)
+
+
 def test_theta0_policy_validation():
     with pytest.raises(ParameterDomainError):
         Theta0Policy(kind="gaussian")
     with pytest.raises(ParameterDomainError):
         Theta0Policy(low=1.0, high=-1.0)
+    with pytest.raises(ParameterDomainError):
+        Theta0Policy(kind="uniform", low=-1e308, high=1e308)  # finite bounds, infinite span
 
 
 def test_config_rejects_empty_lists():

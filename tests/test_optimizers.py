@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vqebench.errors import CostEvaluationError, DimensionError, ParameterDomainError
 from vqebench.optimizers import (
     OPTIMIZER_KINDS,
+    SPEC_FIELDS,
     IsomaParams,
     OptimizerSpec,
     finite_difference_gradient,
@@ -48,6 +51,29 @@ def test_spec_validation():
         OptimizerSpec(kind="bfgs", ftol=0.0)
     with pytest.raises(ParameterDomainError):
         IsomaParams(m=30)
+    with pytest.raises(ParameterDomainError):
+        IsomaParams(var_min=-1e308, var_max=1e308)  # finite bounds, infinite span
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_spec_fields_are_the_fields_a_kind_reads(kind):
+    """Changing a field outside SPEC_FIELDS[kind] leaves the run as it was;
+    changing one inside changes it."""
+    base = OptimizerSpec(kind, maxiter=20, isoma=IsomaParams(max_fes=60))
+    other = {
+        "maxiter": 3,
+        "ftol": 0.5,
+        "gradient_step": 0.3,
+        "isoma": IsomaParams(pop_size=5, m=5, n=2, k=3, max_fes=20),
+    }
+
+    def trace(spec):
+        return minimize(rosenbrock, np.array([-1.2, 1.0]), spec, np.random.default_rng(5)).trace
+
+    unread = {name: value for name, value in other.items() if name not in SPEC_FIELDS[kind]}
+    assert trace(replace(base, **unread)) == trace(base)
+    for name in SPEC_FIELDS[kind]:
+        assert trace(replace(base, **{name: other[name]})) != trace(base), name
 
 
 def test_gradient_linear_exact():

@@ -60,3 +60,12 @@ def test_empty_rejected():
 def test_nonfinite_coefficient_rejected():
     with pytest.raises(ParameterDomainError):
         PauliSum.from_terms([(float("nan"), "Z")])
+
+
+def test_merged_coefficient_that_overflows_rejected():
+    # each coefficient is finite, their sum is not
+    with pytest.raises(ParameterDomainError, match="ZI sum to inf"):
+        PauliSum.from_terms([(1e308, "ZI"), (-1.0, "IZ"), (1e308, "ZI")])
+    with pytest.raises(ParameterDomainError, match="sum to -inf"):
+        parse_hamiltonian("-1e308 Z\n-1e308 Z\n")
+    assert PauliSum.from_terms([(1e308, "Z"), (-1e308, "Z")]).terms == ((0.0, "Z"),)

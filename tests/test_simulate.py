@@ -42,16 +42,21 @@ def _random_density(rng, d):
     return rho / np.trace(rho)
 
 
+def _evolve_one(rho, circuit, theta, noise=None):
+    """One state under one parameter vector, as stacks of one."""
+    return evolve_circuit(rho[None], circuit, np.asarray(theta, dtype=float)[None], noise)[0, 0]
+
+
 def test_empty_circuit_identity():
     rho = basis_state(0, 1)
     circ = Circuit(n_qubits=1, gates=())
-    assert np.allclose(evolve_circuit(rho, circ, np.array([])), rho)
+    assert np.allclose(_evolve_one(rho, circ, []), rho)
 
 
 def test_rz_pi_on_plus_gives_minus():
     plus = pure_state([1.0, 1.0])
     circ = parse_circuit("rz 0 t0", n_qubits=1)
-    out = evolve_circuit(plus, circ, np.array([math.pi]))
+    out = _evolve_one(plus, circ, [math.pi])
     minus = pure_state([1.0, -1.0])
     assert np.allclose(out, minus, atol=1e-10)
 
@@ -60,7 +65,7 @@ def test_noise_applied_after_matching_gate():
     plus = pure_state([1.0, 1.0])
     circ = parse_circuit("rz 0 t0", n_qubits=1)
     noise = NoiseModel((NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.2),))
-    out = evolve_circuit(plus, circ, np.array([0.0]), noise)
+    out = _evolve_one(plus, circ, [0.0], noise)
     assert abs(out[0, 1]) == pytest.approx(0.5 * math.sqrt(0.8), abs=1e-12)
 
 
@@ -68,7 +73,7 @@ def test_noise_rule_skips_unmatched_gates():
     plus = pure_state([1.0, 1.0])
     circ = parse_circuit("h 0\nh 0", n_qubits=1)
     noise = NoiseModel((NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.9),))
-    out = evolve_circuit(plus, circ, np.array([]), noise)
+    out = _evolve_one(plus, circ, [], noise)
     assert np.allclose(out, plus, atol=1e-12)
 
 
@@ -76,13 +81,13 @@ def test_depolarizing_noise_uses_gate_arity():
     rho = basis_state(0, 2)
     circ = parse_circuit("cx 0 1", n_qubits=2)
     noise = NoiseModel((NoiseRule(frozenset({"cx"}), "depolarizing", p=1.0),))
-    out = evolve_circuit(rho, circ, np.array([]), noise)
+    out = _evolve_one(rho, circ, [], noise)
     assert np.allclose(out, np.eye(4) / 4.0, atol=1e-10)
 
 
 def test_noiseless_evolution_preserves_purity(toy_circuit):
     rho = basis_state(1, 2)
-    out = evolve_circuit(rho, toy_circuit, np.array([0.3, -1.1, 0.7]))
+    out = _evolve_one(rho, toy_circuit, [0.3, -1.1, 0.7])
     assert purity(out) == pytest.approx(1.0, abs=1e-9)
     check_density(out)
 
@@ -98,13 +103,13 @@ def test_noisy_evolution_preserves_density_invariants(toy_circuit):
             ),
         )
     )
-    out = evolve_circuit(basis_state(0, 2), toy_circuit, np.array([0.5, 0.5, 0.5]), noise)
+    out = _evolve_one(basis_state(0, 2), toy_circuit, [0.5, 0.5, 0.5], noise)
     check_density(out)
 
 
 def test_parameter_length_mismatch(toy_circuit):
     with pytest.raises(DimensionError):
-        evolve_circuit(basis_state(0, 2), toy_circuit, np.zeros(2))
+        evolve_circuit(basis_state(0, 2)[None], toy_circuit, np.zeros((1, 2)))
 
 
 # --- expectations ----------------------------------------------------------
@@ -112,9 +117,9 @@ def test_parameter_length_mismatch(toy_circuit):
 def test_expectation_exact_trivial():
     z = PauliSum.from_terms([(1.0, "Z")])
     x = PauliSum.from_terms([(1.0, "X")])
-    zero = basis_state(0, 1)
-    assert expectation_exact(zero, z) == pytest.approx(1.0)
-    assert expectation_exact(zero, x) == pytest.approx(0.0)
+    zero = basis_state(0, 1)[None]
+    assert expectation_exact(zero, z) == pytest.approx([1.0])
+    assert expectation_exact(zero, x) == pytest.approx([0.0])
 
 
 def test_expectation_exact_dense_oracle(rng):
@@ -126,8 +131,8 @@ def test_expectation_exact_dense_oracle(rng):
     z = np.diag([1.0, -1.0])
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     dense = 0.5 * np.kron(z, z) + 0.25 * np.kron(x, np.eye(2))
-    assert expectation_exact(rho, h) == pytest.approx(
-        float(np.real(np.trace(rho @ dense))), abs=1e-12
+    assert expectation_exact(rho[None], h) == pytest.approx(
+        [np.real(np.trace(rho @ dense))], abs=1e-12
     )
     # every size, on density matrices and traceless Hermitian operators, with
     # identity terms and with an identity-only Hamiltonian
@@ -140,52 +145,52 @@ def test_expectation_exact_dense_oracle(rng):
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, (n, ham)
     # a NaN state gives NaN, and the rest of its stack reads as if alone
     lost = np.full((4, 4), np.nan + 0j)
-    assert math.isnan(expectation_exact(lost, h))
+    assert math.isnan(expectation_exact(lost[None], h)[0])
     got = expectation_exact(np.stack([lost, rho]), h)
-    assert math.isnan(got[0]) and got[1] == expectation_exact(rho, h)
+    assert math.isnan(got[0]) and got[1] == expectation_exact(rho[None], h)[0]
 
 
 def test_expectation_exact_dimension_mismatch():
     with pytest.raises(DimensionError):
-        expectation_exact(basis_state(0, 1), PauliSum.from_terms([(1.0, "ZZ")]))
+        expectation_exact(basis_state(0, 1)[None], PauliSum.from_terms([(1.0, "ZZ")]))
 
 
 def test_expectation_shots_deterministic_outcome():
     z = PauliSum.from_terms([(1.0, "Z")])
-    got = expectation_shots(basis_state(0, 1), z, 64, np.random.default_rng(0))
-    assert got == pytest.approx(1.0)
+    got = expectation_shots(basis_state(0, 1)[None], z, 64, np.random.default_rng(0))
+    assert got == pytest.approx([1.0])
 
 
 def test_expectation_shots_identity_term_exact():
     h = PauliSum.from_terms([(0.75, "II")])
-    got = expectation_shots(basis_state(2, 2), h, 1, np.random.default_rng(0))
-    assert got == pytest.approx(0.75)
+    got = expectation_shots(basis_state(2, 2)[None], h, 1, np.random.default_rng(0))
+    assert got == pytest.approx([0.75])
 
 
 def test_expectation_shots_seed_determinism():
-    plus = pure_state([1.0, 1.0])
+    plus = pure_state([1.0, 1.0])[None]
     h = PauliSum.from_terms([(1.0, "Z")])
     a = expectation_shots(plus, h, 128, np.random.default_rng(7))
     b = expectation_shots(plus, h, 128, np.random.default_rng(7))
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_expectation_shots_x_on_zero_variance():
     # <X> = 0 on |0>: the estimator is a mean of n_m fair +-1 draws
     h = PauliSum.from_terms([(1.0, "X")])
-    zero = basis_state(0, 1)
+    zero = basis_state(0, 1)[None]
     rng = np.random.default_rng(3)
-    draws = np.array([expectation_shots(zero, h, 256, rng) for _ in range(400)])
+    draws = np.concatenate([expectation_shots(zero, h, 256, rng) for _ in range(400)])
     assert abs(draws.mean()) < 5.0 / (16.0 * math.sqrt(400))
     assert draws.std() == pytest.approx(1.0 / 16.0, rel=0.2)
 
 
 def test_expectation_shots_y_basis():
     # |+i> state has <Y> = +1 exactly
-    plus_i = pure_state([1.0, 1j])
+    plus_i = pure_state([1.0, 1j])[None]
     h = PauliSum.from_terms([(1.0, "Y")])
     got = expectation_shots(plus_i, h, 32, np.random.default_rng(0))
-    assert got == pytest.approx(1.0)
+    assert got == pytest.approx([1.0])
 
 
 def _hermitian_stack(rng, n, k):
@@ -219,25 +224,24 @@ def _readout_hamiltonians(rng, n):
 
 
 def test_expectation_exact_stack_matches_per_state(rng):
-    """A stack reads as its states do, bit for bit, whatever its size: the
-    readout's gather is C-ordered, so numpy sums each term in one order."""
+    """A stack reads as its stacks of one do, bit for bit, whatever its size:
+    the readout's gather is C-ordered, so numpy sums each term in one order."""
     for n in _TABLE_STRINGS:
         for k in (2, 3, 64):
             stack = _hermitian_stack(rng, n, k)
             for h in _readout_hamiltonians(rng, n):
                 got = expectation_exact(stack, h)
-                singles = [expectation_exact(rho, h) for rho in stack]
-                assert got.shape == (k,)
-                assert all(isinstance(v, float) for v in singles)
+                singles = np.concatenate([expectation_exact(rho[None], h) for rho in stack])
+                assert got.shape == singles.shape == (k,)
                 assert np.array_equal(got, singles), (n, k, h)
 
 
 def test_expectation_dispatch():
     z = PauliSum.from_terms([(1.0, "Z")])
-    zero = basis_state(0, 1)
-    assert expectation(zero, z, EstimatorSpec()) == pytest.approx(1.0)
+    zero = basis_state(0, 1)[None]
+    assert expectation(zero, z, EstimatorSpec()) == pytest.approx([1.0])
     got = expectation(zero, z, EstimatorSpec(n_m=16), np.random.default_rng(0))
-    assert got == pytest.approx(1.0)
+    assert got == pytest.approx([1.0])
     with pytest.raises(ParameterDomainError):
         expectation(zero, z, EstimatorSpec(n_m=16))
 
@@ -328,7 +332,7 @@ def test_evolution_matches_reference_on_every_gate_kind(case, rng):
     rho0 = a @ a.conj().T / np.trace(a @ a.conj().T)
     for _ in range(3):
         theta = rng.uniform(-math.pi, math.pi, size=circuit.n_params)
-        got = evolve_circuit(rho0, circuit, theta, noise)
+        got = _evolve_one(rho0, circuit, theta, noise)
         want = _reference_evolution(rho0, circuit, theta, rule, attach)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -345,7 +349,7 @@ def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circui
     noise = NoiseModel((NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),))
     monkeypatch.setattr(NoiseRule, "channels", counting)
     for theta in np.linspace(-1.0, 1.0, 15).reshape(5, 3):
-        evolve_circuit(basis_state(0, 2), toy_circuit, theta, noise)
+        _evolve_one(basis_state(0, 2), toy_circuit, theta, noise)
     matched = [len(g.qubits) for g in toy_circuit.gates if g.kind in {"ry", "cx"}]
     assert calls == matched == [1, 1, 2]
 
@@ -357,11 +361,11 @@ def test_stacked_evolution_equals_per_state(case, rng):
     circuit = parse_circuit(_ALL_KINDS_CIRCUIT, n_qubits=3)
     stack = np.stack([_random_density(rng, 8) for _ in range(3)])
     for _ in range(3):
-        theta = rng.uniform(-math.pi, math.pi, size=circuit.n_params)
+        theta = rng.uniform(-math.pi, math.pi, size=(1, circuit.n_params))
         got = evolve_circuit(stack, circuit, theta, noise)
-        assert got.shape == stack.shape
-        for rho, want in zip(stack, got):
-            assert np.array_equal(evolve_circuit(rho, circuit, theta, noise), want)
+        assert got.shape == (1, *stack.shape)
+        for rho, want in zip(stack, got[0]):
+            assert np.array_equal(evolve_circuit(rho[None], circuit, theta, noise)[0, 0], want)
 
 
 def _wide_circuit(n):
@@ -374,50 +378,51 @@ def _wide_circuit(n):
 
 @pytest.mark.parametrize("case", sorted(_NOISE_CASES))
 def test_parameter_stack_equals_one_vector_at_a_time(case, rng):
-    # each slice of a stacked evolution is the per-vector evolution bit for bit:
-    # the exact estimator's golden rows pin the summation order of this path
+    # each slice of a stacked evolution is the evolution under that row as a
+    # stack of one, bit for bit: the exact estimator's golden rows pin the
+    # summation order of this path
     rule, _ = _NOISE_CASES[case]
     noise = None if rule is None else NoiseModel((rule,))
     for n in range(1, 9):
         circuit = _wide_circuit(n)
         thetas = rng.uniform(-math.pi, math.pi, size=(2, circuit.n_params))
         pair = np.stack([basis_state(0, n), basis_state(2**n - 1, n)])
-        for rho0 in (_random_density(rng, 2**n), pair):
+        for rho0 in (_random_density(rng, 2**n)[None], pair):
             got = evolve_circuit(rho0, circuit, thetas, noise)
             assert got.shape == (2, *rho0.shape)
             for theta, want in zip(thetas, got):
-                assert np.array_equal(evolve_circuit(rho0, circuit, theta, noise), want), n
+                assert np.array_equal(evolve_circuit(rho0, circuit, theta[None], noise)[0], want), n
 
 
 def test_parameter_stack_memory_does_not_grow_with_rotation_count():
     # a gradient-sized stack (m = 2 * n_params) at n = 8, where one operator
     # is 1 MiB: each gate builds only its own rotations, so the peak stays a
-    # few copies of the (m, d, d) result however many rotations there are
+    # few copies of the (m, 1, d, d) result however many rotations there are
     n = 8
     circuit = parse_circuit(
         "\n".join([f"ry {q} t{q}" for q in range(n)] + ["cx 0 7"]), n_qubits=n
     )
     thetas = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(2 * n, n))
-    rho0 = basis_state(0, n)
+    rho0 = basis_state(0, n)[None]
     tracemalloc.start()
     try:
         got = evolve_circuit(rho0, circuit, thetas)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.shape == (2 * n, 2**n, 2**n)
+    assert got.shape == (2 * n, 1, 2**n, 2**n)
     assert peak <= 6 * got.nbytes
     for i in (0, 2 * n - 1):
-        assert np.array_equal(evolve_circuit(rho0, circuit, thetas[i]), got[i])
+        assert np.array_equal(evolve_circuit(rho0, circuit, thetas[i : i + 1])[0], got[i])
 
 
 def test_parameter_stack_shape_is_checked(toy_circuit):
-    for shape in [(3,), (2, 3)]:
-        got = evolve_circuit(basis_state(0, 2), toy_circuit, np.zeros(shape))
-        assert got.shape == shape[:-1] + (4, 4)
-    for shape in [(2, 2), (2, 4), (1, 2, 3)]:
+    rho0 = basis_state(0, 2)[None]
+    for m in (0, 1, 2):
+        assert evolve_circuit(rho0, toy_circuit, np.zeros((m, 3))).shape == (m, 1, 4, 4)
+    for shape in [(3,), (2, 2), (2, 4), (1, 2, 3)]:
         with pytest.raises(DimensionError):
-            evolve_circuit(basis_state(0, 2), toy_circuit, np.zeros(shape))
+            evolve_circuit(rho0, toy_circuit, np.zeros(shape))
 
 
 # --- shot readout: one binomial draw per state and term ----------------------
@@ -450,7 +455,7 @@ _READOUT_HAMILTONIANS = {
 @pytest.mark.parametrize("k", [1, 2])
 def test_stacked_shots_equal_per_term_choice(n, n_m, k):
     """A (k, d, d) stack gives the values and the rng state of measuring its
-    states one at a time, and of the per-term reference draws."""
+    states as stacks of one in turn, and of the per-term reference draws."""
     gen = np.random.default_rng(100 * n + k)
     d = 2 ** n
     hamiltonians = [
@@ -464,10 +469,9 @@ def test_stacked_shots_equal_per_term_choice(n, n_m, k):
         for stack in states:
             ours, one, ref = (np.random.default_rng(n_m) for _ in range(3))
             got = expectation_shots(stack, h, n_m, ours)
-            singles = [expectation_shots(rho, h, n_m, one) for rho in stack]
+            singles = np.concatenate([expectation_shots(rho[None], h, n_m, one) for rho in stack])
             want = [_per_term_estimator(rho, h, n_m, ref) for rho in stack]
-            assert got.shape == (k,)
-            assert all(isinstance(v, float) for v in singles)
+            assert got.shape == singles.shape == (k,)
             assert np.array_equal(got, singles)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert ours.random() == one.random() == ref.random()
@@ -530,7 +534,7 @@ def test_readout_table_built_once(monkeypatch, rng):
     stack = np.stack([_random_density(rng, 8) for _ in range(2)])
     for _ in range(20):
         expectation_shots(stack, h, 64, rng)
-        expectation_shots(stack[0], h, 64, rng)
+        expectation_shots(stack[:1], h, 64, rng)
         expectation_exact(stack, h)
     assert len(built) == 1
 
@@ -556,16 +560,16 @@ def test_probability_rounded_out_of_range_is_clipped():
 def test_expectation_shots_nan_state_gives_nan():
     z = PauliSum.from_terms([(1.0, "Z"), (0.5, "X")])
     rng = np.random.default_rng(0)
-    assert math.isnan(expectation_shots(np.full((2, 2), np.nan + 0j), z, 16, rng))
-    assert math.isnan(expectation_shots(np.zeros((2, 2), dtype=complex), z, 16, rng))
+    assert math.isnan(expectation_shots(np.full((1, 2, 2), np.nan + 0j), z, 16, rng)[0])
+    assert math.isnan(expectation_shots(np.zeros((1, 2, 2), dtype=complex), z, 16, rng)[0])
     # zero trace, nonzero <X>: an infinite ratio
-    assert math.isnan(expectation_shots(np.array([[0, 1], [1, 0]], dtype=complex), z, 16, rng))
+    assert math.isnan(expectation_shots(np.array([[[0, 1], [1, 0]]], dtype=complex), z, 16, rng)[0])
     stack = np.stack([np.full((2, 2), np.nan + 0j), basis_state(0, 1)])
     got = expectation_shots(stack, z, 16, rng)
     assert math.isnan(got[0]) and np.isfinite(got[1])
     # a lost state draws nothing: the rest of the stack reads as if measured alone
     alone = np.random.default_rng(0)
-    assert got[1] == expectation_shots(basis_state(0, 1), z, 16, alone)
+    assert got[1] == expectation_shots(basis_state(0, 1)[None], z, 16, alone)[0]
     assert rng.random() == alone.random()
 
 

@@ -4,8 +4,8 @@ The runner hands the optimizers a cost of a stack of points, and every batch
 of points an optimizer knows before it needs their values goes to sa_cost as
 one stack.  The reference here is the loops as they were before stacking, on
 a cost that evaluates its stack one sa_cost call per row, in order, so
-sa_cost evolves and measures one parameter vector per call.  Results, traces
-and the end states of both random streams must be equal, not close.
+sa_cost evolves and measures a stack of one per call.  Results, traces and
+the end states of both random streams must be equal, not close.
 """
 import math
 
@@ -105,7 +105,7 @@ def _run(ctx, spec, seed, stacked):
 
     def one_row_at_a_time(thetas):
         sizes.extend([1] * len(thetas))
-        return [sa_cost(theta, ctx, shot_rng) for theta in thetas]
+        return [sa_cost(theta[None], ctx, shot_rng)[0] for theta in thetas]
 
     result = minimize(evaluate if stacked else one_row_at_a_time, theta0, spec, opt_rng)
     return result, sizes, shot_rng.bit_generator.state, opt_rng.bit_generator.state
