@@ -38,6 +38,16 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 _open_unit_float = _checked(float, lambda v: 0.0 < v < 1.0, "in the open interval (0, 1)")
 
 
+class _ReferencePair(argparse.Action):
+    """``--reference E0 E1``: the ground energy may not lie above the
+    excited one, or every distance would be taken to a swapped pair."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] > values[1]:
+            raise argparse.ArgumentError(self, f"E0 {values[0]!r} is above E1 {values[1]!r}")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vqebench",
@@ -65,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         nargs=2,
         type=_finite_float,
+        action=_ReferencePair,
         metavar=("E0", "E1"),
         help="reference ground and excited energies",
     )

@@ -50,6 +50,10 @@ class PauliSum:
         for string, coeff in merged.items():
             if not math.isfinite(coeff):
                 raise ParameterDomainError(f"the coefficients of {string} sum to {coeff}")
+        # every energy and every gap between two energies lies within 2·Σ|c|
+        bound = 2.0 * sum(abs(c) for c in merged.values())
+        if not math.isfinite(bound):
+            raise ParameterDomainError(f"the energy bound 2·Σ|c| of the coefficients is {bound}")
         return PauliSum(tuple((c, s) for s, c in merged.items()))
 
     @property

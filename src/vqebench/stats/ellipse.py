@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateSampleError
-from .normality import centred_covariances, sample_cov
+from .normality import _median, _percentile, centred_covariances, sample_cov
 from .types import Ellipse, Sample2D
 
 _MAX_REDRAW_FACTOR = 10
@@ -47,6 +47,6 @@ def bootstrap_ellipse(sample: Sample2D, n_boot: int = 2000, rng=None) -> Ellipse
         cov, singular = centred_covariances(diff)
         diff, cov = diff[~singular], cov[~singular]
         d_sq = np.einsum("bij,bji->bi", diff, np.linalg.solve(cov, diff.transpose(0, 2, 1)))
-        percentiles[filled : filled + len(cov)] = np.percentile(d_sq, 95.0, axis=1)
+        percentiles[filled : filled + len(cov)] = _percentile(d_sq, 95.0)
         filled += len(cov)
-    return Ellipse(mu=mu, sigma=sigma, d95_sq=float(np.median(percentiles)))
+    return Ellipse(mu=mu, sigma=sigma, d95_sq=_median(percentiles))

@@ -1,7 +1,8 @@
-"""Multivariate normality and variance-homogeneity checks, and the chi-square,
+"""Multivariate normality and variance-homogeneity checks; the chi-square,
 F and normal tails the battery's p-values come from, in closed form with
 ``math`` alone (Abramowitz & Stegun 26.4.4-5 and 26.6.2; Numerical Recipes
-6.4)."""
+6.4); and the medians and percentiles it reads, without the ``numpy.ma``
+import that ``np.median`` and ``np.percentile`` bring."""
 from __future__ import annotations
 
 import math
@@ -137,6 +138,39 @@ def norm_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _median(values) -> float:
+    """``np.median`` of the flattened values, bit for bit: one
+    ``np.partition`` with numpy's own kth list, then the mean of the middle
+    value or of the middle two.  NaN if a value is NaN or there is none."""
+    values = np.asarray(values, dtype=float).ravel()
+    n, half = values.size, values.size // 2
+    if n == 0:
+        return math.nan
+    kth = [half] if n % 2 else [half - 1, half]
+    part = np.partition(values, kth + [-1])
+    if math.isnan(part[-1]):
+        return math.nan
+    return float(np.mean(part[kth[0] : half + 1]))
+
+
+def _percentile(rows: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile(rows, q, axis=1)`` for a 2-D array and numpy's default
+    linear method, bit for bit: one ``np.partition`` of the rows with
+    numpy's own kth list, then numpy's interpolation between the neighbours
+    of the virtual index (n - 1)·q/100.  A row holding a NaN gives NaN."""
+    n = rows.shape[1]
+    index = (n - 1) * (q / 100)
+    below = above = -1  # at q = 100 numpy takes the last value as both neighbours
+    if index < n - 1:
+        below = math.floor(index)
+        above = below + 1
+    part = np.partition(rows, sorted({0, -1, below, above}), axis=1)
+    a, b, t = part[:, below], part[:, above], index - below
+    diff = b - a
+    out = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return np.where(np.isnan(part[:, -1]), part[:, -1], out)
+
+
 def centred_covariances(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample covariances (ddof 1) of an (m, n, 2) stack of samples given as
     diff, each sample minus its own mean, and a mask of the singular ones
@@ -251,7 +285,7 @@ def levene_like_test(groups: list[np.ndarray], center: str = "mean") -> TestResu
     arrays = [np.asarray(g, dtype=float).ravel() for g in groups]
     if len(arrays) < 2 or any(a.size < 2 for a in arrays):
         raise DegenerateSampleError("need >= 2 groups with >= 2 observations each")
-    center_fn = np.mean if center == "mean" else np.median
+    center_fn = np.mean if center == "mean" else _median
     scores = [np.abs(a - center_fn(a)) for a in arrays]
     return anova_oneway(scores)
 

@@ -11,11 +11,16 @@ p-values use the (1 + count) / (1 + n_perm) estimator under random
 permutations; when every distinct label assignment can be enumerated within
 the permutation budget, the exact exhaustive p-value is reported instead.
 
-Labellings are scored in blocks of rows through one ``sums_of_squares``
-call.  Random labellings are drawn independently: one ``rng.permuted`` call
-shuffles each row of a block of label copies, drawing the numbers of one
-``rng.permutation(codes)`` per labelling.  Exhaustive blocks are slices of
-one read-only table of every labelling, built once per tuple of group sizes.
+Labellings are scored in blocks of rows.  Random labellings are drawn
+independently: one ``rng.permuted`` call shuffles each row of a block of
+label copies, drawing the numbers of one ``rng.permutation(codes)`` per
+labelling.  Exhaustive blocks are slices of one read-only table of every
+labelling, built once per tuple of group sizes.
+
+A two-group test, such as each pairwise post-hoc, scores a block with one
+matrix product (``_two_group_scores``), against the observed labelling
+scored in the same product.  Three or more groups are scored by
+``sums_of_squares``, which also gives every reported statistic and R².
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from .types import PairwiseMatrix, TestResult
 
 __all__ = ["permanova", "permdisp", "pairwise_posthoc"]
 
-_BLOCK = 256  # labellings scored per sums_of_squares call
+_BLOCK = 256  # labellings scored at once
 
 
 def _n_assignments(codes: np.ndarray) -> int:
@@ -72,12 +77,41 @@ def _assignment_table(counts: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _f_stat(values, codes, k):
-    return f_ratio(*sums_of_squares(values, codes, k), (k - 1, codes.shape[-1] - k))
+def _two_group_scores(values, codes):
+    """Score blocks of two-group labellings of the values: the F of the
+    observed labelling, in row 0 of the product, and the F of each row.
+
+    With X_c the centred values, S_g = (rows in group g) @ X_c,
+    SS_between = |S_1|²/n_1 + |S_0|²/n_0 and SS_within = SS_total -
+    SS_between.  The observed labelling is scored in the same product as
+    the block, so it rounds like the rows it is compared with, and a
+    labelling and its complement tie bit for bit."""
+    n = codes.size
+    centred = values.reshape(n, -1) - np.add.reduce(values, axis=0) / n
+    ss_total = np.add.reduce(centred**2, axis=None)
+    sizes = np.bincount(codes)
+
+    def score(block):
+        rows = len(block) + 1
+        members = np.empty((2, rows, n))
+        members[1, 0] = codes
+        members[1, 1:] = block
+        np.subtract(1.0, members[1], out=members[0])
+        sums = (members.reshape(2 * rows, n) @ centred).reshape(2, rows, -1)
+        ss_between = np.add.reduce(sums[1] ** 2, axis=1) / sizes[1]
+        ss_between += np.add.reduce(sums[0] ** 2, axis=1) / sizes[0]
+        f = f_ratio(ss_between, ss_total - ss_between, (1, n - 2))
+        return f[0], f[1:]
+
+    return score
 
 
 def _permutation_p(values, codes, f_obs, n_perm, rng):
-    """Exact p over all assignments if enumerable within budget, else MC."""
+    """Exact p over all assignments if enumerable within budget, else MC.
+
+    Two groups are scored by ``_two_group_scores``, against the observed
+    labelling scored with each block; more groups by ``sums_of_squares``,
+    against ``f_obs``."""
     k = int(codes.max()) + 1
     exact = _n_assignments(codes) <= n_perm
     if exact:
@@ -88,10 +122,16 @@ def _permutation_p(values, codes, f_obs, n_perm, rng):
             rng.permuted(np.tile(codes, (min(_BLOCK, n_perm - start), 1)), axis=1)
             for start in range(0, n_perm, _BLOCK)
         )
+    if k == 2:
+        score = _two_group_scores(values, codes)
+    else:
+        def score(block):
+            return f_obs, f_ratio(*sums_of_squares(values, block, k), (k - 1, codes.size - k))
     count = total = 0
     for block in blocks:
         total += len(block)
-        count += int(np.count_nonzero(_f_stat(values, block, k) >= f_obs - 1e-12))
+        threshold, f = score(block)
+        count += int(np.count_nonzero(f >= threshold - 1e-12))
     if exact:
         return count / total, total, True
     return (1 + count) / (1 + n_perm), n_perm, False

@@ -5,10 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterDomainError
-from .normality import chi2_sf, norm_sf
+from .normality import _median, chi2_sf, norm_sf
 from .types import TestResult
 
 EXACT_WILCOXON_LIMIT = 25
+
+
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the runs of equal values in a sorted array;
+    NaNs, sorted last, form one run (as in ``np.unique``)."""
+    differs = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    starts = np.flatnonzero(np.r_[True, differs])
+    return starts, np.r_[starts[1:], ordered.size]
 
 
 def rankdata(values) -> np.ndarray:
@@ -19,8 +27,7 @@ def rankdata(values) -> np.ndarray:
         return np.full(values.size, np.nan)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], values.size]
+    starts, ends = _runs(ordered)
     ranks = np.empty(values.size)
     ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     return ranks
@@ -57,7 +64,7 @@ def wilcoxon_signed_rank(a, b) -> TestResult:
     if a.shape != b.shape or a.ndim != 1:
         raise ParameterDomainError("a and b must be equal-length vectors")
     diffs = a - b
-    median_diff = float(np.median(diffs))
+    median_diff = _median(diffs)
     nonzero = diffs[diffs != 0.0]
     n = nonzero.size
     if n == 0:
@@ -87,8 +94,9 @@ def wilcoxon_signed_rank(a, b) -> TestResult:
 
 
 def _tie_correction(ranks: np.ndarray) -> float:
-    _, counts = np.unique(ranks, return_counts=True)
-    return float(np.sum(counts.astype(float) ** 3 - counts))
+    starts, ends = _runs(np.sort(ranks))
+    counts = (ends - starts).astype(float)
+    return float(np.sum(counts**3 - counts))
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, w: float) -> float:

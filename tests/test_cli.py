@@ -41,10 +41,15 @@ def synthetic_records():
 
 
 def test_analyze_and_rank_run_without_scipy(tmp_path):
-    # the runtime needs numpy alone: with scipy blocked, both report commands still run
+    # the runtime needs numpy alone: with scipy blocked, both report commands
+    # still run, and neither imports numpy.ma (np.median and np.percentile
+    # would; scipy imports it too, so only a fresh process can tell)
     runs = tmp_path / "runs.csv"
     write_records(synthetic_records(), runs)
-    code = "import sys; sys.modules['scipy'] = None; from vqebench.harness.cli import main; sys.exit(main(sys.argv[1:]))"
+    code = (
+        "import sys; sys.modules['scipy'] = None; from vqebench.harness.cli import main; "
+        "code = main(sys.argv[1:]); assert 'numpy.ma' not in sys.modules; sys.exit(code)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
     analyze = ["analyze", "--runs", str(runs), "--per-optimizer", str(tmp_path / "a"), "--n-perm", "19"]
     rank = ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(tmp_path / "r")]
@@ -186,6 +191,7 @@ def test_rank_dominant_optimizer(tmp_path, capsys):
         ("rank", "--alpha", ["0"]),
         ("run", "--jobs", ["0"]),
         ("run", "--jobs", ["-2"]),
+        ("rank", "--reference", ["-0.06", "-2.5"]),  # E0 above E1: a swapped pair
     ],
 )
 def test_argument_outside_domain_exits_2(tmp_path, capsys, command, option, values):
@@ -244,6 +250,7 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command):
         "qubit_too_high",
         "unknown_gate",
         "overflowing_coefficient",
+        "overflowing_energy",
     ],
 )
 def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_problem):
@@ -261,6 +268,8 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
     unknown.write_text("ry 0 t0\nrzz 0 1 t1\n")
     overflowing = tmp_path / "overflowing.ham"
     overflowing.write_text("1e308 ZI\n-1.0 IZ\n1e308 ZI\n")  # ZI merges to inf
+    energy = tmp_path / "energy.ham"
+    energy.write_text("1e308 ZI\n1e308 IZ\n")  # finite coefficients, infinite energies
     overrides = {
         "missing_ham": {"hamiltonian_path": str(tmp_path / "absent.ham")},
         "nine_qubits": {"hamiltonian_path": str(ham), "circuit_path": str(circ)},
@@ -270,6 +279,7 @@ def test_bad_problem_exits_3_and_leaves_out_untouched(tmp_path, capsys, bad_prob
         "qubit_too_high": {"circuit_path": str(too_high)},
         "unknown_gate": {"circuit_path": str(unknown)},
         "overflowing_coefficient": {"hamiltonian_path": str(overflowing)},
+        "overflowing_energy": {"hamiltonian_path": str(energy)},
     }[bad_problem]
     out = tmp_path / "o.csv"
     out.write_bytes(b"an earlier grid's runs\n")

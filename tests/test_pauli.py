@@ -69,3 +69,12 @@ def test_merged_coefficient_that_overflows_rejected():
     with pytest.raises(ParameterDomainError, match="sum to -inf"):
         parse_hamiltonian("-1e308 Z\n-1e308 Z\n")
     assert PauliSum.from_terms([(1e308, "Z"), (-1e308, "Z")]).terms == ((0.0, "Z"),)
+
+
+def test_energy_bound_that_overflows_rejected():
+    # each merged coefficient is finite, but the energies reach 2e308
+    with pytest.raises(ParameterDomainError, match=r"energy bound 2·Σ\|c\|"):
+        PauliSum.from_terms([(1e308, "ZI"), (1e308, "IZ")])
+    with pytest.raises(ParameterDomainError, match="is inf"):
+        parse_hamiltonian("4.5e307 ZZ\n-4.5e307 XX\n")  # 2·Σ|c| = 1.8e308
+    assert PauliSum.from_terms([(4e307, "ZZ"), (-4e307, "XX")]).n_qubits == 2

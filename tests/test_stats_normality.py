@@ -13,7 +13,14 @@ from vqebench.stats import (
     levene_like_test,
     mardia_test,
 )
-from vqebench.stats.normality import centred_covariances, chi2_sf, f_sf, norm_sf
+from vqebench.stats.normality import (
+    _median,
+    _percentile,
+    centred_covariances,
+    chi2_sf,
+    f_sf,
+    norm_sf,
+)
 
 
 def gaussian_sample(rng, n, mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 1.0))):
@@ -283,3 +290,32 @@ def test_closed_form_singular_mask_equals_cond():
             assert np.array_equal(singular, np.linalg.cond(cov) > 1e12)
             singular_seen += int(singular.sum())
     assert 0 < singular_seen < 7 * 8 * 500
+
+
+# --- medians and percentiles without numpy.ma --------------------------------------
+
+def _same_bits(ours, theirs):
+    """Equal bit for bit, or both NaN."""
+    ours, theirs = np.asarray(ours, dtype=float), np.asarray(theirs, dtype=float)
+    both_nan = np.isnan(ours) & np.isnan(theirs)
+    return np.array_equal(np.where(both_nan, 0.0, ours).view(np.int64),
+                          np.where(both_nan, 0.0, theirs).view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_order_statistics_equal_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    with_nan = rng.normal(size=(4, n))
+    with_nan[1, rng.integers(n)] = np.nan
+    with_nan[3] = np.nan
+    for rows in (
+        rng.normal(size=(6, n)),
+        rng.exponential(size=(6, n)) * 1e300,  # large magnitudes
+        rng.integers(-2, 3, size=(6, n)).astype(float),  # ties
+        rng.choice([-0.0, 0.0, 1.5], size=(6, n)),  # ties of signed zeros
+        with_nan,
+    ):
+        assert _same_bits(_percentile(rows, 95.0), np.percentile(rows, 95.0, axis=1))
+        for row in rows:
+            assert _same_bits(_median(row), np.median(row))
+    assert _same_bits(_percentile(with_nan, 100.0), np.percentile(with_nan, 100.0, axis=1))

@@ -10,7 +10,7 @@ import pytest
 import vqebench
 from vqebench.errors import ParameterDomainError
 from vqebench.stats import pairwise_posthoc, permanova, permdisp, permutation
-from vqebench.stats.normality import sums_of_squares
+from vqebench.stats.normality import f_ratio, sums_of_squares
 
 
 def brute_force_p(points, labels, stat_fn):
@@ -340,11 +340,11 @@ def _loop_permutation_p(values, codes, f_obs, n_perm, rng):
     return (1 + count) / (1 + n_perm), n_perm, False
 
 
-def _run_both(fn, *args, seed=3, **kwargs):
+def _run_both(fn, *args, seed=3, reference=_loop_permutation_p, **kwargs):
     """fn's result with the block and with the reference permutation loop,
     each with the rng state afterwards."""
     out = []
-    for p_fn in (permutation._permutation_p, _loop_permutation_p):
+    for p_fn in (permutation._permutation_p, reference):
         rng = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(permutation, "_permutation_p", p_fn)
@@ -452,3 +452,69 @@ def test_pairwise_calls_module_test_once_per_valid_pair(monkeypatch, test):
     assert valid.sum() == 6
     assert len(results) == 6
     assert sorted(r.p for r in results) == sorted(matrix.p_raw[np.triu_indices(5, k=1)][valid])
+
+
+# --- the two-group kernel against sums_of_squares scoring -----------------------
+
+def _sums_of_squares_permutation_p(values, codes, f_obs, n_perm, rng):
+    """Reference: the same blocks and draws, every labelling scored by
+    ``sums_of_squares`` against ``f_obs``, as for three or more groups."""
+    k = int(codes.max()) + 1
+    exact = permutation._n_assignments(codes) <= n_perm
+    if exact:
+        table = permutation._assignment_table(tuple(np.bincount(codes).tolist()))
+        blocks = (table[start : start + 256] for start in range(0, len(table), 256))
+    else:
+        blocks = (
+            rng.permuted(np.tile(codes, (min(256, n_perm - start), 1)), axis=1)
+            for start in range(0, n_perm, 256)
+        )
+    count = total = 0
+    for block in blocks:
+        total += len(block)
+        f = f_ratio(*sums_of_squares(values, block, k), (k - 1, codes.size - k))
+        count += int(np.count_nonzero(f >= f_obs - 1e-12))
+    if exact:
+        return count / total, total, True
+    return (1 + count) / (1 + n_perm), n_perm, False
+
+
+def _two_group_input(case):
+    """Points and interleaved labels of two groups.  ``identical`` is one
+    point repeated (0.1 does not centre to an exact zero); ``mirrored`` is
+    4 points and their negatives; in ``symmetric`` both groups hold the same
+    4 points, so the observed split and its complement score alike."""
+    rng = np.random.default_rng(11)
+    if case in ("gaussian_3_7", "gaussian_10_4", "identical_3_7", "identical_10_4"):
+        n_a, n_b = (3, 7) if case.endswith("3_7") else (10, 4)
+        points = np.full((n_a + n_b, 2), 0.1)
+        if case.startswith("gaussian"):
+            points = rng.normal(size=(n_a + n_b, 2))
+            points[:n_a] += 0.5
+    else:
+        n_a = n_b = 4
+        half = np.round(rng.normal(size=(4, 2)), 1)
+        points = np.vstack([half, -half if case == "mirrored" else half[::-1]])
+    labels = np.array(["a"] * n_a + ["b"] * n_b)
+    order = rng.permutation(n_a + n_b)
+    return points[order], labels[order].tolist()
+
+
+@pytest.mark.parametrize("n_perm", [1, 99, 257, 9999])
+@pytest.mark.parametrize("test_fn", [permanova, permdisp])
+@pytest.mark.parametrize(
+    "case",
+    ["gaussian_3_7", "gaussian_10_4", "identical_3_7", "identical_10_4", "mirrored", "symmetric"],
+)
+def test_two_group_p_equals_sums_of_squares_scoring(case, test_fn, n_perm):
+    # 3+7 (120 labellings), 10+4 (1001) and 4+4 (70) groups take the
+    # Monte-Carlo path below their count and the exhaustive path above it
+    points, labels = _two_group_input(case)
+    (kernel, kernel_state), (reference, reference_state) = _run_both(
+        test_fn, points, labels, n_perm=n_perm, reference=_sums_of_squares_permutation_p
+    )
+    n_labellings = permutation._n_assignments(np.unique(labels, return_inverse=True)[1])
+    assert kernel.extras["exact"] == (n_labellings <= n_perm)
+    assert (kernel.p, kernel.extras["n_perm"]) == (reference.p, reference.extras["n_perm"])
+    assert kernel.statistic == reference.statistic
+    assert kernel_state == reference_state
