@@ -5,7 +5,7 @@ import numpy as np
 
 from ..errors import ParameterDomainError
 from .direct import cobyla_minimize, nelder_mead_minimize, powell_minimize
-from .gradient import bfgs_minimize, finite_difference_gradient, slsqp_minimize
+from .gradient import bfgs_minimize, slsqp_minimize
 from .result import OPTIMIZER_KINDS, IsomaParams, OptimizerSpec, OptResult
 from .session import CostSession
 from .soma import isoma_minimize
@@ -31,23 +31,23 @@ SPEC_FIELDS = {
 
 
 def minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator | None = None) -> OptResult:
-    """Run the algorithm named by spec.kind as algo(session, theta0, spec,
-    rng) -> converged on one CostSession that counts the evaluations.  cost
-    maps an (m, p) stack of points to their m values in row order; points
-    an algorithm knows before it needs their values (a gradient's 2*dim, an
-    initial simplex or population, a Nelder-Mead shrink, a migrant's jumps)
-    reach it as one stack, and every other point as a stack of one.  A cost
-    that returns another number of values raises DimensionError, and a NaN
-    value CostEvaluationError.  Each algorithm stops by its own loop
-    (maxiter; iSOMA at max_fes).  Deterministic given (theta0, spec, rng
-    seed)."""
+    """Drive the algorithm named by spec.kind, an ask/tell generator
+    algo(theta0, spec, rng) that yields (m, p) stacks of points, is sent
+    their values and returns converged, on one CostSession.  cost maps an
+    (m, p) stack to its m values in row order; points an algorithm knows
+    before it needs their values (a gradient's 2*dim, an initial simplex or
+    population, a Nelder-Mead shrink, a migrant's jumps) reach it as one
+    stack, and every other point as a stack of one.  A cost that returns
+    another number of values raises DimensionError, and a NaN value
+    CostEvaluationError.  Each algorithm stops by its own loop (maxiter;
+    iSOMA at max_fes).  Deterministic given (theta0, spec, rng seed)."""
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim != 1 or theta0.size < 1:
         raise ParameterDomainError("theta0 must be a non-empty 1-D vector")
     if rng is None:
         rng = np.random.default_rng(0)
     session = CostSession(cost)
-    return session.result(_DISPATCH[spec.kind](session, theta0, spec, rng))
+    return session.result(session.run(_DISPATCH[spec.kind](theta0, spec, rng)))
 
 
 __all__ = [
@@ -56,6 +56,5 @@ __all__ = [
     "IsomaParams",
     "OptResult",
     "OptimizerSpec",
-    "finite_difference_gradient",
     "minimize",
 ]

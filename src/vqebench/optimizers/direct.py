@@ -25,7 +25,7 @@ TR_RHO_END = 1e-8
 TR_MAX_RAY = 6  # evaluations per trust-region ray
 
 
-def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
+def nelder_mead_minimize(theta0, spec: OptimizerSpec, rng=None):
     """Downhill simplex with standard reflect/expand/contract/shrink moves."""
     dim = theta0.size
     simplex = [theta0.copy()]
@@ -33,7 +33,7 @@ def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool
         point = theta0.copy()
         point[i] += INITIAL_SIMPLEX_SCALE * max(1.0, abs(theta0[i]))
         simplex.append(point)
-    values = session.many(simplex)
+    values = yield np.array(simplex)
     for _ in range(spec.maxiter):
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
@@ -43,10 +43,10 @@ def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         reflected = centroid + REFLECT * (centroid - worst)
-        f_r = session(reflected)
+        [f_r] = yield reflected[None]
         if f_r < values[0]:
             expanded = centroid + EXPAND * (centroid - worst)
-            f_e = session(expanded)
+            [f_e] = yield expanded[None]
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -58,35 +58,35 @@ def nelder_mead_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool
                 contracted = centroid + CONTRACT * (reflected - centroid)
             else:  # inside contraction
                 contracted = centroid - CONTRACT * (centroid - worst)
-            f_c = session(contracted)
+            [f_c] = yield contracted[None]
             if f_c < min(f_r, values[-1]):
                 simplex[-1], values[-1] = contracted, f_c
             else:  # shrink toward the best vertex
                 simplex[1:] = [simplex[0] + SHRINK * (p - simplex[0]) for p in simplex[1:]]
-                values[1:] = session.many(simplex[1:])
+                values[1:] = yield np.array(simplex[1:])
     return False
 
 
-def _bracket(fn, f0):
+def _bracket(point, f0):
     """Expand from alpha=0 until a triple (a, b, c) brackets a minimum."""
     xa, fa = 0.0, f0
     xb = 1.0
-    fb = fn(xb)
+    [fb] = yield point(xb)
     if fb > fa:
         xa, xb = xb, xa
         fa, fb = fb, fa
     xc = xb + BRACKET_GROW * (xb - xa)
-    fc = fn(xc)
+    [fc] = yield point(xc)
     steps = 0
     while fc < fb and steps < BRACKET_MAX_STEPS:
         xa, xb, xc = xb, xc, xc + BRACKET_GROW * (xc - xb)
         fa, fb = fb, fc
-        fc = fn(xc)
+        [fc] = yield point(xc)
         steps += 1
     return (xa, xb, xc), (fa, fb, fc)
 
 
-def _brent(fn, triple, f_triple, tol=1e-10):
+def _brent(point, triple, f_triple, tol=1e-10):
     """Brent's parabolic/golden-section minimization inside a bracket."""
     xa, xb, xc = triple
     lo, hi = min(xa, xc), max(xa, xc)
@@ -115,7 +115,7 @@ def _brent(fn, triple, f_triple, tol=1e-10):
             e = (hi if x < mid else lo) - x
             d = golden * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fn(u)
+        [fu] = yield point(u)
         if fu <= fx:
             if u >= x:
                 lo = x
@@ -136,40 +136,40 @@ def _brent(fn, triple, f_triple, tol=1e-10):
     return x, fx
 
 
-def _line_minimize(session, x, direction, f_x):
+def _line_minimize(x, direction, f_x):
     """Minimize along x + alpha*direction.  A line makes at most
     2 + BRACKET_MAX_STEPS evaluations to bracket and BRENT_MAX_ITER inside
     the bracket: 72 in all."""
 
-    def fn(alpha):
-        return session(x + alpha * direction)
+    def point(alpha):
+        return (x + alpha * direction)[None]
 
-    triple, f_triple = _bracket(fn, f_x)
-    alpha, f_new = _brent(fn, triple, f_triple)
+    triple, f_triple = yield from _bracket(point, f_x)
+    alpha, f_new = yield from _brent(point, triple, f_triple)
     if f_new >= f_x:
         return x, f_x
     return x + alpha * direction, f_new
 
 
-def powell_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
+def powell_minimize(theta0, spec: OptimizerSpec, rng=None):
     """Powell's direction-set method with Brent line minimizations and
     direction replacement after each cycle."""
     dim = theta0.size
     directions = [np.eye(dim)[i].copy() for i in range(dim)]
     x = theta0.copy()
-    f = session(x)
+    [f] = yield x[None]
     for _ in range(spec.maxiter):
         x_old, f_old = x.copy(), f
         biggest_drop, drop_idx = 0.0, 0
         for i, direction in enumerate(directions):
-            x_new, f_new = _line_minimize(session, x, direction, f)
+            x_new, f_new = yield from _line_minimize(x, direction, f)
             if f - f_new > biggest_drop:
                 biggest_drop, drop_idx = f - f_new, i
             x, f = x_new, f_new
         if f_old - f < POWELL_IMPROVEMENT_TOL:
             return True
         extrapolated = 2.0 * x - x_old
-        f_ext = session(extrapolated)
+        [f_ext] = yield extrapolated[None]
         if f_ext < f_old:
             # Powell's criterion for replacing the dominant direction
             t = (
@@ -181,13 +181,13 @@ def powell_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
                 norm = np.linalg.norm(new_dir)
                 if norm > 0.0:
                     new_dir = new_dir / norm
-                    x, f = _line_minimize(session, x, new_dir, f)
+                    x, f = yield from _line_minimize(x, new_dir, f)
                     directions[drop_idx] = directions[-1]
                     directions[-1] = new_dir
     return False
 
 
-def cobyla_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
+def cobyla_minimize(theta0, spec: OptimizerSpec, rng=None):
     """Trust-region method over a linear interpolation model on an n+1 point
     simplex; the radius shrinks from 0.5 down to 1e-8 (no constraints).
 
@@ -203,7 +203,7 @@ def cobyla_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
         p = theta0.copy()
         p[i] += rho
         points.append(p)
-    values = session.many(points)
+    values = yield np.array(points)
     prev_best = theta0.copy()
     for _ in range(spec.maxiter):
         if rho <= TR_RHO_END:
@@ -222,7 +222,7 @@ def cobyla_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
             if mnorm > 1e-14:
                 candidates.append(momentum / mnorm)
             for direction in candidates:
-                hit = _tr_ray(session, x_best, f_best, direction, rho)
+                hit = yield from _tr_ray(x_best, f_best, direction, rho)
                 if hit is not None:
                     x_new, f_new, reach = hit
                     worst = int(np.argmax(values))
@@ -233,13 +233,13 @@ def cobyla_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
                     moved = True
                     break
         if not moved:
-            rho, refresh_axis = _tr_refresh_or_shrink(
-                session, points, values, rho, refresh_axis, dim
+            rho, refresh_axis = yield from _tr_refresh_or_shrink(
+                points, values, rho, refresh_axis, dim
             )
     return False
 
 
-def _tr_ray(session, x_best, f_best, direction, rho):
+def _tr_ray(x_best, f_best, direction, rho):
     """Step rho along direction, doubling while the value keeps dropping.
 
     Returns (point, value, step length) of the best improving point, or None.
@@ -249,7 +249,7 @@ def _tr_ray(session, x_best, f_best, direction, rho):
     prev_f = f_best
     for _ in range(TR_MAX_RAY):
         x_new = x_best + alpha * direction
-        f_new = session(x_new)
+        [f_new] = yield x_new[None]
         if f_new < (hit[1] if hit else f_best):
             hit = (x_new, f_new, alpha)
         if f_new >= prev_f:
@@ -259,7 +259,7 @@ def _tr_ray(session, x_best, f_best, direction, rho):
     return hit
 
 
-def _tr_refresh_or_shrink(session, points, values, rho, refresh_axis, dim):
+def _tr_refresh_or_shrink(points, values, rho, refresh_axis, dim):
     """On a failed step: repair stale simplex geometry if any vertex sits
     outside 2*rho of the incumbent, otherwise halve the radius and pull the
     farthest vertex in."""
@@ -272,5 +272,5 @@ def _tr_refresh_or_shrink(session, points, values, rho, refresh_axis, dim):
     p = x_best.copy()
     p[refresh_axis] += rho
     points[far] = p
-    values[far] = session(p)
+    [values[far]] = yield p[None]
     return rho, (refresh_axis + 1) % dim

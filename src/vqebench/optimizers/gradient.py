@@ -4,26 +4,22 @@ from __future__ import annotations
 import numpy as np
 
 from .result import OptimizerSpec
-from .session import CostSession
 
 MAX_BACKTRACKS = 30  # line-search halvings per BFGS/SQP iteration
 GRAD_NORM_TOL = 1e-8
 ARMIJO_C1 = 1e-4
 
 
-def finite_difference_gradient(cost, theta, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient from 2*dim cost evaluations, made as one
-    stack ordered +h, -h per coordinate.  cost is a CostSession, or a stack
-    cost the gradient wraps in one; a NaN value raises CostEvaluationError."""
-    session = cost if isinstance(cost, CostSession) else CostSession(cost)
-    theta = np.asarray(theta, dtype=float)
+def finite_difference_gradient(theta, h: float = 1e-6):
+    """Central-difference gradient from 2*dim evaluations, asked for as one
+    stack ordered +h, -h per coordinate."""
     steps = h * np.eye(theta.size)
     points = np.stack([theta + steps, theta - steps], axis=1).reshape(-1, theta.size)
-    values = np.array(session.many(points)).reshape(-1, 2)
+    values = np.array((yield points)).reshape(-1, 2)
     return (values[:, 0] - values[:, 1]) / (2.0 * h)
 
 
-def _line_search(session, x, f, g, direction):
+def _line_search(x, f, g, direction):
     """Backtracking search for the Armijo sufficient-decrease condition only
     (no curvature condition).
 
@@ -33,31 +29,31 @@ def _line_search(session, x, f, g, direction):
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
         x_new = x + alpha * direction
-        f_new = session(x_new)
+        [f_new] = yield x_new[None]
         if f_new <= f + ARMIJO_C1 * alpha * slope:
             return x_new, f_new
         alpha *= 0.5
     return None
 
 
-def _quasi_newton(session, theta0, spec: OptimizerSpec, step, update) -> bool:
+def _quasi_newton(theta0, spec: OptimizerSpec, step, update):
     """Quasi-Newton loop shared by BFGS and SQP: step(model, g) gives the
     (model, search direction), update(model, s, y) the model after a step;
     the model starts as the identity."""
     h = spec.gradient_step
     model = np.eye(theta0.size)
-    f = session(theta0)
-    g = finite_difference_gradient(session, theta0, h)
+    [f] = yield theta0[None]
+    g = yield from finite_difference_gradient(theta0, h)
     x = theta0.copy()
     if np.linalg.norm(g) < GRAD_NORM_TOL:
         return True
     for _ in range(spec.maxiter):
         model, direction = step(model, g)
-        found = _line_search(session, x, f, g, direction)
+        found = yield from _line_search(x, f, g, direction)
         if found is None:
             return False
         x_new, f_new = found
-        g_new = finite_difference_gradient(session, x_new, h)
+        g_new = yield from finite_difference_gradient(x_new, h)
         model = update(model, x_new - x, g_new - g)
         f_change = abs(f_new - f)
         x, f, g = x_new, f_new, g_new
@@ -108,13 +104,13 @@ def _sqp_update(b_mat, s, y):
     return b_mat
 
 
-def bfgs_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
+def bfgs_minimize(theta0, spec: OptimizerSpec, rng=None):
     """Quasi-Newton minimization with inverse-Hessian updates and a
     backtracking Armijo line search; gradients by central differences."""
-    return _quasi_newton(session, theta0, spec, _bfgs_step, _bfgs_update)
+    return (yield from _quasi_newton(theta0, spec, _bfgs_step, _bfgs_update))
 
 
-def slsqp_minimize(session, theta0, spec: OptimizerSpec, rng=None) -> bool:
+def slsqp_minimize(theta0, spec: OptimizerSpec, rng=None):
     """Unconstrained SQP: a damped quasi-Newton quadratic model solved
     exactly each iteration, with a line search on the objective."""
-    return _quasi_newton(session, theta0, spec, _sqp_step, _sqp_update)
+    return (yield from _quasi_newton(theta0, spec, _sqp_step, _sqp_update))

@@ -16,11 +16,10 @@ class CostSession:
 
     The cost evaluates an (m, p) stack of points in one call and returns
     their m values in row order.  The values, and the draws from any random
-    stream, must be those of m calls on one row each, in order.  Every
-    evaluation, of one point or of a stack, goes through `many`, which books
-    the rows in order as if they had been evaluated one at a time: at the
-    first NaN row it raises CostEvaluationError, with that row counted in
-    the error's n_evals."""
+    stream, must be those of m calls on one row each, in order.  `many` is
+    the one place the cost is called.  It books the rows in order as if
+    they had been evaluated one at a time: at the first NaN row it raises
+    CostEvaluationError, with that row counted in the error's n_evals."""
 
     def __init__(self, cost):
         self._cost = cost
@@ -29,8 +28,15 @@ class CostSession:
         self.best_theta: np.ndarray | None = None
         self.best_f = math.inf
 
-    def __call__(self, theta) -> float:
-        return self.many([theta])[0]
+    def run(self, steps):
+        """Drive an ask/tell generator to its end: send it the values of each
+        (m, p) stack it yields, from `many`, and return what it returns."""
+        try:
+            points = next(steps)
+            while True:
+                points = steps.send(self.many(points))
+        except StopIteration as stop:
+            return stop.value
 
     def many(self, thetas) -> list[float]:
         """The values of a sequence of points, evaluated as one stack."""

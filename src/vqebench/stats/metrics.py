@@ -1,7 +1,7 @@
 """Distance-to-reference summaries per optimizer and per family."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,13 +27,15 @@ class OptimizerMetrics:
     n_points: int
 
 
+@np.errstate(over="ignore")  # an overflow is raised below, as a non-finite summary
 def distance_metrics(records, reference) -> tuple[dict, dict]:
     """Summaries of (e_ground, e_excited) clusters against a reference pair.
 
     records: iterable of (family, optimizer, e_ground, e_excited).
     reference: (e0_ref, e1_ref).
     Returns (per-cell metrics keyed by (optimizer, family), per-optimizer
-    metrics).  Places come from ranking the per-family mean distances.
+    metrics).  Places come from ranking the per-family mean distances.  A
+    distance summary that overflows to inf raises DegenerateSampleError.
     """
     ref = np.asarray(reference, dtype=float)
     cells: dict[tuple[str, str], list[np.ndarray]] = {}
@@ -85,4 +87,7 @@ def distance_metrics(records, reference) -> tuple[dict, dict]:
             wins=wins[opt],
             n_points=int(per_point.size),
         )
+    for name, metrics in [*cell_metrics.items(), *optimizer_metrics.items()]:
+        if not np.isfinite(astuple(metrics)).all():
+            raise DegenerateSampleError(f"distances of {name} to the reference are not finite")
     return cell_metrics, optimizer_metrics

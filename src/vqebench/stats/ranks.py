@@ -40,8 +40,8 @@ def friedman_test(values: np.ndarray) -> TestResult:
     within blocks with average tie ranks.  chi2 = n*(k-1)*W, df = k-1.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 2:
-        raise ParameterDomainError("need an n x k matrix with n, k >= 2")
+    if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 2 or np.isnan(values).any():
+        raise ParameterDomainError("need an n x k matrix with n, k >= 2 and no NaN")
     n, k = values.shape
     ranks = np.apply_along_axis(rankdata, 1, values)
     col_sums = ranks.sum(axis=0)
@@ -64,6 +64,8 @@ def wilcoxon_signed_rank(a, b) -> TestResult:
     if a.shape != b.shape or a.ndim != 1:
         raise ParameterDomainError("a and b must be equal-length vectors")
     diffs = a - b
+    if np.isnan(diffs).any():
+        raise ParameterDomainError("paired differences must not be NaN")
     median_diff = _median(diffs)
     nonzero = diffs[diffs != 0.0]
     n = nonzero.size

@@ -179,6 +179,23 @@ def test_rank_dominant_optimizer(tmp_path, capsys):
     assert heat[-1][0] == "overall"
 
 
+def test_rank_overflowing_distance_exits_3(tmp_path, capsys):
+    # finite energies whose distance to the reference overflows to inf
+    records = synthetic_records()
+    records += [
+        RunRecord("fam_a", opt, seed, 1e308, 1e308, 0.0, 10, True, 1.0)
+        for opt in ("huge", "vast")
+        for seed in range(6)
+    ]
+    runs = tmp_path / "runs.csv"
+    write_records(records, runs)
+    out = tmp_path / "rank"
+    assert main(["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: distances of ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, option, values",
     [

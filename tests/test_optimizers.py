@@ -9,7 +9,6 @@ from vqebench.optimizers import (
     SPEC_FIELDS,
     IsomaParams,
     OptimizerSpec,
-    finite_difference_gradient,
     minimize,
 )
 from vqebench.optimizers.direct import (
@@ -18,7 +17,7 @@ from vqebench.optimizers.direct import (
     TR_MAX_RAY,
     _line_minimize,
 )
-from vqebench.optimizers.gradient import MAX_BACKTRACKS
+from vqebench.optimizers.gradient import MAX_BACKTRACKS, finite_difference_gradient
 from vqebench.optimizers.session import CostSession
 
 LOCAL_KINDS = ("bfgs", "slsqp", "nelder_mead", "powell", "cobyla")
@@ -41,6 +40,11 @@ def rastrigin(x):
 
 
 # --- spec and gradient -----------------------------------------------------
+
+def gradient(cost, theta, h):
+    """The central-difference gradient of a stack cost at theta."""
+    return CostSession(cost).run(finite_difference_gradient(theta, h))
+
 
 def test_spec_validation():
     with pytest.raises(ParameterDomainError):
@@ -77,12 +81,12 @@ def test_spec_fields_are_the_fields_a_kind_reads(kind):
 
 
 def test_gradient_linear_exact():
-    g = finite_difference_gradient(lambda x: 2.0 * x[:, 0] - 3.0 * x[:, 1], np.zeros(2), h=0.1)
+    g = gradient(lambda x: 2.0 * x[:, 0] - 3.0 * x[:, 1], np.zeros(2), h=0.1)
     assert np.allclose(g, [2.0, -3.0], atol=1e-10)
 
 
 def test_gradient_constant_zero():
-    g = finite_difference_gradient(lambda x: np.full(len(x), 4.2), np.ones(3), h=1e-3)
+    g = gradient(lambda x: np.full(len(x), 4.2), np.ones(3), h=1e-3)
     assert np.allclose(g, 0.0)
 
 
@@ -91,7 +95,7 @@ def test_gradient_quadratic_second_order():
     x = np.array([1.3])
     errs = []
     for h in (1e-2, 5e-3):
-        errs.append(abs(finite_difference_gradient(f, x, h=h)[0] - 4 * 1.3**3))
+        errs.append(abs(gradient(f, x, h=h)[0] - 4 * 1.3**3))
     # halving h should shrink the error by about 4x (central differences)
     assert errs[1] < errs[0] / 3.0
 
@@ -100,7 +104,7 @@ def test_gradient_matches_analytic_polynomial():
     f = lambda x: x[:, 0] ** 3 + 2.0 * x[:, 0] * x[:, 1] + x[:, 1] ** 2
     x = np.array([0.7, -0.4])
     expected = np.array([3 * 0.7**2 + 2 * (-0.4), 2 * 0.7 + 2 * (-0.4)])
-    g = finite_difference_gradient(f, x, h=1e-6)
+    g = gradient(f, x, h=1e-6)
     assert np.allclose(g, expected, rtol=1e-6, atol=1e-6)
 
 
@@ -318,8 +322,8 @@ def test_session_names_both_counts():
 def _line_evaluations(cost, x, direction):
     """The evaluations one Powell line minimization makes on cost."""
     session = CostSession(cost)
-    f_x = session(x)
-    _line_minimize(session, x, direction, f_x)
+    [f_x] = session.many(x[None])
+    session.run(_line_minimize(x, direction, f_x))
     return session.n_evals - 1
 
 

@@ -583,7 +583,7 @@ def test_nan_state_in_session_is_a_cost_evaluation_error(toy_hamiltonian, toy_ci
     )
     rng = np.random.default_rng(0)
     session = CostSession(lambda thetas: sa_cost(thetas, ctx, rng))
-    assert np.isfinite(session(np.zeros(3)))
+    assert np.isfinite(session.many(np.zeros((1, 3)))[0])
     with pytest.raises(CostEvaluationError):
-        session(np.full(3, np.nan))
+        session.many(np.full((1, 3), np.nan))
     assert session.n_evals == 1

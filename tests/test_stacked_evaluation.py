@@ -32,59 +32,57 @@ CAPPED = [
 FAMILIES = ["ideal", "SN-256", "DEPOL-5%", "TR-T1=50ns"]
 
 
-def _gradient_one_at_a_time(cost, theta, h=1e-6):
-    """Central differences, +h then -h per coordinate, one call each."""
-    theta = np.asarray(theta, dtype=float)
+def _gradient_one_at_a_time(theta, h=1e-6):
+    """Central differences, +h then -h per coordinate, one point each."""
     grad = np.empty_like(theta)
     for i in range(theta.size):
         step = np.zeros_like(theta)
         step[i] = h
-        grad[i] = (cost(theta + step) - cost(theta - step)) / (2.0 * h)
+        [f_plus] = yield (theta + step)[None]
+        [f_minus] = yield (theta - step)[None]
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
 
 
-class _Spent(Exception):
-    pass
-
-
-def _isoma_one_at_a_time(session, theta0, spec, rng):
-    """iSOMA evaluating one point per call, each jump's mask drawn just
-    before its candidate is evaluated, stopped by the call past max_fes."""
+def _isoma_one_at_a_time(theta0, spec, rng):
+    """iSOMA asking for one point at a time, each jump's mask drawn just
+    before its candidate is asked for, stopped at the ask past max_fes."""
     params = spec.isoma
-
-    def evaluate(x):
-        if session.n_evals >= params.max_fes:
-            raise _Spent
-        return session(x)
-
     dim = theta0.size
-    try:
-        population = rng.uniform(params.var_min, params.var_max, size=(params.pop_size, dim))
-        fitness = np.array([evaluate(x) for x in population])
-        for _ in range(params.max_migration):
-            chosen = rng.choice(params.pop_size, size=params.m, replace=False)
-            migrants = chosen[np.argsort(fitness[chosen], kind="stable")[: params.n]]
-            for j in migrants:
-                leader_pool = rng.choice(params.pop_size, size=params.k, replace=False)
-                leader = leader_pool[int(np.argmin(fitness[leader_pool]))]
-                if leader == j:
-                    continue
-                start = population[j].copy()
-                target = population[leader]
-                best_x, best_f = start, fitness[j]
-                for jump in range(1, params.n_jump + 1):
-                    mask = (rng.random(dim) < params.prt).astype(float)
-                    if not mask.any():
-                        mask[rng.integers(dim)] = 1.0
-                    candidate = start + jump * params.step * (target - start) * mask
-                    candidate = np.clip(candidate, params.var_min, params.var_max)
-                    f_cand = evaluate(candidate)
-                    if f_cand < best_f:
-                        best_x, best_f = candidate, f_cand
-                population[j] = best_x
-                fitness[j] = best_f
-    except _Spent:
-        pass
+    population = rng.uniform(params.var_min, params.var_max, size=(params.pop_size, dim))
+    fitness = []
+    for x in population:
+        if len(fitness) == params.max_fes:
+            return True
+        [f] = yield x[None]
+        fitness.append(f)
+    fitness = np.array(fitness)
+    spent = params.pop_size
+    for _ in range(params.max_migration):
+        chosen = rng.choice(params.pop_size, size=params.m, replace=False)
+        migrants = chosen[np.argsort(fitness[chosen], kind="stable")[: params.n]]
+        for j in migrants:
+            leader_pool = rng.choice(params.pop_size, size=params.k, replace=False)
+            leader = leader_pool[int(np.argmin(fitness[leader_pool]))]
+            if leader == j:
+                continue
+            start = population[j].copy()
+            target = population[leader]
+            best_x, best_f = start, fitness[j]
+            for jump in range(1, params.n_jump + 1):
+                mask = (rng.random(dim) < params.prt).astype(float)
+                if not mask.any():
+                    mask[rng.integers(dim)] = 1.0
+                candidate = start + jump * params.step * (target - start) * mask
+                candidate = np.clip(candidate, params.var_min, params.var_max)
+                if spent == params.max_fes:
+                    return True
+                [f_cand] = yield candidate[None]
+                spent += 1
+                if f_cand < best_f:
+                    best_x, best_f = candidate, f_cand
+            population[j] = best_x
+            fitness[j] = best_f
     return True
 
 
@@ -142,18 +140,20 @@ def test_stacked_run_equals_one_point_at_a_time(
         assert (max(sizes) > 1) == (spec.kind != "powell")
 
 
-@pytest.mark.parametrize("max_fes", [10, 26, 30, 80])
+@pytest.mark.parametrize("max_fes", [10, 25, 26, 30, 35, 80])
 def test_isoma_stops_at_max_fes_as_one_point_at_a_time(
     monkeypatch, toy_hamiltonian, toy_circuit, max_fes
 ):
-    # inside the population (10), after one jump (26), inside a migrant's jumps
-    # (30), and after a few migrants (80)
+    # inside the population (10), exactly the population (25), after one jump
+    # (26), inside a migrant's jumps (30), exactly one migrant's n_jump jumps
+    # past the population (35), and after a few migrants (80)
     ctx = _context(toy_hamiltonian, toy_circuit, "SN-256")
     spec = OptimizerSpec("isoma", isoma=IsomaParams(pop_size=25, max_fes=max_fes))
     for seed in (0, 1):
         sizes = _compare(monkeypatch, ctx, spec, seed)
         assert sum(sizes) == max_fes
         assert sizes[0] == min(25, max_fes)
+        assert min(sizes) >= 1
 
 
 class _Poisoned:
@@ -178,15 +178,12 @@ def test_nan_row_of_a_stack_stops_as_one_point_at_a_time(toy_ctx, row):
     theta0 = np.array([0.4, -1.2, 2.0])
     nan_at = 2 + row
     outcomes = []
-    for stacked in (True, False):
+    for gradient_at in (gradient.finite_difference_gradient, _gradient_one_at_a_time):
         cost = _Poisoned(toy_ctx, nan_at)
         session = CostSession(cost.evaluate)
-        session(theta0)
+        session.many(theta0[None])
         with pytest.raises(CostEvaluationError) as err:
-            if stacked:
-                gradient.finite_difference_gradient(session, theta0)
-            else:
-                _gradient_one_at_a_time(session, theta0)
+            session.run(gradient_at(theta0))
         assert err.value.n_evals == nan_at
         assert session.n_evals == nan_at - 1
         outcomes.append(
@@ -201,8 +198,54 @@ def test_nan_row_of_a_stack_stops_as_one_point_at_a_time(toy_ctx, row):
 
 
 def test_plain_cost_gradient_raises_on_nan():
-    # the public form wraps a stack cost in a session of its own
-    grad = gradient.finite_difference_gradient(lambda x: np.sum(x * x, axis=1), np.ones(2), 0.5)
-    assert grad.tolist() == [2.0, 2.0]
+    # the gradient on a session of its own, over a plain stack cost
+    def gradient_of(cost, h=1e-6):
+        return CostSession(cost).run(gradient.finite_difference_gradient(np.ones(2), h))
+
+    assert gradient_of(lambda x: np.sum(x * x, axis=1), 0.5).tolist() == [2.0, 2.0]
     with pytest.raises(CostEvaluationError):
-        gradient.finite_difference_gradient(lambda x: np.full(len(x), math.nan), np.ones(2))
+        gradient_of(lambda x: np.full(len(x), math.nan))
+
+
+def _interleaved(ctx, specs):
+    """Runs with seeds 0, 1, ... driven round-robin, one stack per run per
+    round, each on its own session and random streams; returns each run's
+    result and the end states of its shot and optimizer streams."""
+    sessions, steps, rngs = [], [], []
+    for seed, spec in enumerate(specs):
+        shot_rng, opt_rng = np.random.default_rng(seed), np.random.default_rng(seed + 100)
+        theta0 = np.random.default_rng(seed + 200).uniform(-math.pi, math.pi, ctx.ansatz.n_params)
+        sessions.append(CostSession(lambda thetas, rng=shot_rng: sa_cost(thetas, ctx, rng)))
+        steps.append(optimizers._DISPATCH[spec.kind](theta0, spec, opt_rng))
+        rngs.append((shot_rng, opt_rng))
+    pending = dict.fromkeys(range(len(specs)))  # run -> the values to send it next
+    done = {}
+    while pending:
+        for i, values in list(pending.items()):
+            try:
+                points = steps[i].send(values)
+            except StopIteration as stop:
+                del pending[i]
+                done[i] = (sessions[i].result(stop.value), *(r.bit_generator.state for r in rngs[i]))
+                continue
+            assert isinstance(points, np.ndarray) and points.dtype == np.float64
+            assert points.ndim == 2 and len(points) >= 1
+            pending[i] = sessions[i].many(points)
+    return [done[i] for i in range(len(specs))]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kinds", [slice(0, None, 2), slice(1, None, 2)], ids=["even", "odd"])
+def test_interleaved_runs_equal_solo_runs(toy_hamiltonian, toy_circuit, family, kinds):
+    # runs share nothing but the context: a runner may advance them in any order
+    ctx = _context(toy_hamiltonian, toy_circuit, family)
+    specs = [_effective_optimizer(spec, lookup_family(family)) for spec in CAPPED[kinds]]
+    for seed, (spec, (got, shots, opt)) in enumerate(zip(specs, _interleaved(ctx, specs))):
+        want, _, want_shots, want_opt = _run(ctx, spec, seed, stacked=True)
+        assert np.array_equal(got.theta_best, want.theta_best)
+        assert got.f_best == want.f_best
+        assert got.n_evals == want.n_evals
+        assert got.converged == want.converged
+        assert got.trace == want.trace
+        assert shots == want_shots
+        assert opt == want_opt

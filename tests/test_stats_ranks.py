@@ -92,6 +92,14 @@ def test_friedman_input_validation():
         friedman_test(np.ones((1, 4)))
 
 
+@pytest.mark.parametrize("n", [5, 30])
+def test_friedman_rejects_nan(n):
+    values = np.arange(3.0 * n).reshape(n, 3)
+    values[n // 2, 1] = np.nan
+    with pytest.raises(ParameterDomainError, match="NaN"):
+        friedman_test(values)
+
+
 # --- Wilcoxon --------------------------------------------------------------
 
 def test_wilcoxon_identical_vectors():
@@ -156,6 +164,15 @@ def test_wilcoxon_zero_differences_dropped():
 def test_wilcoxon_shape_validation():
     with pytest.raises(ParameterDomainError):
         wilcoxon_signed_rank(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("n", [20, 30])  # the exact and the normal path
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_wilcoxon_rejects_nan(n, sign):
+    # n differences of one sign plus one NaN, which makes every rank NaN
+    diffs = sign * np.r_[np.arange(1.0, n + 1.0), np.nan]
+    with pytest.raises(ParameterDomainError, match="NaN"):
+        wilcoxon_signed_rank(diffs, np.zeros(n + 1))
 
 
 # --- p_adjust --------------------------------------------------------------
