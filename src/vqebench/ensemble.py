@@ -3,6 +3,7 @@ post-optimization eigenstate resolution, and the dense-diagonalization
 reference oracle."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,26 @@ class ReferencePair:
         return self.e0 + self.e1
 
 
+@functools.lru_cache(maxsize=16)
+def _preparations(dim: int, a: int, b: int) -> np.ndarray:
+    """The ensemble's initial operators as one read-only (4, d, d) stack,
+    built once per (d, a, b): |a><a| and |b><b|, then the Hermitian parts of
+    |a><b|, (|a><b| + |b><a|)/2 and (|a><b| - |b><a|)/(2i)."""
+    stack = np.zeros((4, dim, dim), dtype=complex)
+    stack[0, a, a] = stack[1, b, b] = 1.0
+    stack[2, a, b] = stack[2, b, a] = 0.5
+    stack[3, a, b], stack[3, b, a] = -0.5j, 0.5j
+    stack.flags.writeable = False
+    return stack
+
+
 def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None) -> np.ndarray:
     """Sum of the Hamiltonian expectations over the two evolved states, one
     cost per row of an (m, p) parameter stack.  The 2m states are evolved
     and measured as one stack ordered [theta_0 a, theta_0 b, theta_1 a, ...],
     so the shots drawn are those of m calls on stacks of one."""
     dim = ctx.hamiltonian.dim
-    initial = np.zeros((2, dim, dim), dtype=complex)
-    initial[0, ctx.phi_a, ctx.phi_a] = initial[1, ctx.phi_b, ctx.phi_b] = 1.0
+    initial = _preparations(dim, ctx.phi_a, ctx.phi_b)[:2]
     rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
     pairs = expectation(rhos.reshape(-1, dim, dim), ctx.hamiltonian, ctx.estimator, rng)
     pairs = pairs.reshape(-1, 2)
@@ -81,15 +94,9 @@ def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
 
     Expectations are taken exactly; the estimator's noise model still applies
     to state preparation.  The cross term z = Tr(H E(|a><b|)) is read from
-    the Hermitian parts of |a><b|, (|a><b| + |b><a|)/2 and
-    (|a><b| - |b><a|)/(2i), which give Re z and Im z; they are evolved with
-    |a><a| and |b><b| as one stack.
+    the last two preparations, which give Re z and Im z.
     """
-    a, b = ctx.phi_a, ctx.phi_b
-    initial = np.zeros((4, ctx.hamiltonian.dim, ctx.hamiltonian.dim), dtype=complex)
-    initial[0, a, a] = initial[1, b, b] = 1.0
-    initial[2, a, b] = initial[2, b, a] = 0.5
-    initial[3, a, b], initial[3, b, a] = -0.5j, 0.5j
+    initial = _preparations(ctx.hamiltonian.dim, ctx.phi_a, ctx.phi_b)
     rhos = evolve_circuit(initial, ctx.ansatz, np.asarray(theta)[None], ctx.estimator.noise)
     m_aa, m_bb, re_z, im_z = expectation_exact(rhos[0], ctx.hamiltonian)
     block = np.array([[m_aa, re_z - 1j * im_z], [re_z + 1j * im_z, m_bb]])

@@ -82,22 +82,23 @@ _JSON_SHAPES = {
 }
 
 
-def _read(build, obj, what: str, **readers):
-    """build(**obj).  obj must be a JSON object whose keys are build's
-    parameters: a key build does not take, or a missing one it needs, is a
-    config error that names the keys it takes.  A key with a reader, a
+def _read(build, obj, what: str, keys=None, **readers):
+    """build(**obj).  obj must be a JSON object whose keys are among keys,
+    by default build's parameters: a key not in keys, or a missing one build
+    needs, is a config error that names keys.  A key with a reader, a
     (JSON shapes, convert) pair, must hold a value of one of those shapes,
     which convert turns into build's argument; a value too large to convert
     is a config error that names its key."""
     if not isinstance(obj, dict):
         raise ParameterDomainError(f"{what} must be a JSON object, got {obj!r}")
     params = inspect.signature(build).parameters
-    takes = ", ".join(params)
+    keys = tuple(params) if keys is None else keys
+    takes = ", ".join(keys)
     for key in obj:
-        if key not in params:
+        if key not in keys:
             raise ParameterDomainError(f"{what} takes no {key!r}; it takes {takes}")
-    for name, param in params.items():
-        if param.default is param.empty and name not in obj:
+    for name in keys:
+        if params[name].default is inspect.Parameter.empty and name not in obj:
             raise ParameterDomainError(f"{what} needs {name!r}; it takes {takes}")
 
     def read(key, value):
@@ -146,29 +147,17 @@ def _isoma(obj) -> IsomaParams:
     return _read(IsomaParams, obj, "isoma", **numbers)
 
 
-def _taking(build, names):
-    """build, with a signature of only its parameters in names."""
-    signature = inspect.signature(build)
-
-    def narrowed(**kwargs):
-        return build(**kwargs)
-
-    kept = [p for p in signature.parameters.values() if p.name in names]
-    narrowed.__signature__ = signature.replace(parameters=kept)
-    return narrowed
-
-
 def _optimizer(obj) -> OptimizerSpec:
     """An optimizer name, or an object that takes its kind and only the
     fields that kind reads (SPEC_FIELDS)."""
     if isinstance(obj, str):
         return OptimizerSpec(kind=obj)
-    build, what = OptimizerSpec, "optimizer"
+    keys, what = None, "optimizer"
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if isinstance(kind, str) and kind in SPEC_FIELDS:
-        build, what = _taking(OptimizerSpec, ("kind", *SPEC_FIELDS[kind])), f"optimizer {kind!r}"
+        keys, what = ("kind", *SPEC_FIELDS[kind]), f"optimizer {kind!r}"
     isoma = (("object",), _isoma)
-    return _read(build, obj, what, ftol=_NUMBER, gradient_step=_NUMBER, isoma=isoma)
+    return _read(OptimizerSpec, obj, what, keys, ftol=_NUMBER, gradient_step=_NUMBER, isoma=isoma)
 
 
 def _theta0(obj) -> Theta0Policy:

@@ -79,6 +79,8 @@ def write_records(records, path) -> None:
 
 
 def read_records(path) -> list[RunRecord]:
+    """The file's records.  A run, a (family, optimizer, seed), that two rows
+    hold is an error: the battery would count its points twice."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -87,12 +89,18 @@ def read_records(path) -> list[RunRecord]:
         raise ParameterDomainError(f"cannot read runs file {path}: {exc}") from exc
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ParameterDomainError(f"{path} does not start with the runs CSV header")
+    rows_of_run: dict[tuple, int] = {}
     records = []
     for number, row in enumerate(rows[1:], start=1):
         if len(row) != len(CSV_HEADER):
             raise ParameterDomainError(f"malformed row {number} in {path}: {row!r}")
         try:
-            records.append(RunRecord(*(parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row))))
+            record = RunRecord(*(parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row)))
         except ValueError as exc:
             raise ParameterDomainError(f"bad row {number} in {path}: {row!r}: {exc}") from None
+        run = (record.family, record.optimizer, record.seed)
+        first = rows_of_run.setdefault(run, number)
+        if first != number:
+            raise ParameterDomainError(f"rows {first} and {number} in {path} repeat run {run!r}")
+        records.append(record)
     return records

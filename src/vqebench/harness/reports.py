@@ -137,15 +137,26 @@ def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> No
 
 def analyze_runs(records, out_dir, n_perm: int = 9999, seed: int = 0) -> list[str]:
     """Per-optimizer battery; returns the optimizer names analyzed.  Each
-    optimizer's reports go to the subdirectory named after it, so a name
-    that is not a plain directory name raises before anything is written."""
+    optimizer's reports go to the subdirectory named after it.  A name that
+    is not a plain directory name, or energies whose spread overflows a
+    float, raise before anything is written."""
     out_dir = Path(out_dir)
     optimizers = sorted({r.optimizer for r in records})
     if not optimizers:
         raise DegenerateSampleError("runs file contains no records")
+    finite = _finite(records)
     for opt in optimizers:
         if opt in ("", ".", "..") or Path(opt).name != opt:
             raise ParameterDomainError(f"optimizer {opt!r} is not a plain directory name")
+        points = np.array([(r.e_ground, r.e_excited) for r in finite if r.optimizer == opt])
+        if len(points):
+            # bounds every sum of squares the battery forms, bootstrap resamples included
+            with np.errstate(over="ignore", invalid="ignore"):
+                spread = len(points) * ((points - points.mean(axis=0)) ** 2).sum()
+            if not math.isfinite(spread):
+                raise DegenerateSampleError(
+                    f"optimizer {opt!r}: energies too far apart to analyze (their spread overflows)"
+                )
     for opt in optimizers:
         subset = [r for r in records if r.optimizer == opt]
         analyze_optimizer(subset, out_dir / opt, n_perm=n_perm, seed=seed)

@@ -20,7 +20,6 @@ from .records import RunRecord, row_writer
 
 #: Enlarged central-difference step used under shot-based estimation.
 NOISY_GRADIENT_STEP = 5e-2
-_DEFAULT_GRADIENT_STEP = OptimizerSpec("bfgs").gradient_step
 
 
 def derive_run_seed(family: str, optimizer: str, seed: int) -> int:
@@ -40,9 +39,9 @@ class _RunTask:
 
 
 def _effective_optimizer(spec: OptimizerSpec, family: FamilySpec) -> OptimizerSpec:
-    """Under shot-based estimation, widen the finite-difference step unless
-    the config overrode the default."""
-    if family.estimator.mode == "shots" and spec.gradient_step == _DEFAULT_GRADIENT_STEP:
+    """Under shot-based estimation, widen an unset finite-difference step;
+    a step the config set is kept."""
+    if family.estimator.mode == "shots" and spec.gradient_step is None:
         return replace(spec, gradient_step=NOISY_GRADIENT_STEP)
     return spec
 

@@ -6,7 +6,7 @@ import numpy as np
 from ..errors import ParameterDomainError
 from .direct import cobyla_minimize, nelder_mead_minimize, powell_minimize
 from .gradient import bfgs_minimize, slsqp_minimize
-from .result import OPTIMIZER_KINDS, IsomaParams, OptimizerSpec, OptResult
+from .result import OPTIMIZER_KINDS, SPEC_FIELDS, IsomaParams, OptimizerSpec, OptResult
 from .session import CostSession
 from .soma import isoma_minimize
 
@@ -17,16 +17,6 @@ _DISPATCH = {
     "powell": powell_minimize,
     "cobyla": cobyla_minimize,
     "isoma": isoma_minimize,
-}
-
-#: The OptimizerSpec fields each kind's algorithm reads, besides its kind.
-SPEC_FIELDS = {
-    "bfgs": ("maxiter", "ftol", "gradient_step"),
-    "slsqp": ("maxiter", "ftol", "gradient_step"),
-    "nelder_mead": ("maxiter",),
-    "powell": ("maxiter",),
-    "cobyla": ("maxiter",),
-    "isoma": ("isoma",),
 }
 
 

@@ -8,9 +8,10 @@ from .result import OptimizerSpec
 MAX_BACKTRACKS = 30  # line-search halvings per BFGS/SQP iteration
 GRAD_NORM_TOL = 1e-8
 ARMIJO_C1 = 1e-4
+GRADIENT_STEP = 1e-6  # central-difference step of a spec that sets none
 
 
-def finite_difference_gradient(theta, h: float = 1e-6):
+def finite_difference_gradient(theta, h: float = GRADIENT_STEP):
     """Central-difference gradient from 2*dim evaluations, asked for as one
     stack ordered +h, -h per coordinate."""
     steps = h * np.eye(theta.size)
@@ -40,7 +41,7 @@ def _quasi_newton(theta0, spec: OptimizerSpec, step, update):
     """Quasi-Newton loop shared by BFGS and SQP: step(model, g) gives the
     (model, search direction), update(model, s, y) the model after a step;
     the model starts as the identity."""
-    h = spec.gradient_step
+    h = GRADIENT_STEP if spec.gradient_step is None else spec.gradient_step
     model = np.eye(theta0.size)
     [f] = yield theta0[None]
     g = yield from finite_difference_gradient(theta0, h)

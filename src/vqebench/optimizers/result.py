@@ -8,7 +8,16 @@ import numpy as np
 
 from ..errors import ParameterDomainError, is_count
 
-OPTIMIZER_KINDS = ("bfgs", "slsqp", "nelder_mead", "powell", "cobyla", "isoma")
+#: The OptimizerSpec fields each kind's algorithm reads, besides its kind.
+SPEC_FIELDS = {
+    "bfgs": ("maxiter", "ftol", "gradient_step"),
+    "slsqp": ("maxiter", "ftol", "gradient_step"),
+    "nelder_mead": ("maxiter",),
+    "powell": ("maxiter",),
+    "cobyla": ("maxiter",),
+    "isoma": ("isoma",),
+}
+OPTIMIZER_KINDS = tuple(SPEC_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,7 @@ class OptimizerSpec:
     kind: str
     maxiter: int = 500
     ftol: float = 1e-8
-    gradient_step: float = 1e-6
+    gradient_step: float | None = None  # unset: gradient.GRADIENT_STEP, widened under shots
     isoma: IsomaParams = field(default_factory=IsomaParams)
 
     def __post_init__(self):
@@ -58,7 +67,7 @@ class OptimizerSpec:
             raise ParameterDomainError("maxiter must be an integer from 1 to 2**63 - 1")
         if not 0 < self.ftol < math.inf:
             raise ParameterDomainError(f"ftol must be positive and finite, got {self.ftol!r}")
-        if not 0 < self.gradient_step < math.inf:
+        if self.gradient_step is not None and not 0 < self.gradient_step < math.inf:
             raise ParameterDomainError(
                 f"gradient step must be positive and finite, got {self.gradient_step!r}"
             )

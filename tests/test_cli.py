@@ -196,6 +196,60 @@ def test_rank_overflowing_distance_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_energies_whose_spread_overflows_exit_3(tmp_path, capsys):
+    # finite energies whose sums of squares overflow a float
+    records = [
+        RunRecord(fam, opt, seed, *energies, 10, True, 1.0)
+        for opt in ("huge", "vast")
+        for seed in range(4)
+        for fam, energies in (("fam_a", (1e308, 1e308, 0.0)), ("fam_b", (-2.0, -0.5 + seed, 0.0)))
+    ]
+    runs = tmp_path / "runs.csv"
+    write_records(records, runs)
+    out = tmp_path / "huge"
+    assert main(["analyze", "--runs", str(runs), "--per-optimizer", str(out), "--n-perm", "99"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "data error: optimizer 'huge': energies too far apart to analyze (their spread overflows)"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "rank"])
+def test_repeated_run_exits_3(tmp_path, capsys, command):
+    # a run that two rows hold would count twice in every test
+    records = synthetic_records()
+    repeats = [r for r in records if r.family == "fam_a" and r.optimizer == "bad"][:4]
+    runs = tmp_path / "runs.csv"
+    write_records(records + [replace(r, e_ground=r.e_ground - 0.1) for r in repeats], runs)
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["analyze", "--runs", str(runs), "--per-optimizer", str(out)],
+        "rank": ["rank", "--runs", str(runs), "--reference", "-2.0", "-0.5", "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data error: rows 2 and 25 in {runs} repeat run ('fam_a', 'bad', 0)"]
+    assert not out.exists()
+
+
+def test_run_with_two_jobs_equals_one_job(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        families=["ideal", "SN-256", "DP-1%"],
+        optimizers=[{"kind": "bfgs", "maxiter": 4}, {"kind": "cobyla", "maxiter": 20}],
+    )
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"runs{jobs}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+        with open(out, newline="") as handle:
+            rows[jobs] = [row[:-1] for row in csv.reader(handle)]  # wall_time_ms aside
+    assert rows["1"][0][-1] == "converged"
+    assert len(rows["1"]) == 1 + 3 * 2 * 2
+    assert rows["2"] == rows["1"]
+
+
 @pytest.mark.parametrize(
     "command, option, values",
     [

@@ -235,3 +235,88 @@ def test_resolve_states_equals_polarization_formula(family, phis, rng):
         got = resolve_states(theta, ctx)
         want = _polarization_resolve(theta, ctx)
         assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+
+# The per-call construction of the initial operators that the shared
+# preparation stack replaced, kept here as the reference it must equal.
+
+def _built_per_call(ctx, k):
+    a, b = ctx.phi_a, ctx.phi_b
+    initial = np.zeros((k, ctx.hamiltonian.dim, ctx.hamiltonian.dim), dtype=complex)
+    initial[0, a, a] = initial[1, b, b] = 1.0
+    if k == 4:
+        initial[2, a, b] = initial[2, b, a] = 0.5
+        initial[3, a, b], initial[3, b, a] = -0.5j, 0.5j
+    return initial
+
+
+def _sa_cost_built_per_call(thetas, ctx):
+    dim = ctx.hamiltonian.dim
+    rhos = evolve_circuit(_built_per_call(ctx, 2), ctx.ansatz, thetas, ctx.estimator.noise)
+    pairs = expectation(rhos.reshape(-1, dim, dim), ctx.hamiltonian, ctx.estimator).reshape(-1, 2)
+    return 0.0 + pairs[:, 0] + pairs[:, 1]
+
+
+def _resolve_built_per_call(theta, ctx):
+    rhos = evolve_circuit(_built_per_call(ctx, 4), ctx.ansatz, theta[None], ctx.estimator.noise)
+    m_aa, m_bb, re_z, im_z = expectation_exact(rhos[0], ctx.hamiltonian)
+    block = np.array([[m_aa, re_z - 1j * im_z], [re_z + 1j * im_z, m_bb]])
+    e0, e1 = np.linalg.eigvalsh(block)
+    return float(e0), float(e1)
+
+
+def _exact_catalog_contexts(phis):
+    from vqebench.harness.catalog import family_catalog
+
+    h = PauliSum.from_terms([(-1.0, "ZI"), (-1.0, "IZ"), (0.5, "XX"), (0.3, "XY"), (-0.2, "YI")])
+    circuit = parse_circuit("ry 0 t0\nry 1 t1\ncx 0 1\nprot XY t2 0 1\nrz 1 t3\nrx 0 t4", 2)
+    return [
+        EnsembleContext(h, circuit, *phis, replace(family.estimator, n_m=None))
+        for family in family_catalog()
+    ]
+
+
+@pytest.mark.parametrize("phis", [(0, 1), (2, 1)])
+def test_shared_preparations_equal_the_per_call_construction(phis, rng):
+    contexts = _exact_catalog_contexts(phis)
+    assert len(contexts) == 21
+    for ctx in contexts:
+        thetas = rng.uniform(-np.pi, np.pi, size=(3, ctx.ansatz.n_params))
+        assert np.array_equal(sa_cost(thetas, ctx), _sa_cost_built_per_call(thetas, ctx))
+        for theta in thetas:
+            assert resolve_states(theta, ctx) == _resolve_built_per_call(theta, ctx)
+
+
+def test_preparations_are_read_only():
+    from vqebench.ensemble import _preparations
+
+    stack = _preparations(4, 0, 1)
+    assert stack.shape == (4, 4, 4)
+    for view in (stack, stack[:2]):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 2.0
+    assert stack[0, 0, 0] == 1.0
+
+
+def test_preparations_built_once_for_all_contexts_and_calls(monkeypatch, rng):
+    from vqebench import ensemble
+
+    evolved = []
+
+    def recording(rho0, *args):
+        evolved.append(rho0)
+        return evolve_circuit(rho0, *args)
+
+    monkeypatch.setattr(ensemble, "evolve_circuit", recording)
+    ensemble._preparations.cache_clear()
+    contexts = _exact_catalog_contexts((2, 1))
+    for ctx in contexts:
+        theta = rng.uniform(-np.pi, np.pi, size=ctx.ansatz.n_params)
+        sa_cost(theta[None], ctx)
+        resolve_states(theta, ctx)
+        sa_cost(np.stack([theta, -theta]), ctx)
+    stack = ensemble._preparations(4, 2, 1)
+    assert ensemble._preparations.cache_info().misses == 1
+    assert len(evolved) == 3 * len(contexts)
+    assert all(np.shares_memory(rho0, stack) for rho0 in evolved)
+    assert [len(rho0) for rho0 in evolved[:3]] == [2, 4, 2]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from vqebench.errors import ParameterDomainError
@@ -189,3 +190,39 @@ def test_problem_loaded_once_per_grid(monkeypatch):
     )
     assert len(run_experiment(cfg)) == 8
     assert calls == {"load_hamiltonian": 1, "load_circuit": 1}
+
+
+# --- the finite-difference step a run uses -----------------------------------
+
+def _first_gradient_step(spec):
+    """The step of the first central difference the spec's algorithm asks for."""
+    from vqebench.optimizers import _DISPATCH
+
+    steps = _DISPATCH[spec.kind](np.zeros(2), spec, None)
+    next(steps)  # theta0 alone
+    return steps.send([1.0])[0, 0]  # theta0 + h along the first coordinate
+
+
+@pytest.mark.parametrize("kind", ["bfgs", "slsqp"])
+@pytest.mark.parametrize(
+    "family, step, used",
+    [
+        ("ideal", None, 1e-6),
+        ("SN-256", None, 5e-2),
+        ("DP-1%", None, 5e-2),  # noisy families measure with shots too
+        ("ideal", 1e-6, 1e-6),
+        ("SN-256", 1e-6, 1e-6),  # an explicit default-sized step is kept
+        ("SN-256", 0.3, 0.3),
+        ("ideal", 0.3, 0.3),
+    ],
+)
+def test_only_an_unset_step_is_widened_under_shots(kind, family, step, used):
+    from vqebench.harness import lookup_family
+    from vqebench.harness.runner import _effective_optimizer
+    from vqebench.optimizers import OptimizerSpec
+
+    spec = OptimizerSpec(kind, gradient_step=step)
+    effective = _effective_optimizer(spec, lookup_family(family))
+    if step is not None:
+        assert effective == spec
+    assert _first_gradient_step(effective) == used

@@ -346,3 +346,9 @@ def test_line_minimization_stays_within_its_bound():
         x, direction = rng.normal(size=(2, dim))
         counts.append(_line_evaluations(cost, x, direction / np.linalg.norm(direction)))
     assert max(counts) <= LINE_BOUND
+
+
+def test_one_kind_list():
+    from vqebench.optimizers import _DISPATCH
+
+    assert OPTIMIZER_KINDS == tuple(SPEC_FIELDS) == tuple(_DISPATCH)
