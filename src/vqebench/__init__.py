@@ -1,10 +1,11 @@
 """vqebench: a benchmarking workbench for variational quantum eigensolver
 optimizers under configurable noise.
 
-Subpackages: qsim (density-matrix simulation), ensemble (state-averaged
-cost), optimizers (six from-scratch minimizers), stats (multivariate
-statistical battery), harness (noise catalog, run execution, CLI).  The
-ensemble names below load the simulator on first use, not on import.
+Subpackages: qsim (mixed-state simulation on Pauli vectors), ensemble
+(state-averaged cost), optimizers (six from-scratch minimizers), stats
+(multivariate statistical battery), harness (noise catalog, run execution,
+CLI).  The ensemble names below load the simulator on first use, not on
+import.
 """
 import importlib
 

@@ -13,9 +13,14 @@ from .qsim import (
     Circuit,
     EstimatorSpec,
     PauliSum,
+    Readout,
+    Schedule,
+    compile_circuit,
+    compile_readout,
     evolve_circuit,
     expectation,
     expectation_exact,
+    to_pauli,
 )
 
 MAX_REFERENCE_QUBITS = 8
@@ -38,7 +43,8 @@ class EnsembleContext:
                 f"Hamiltonian has {self.hamiltonian.n_qubits} qubits, "
                 f"ansatz {self.ansatz.n_qubits}"
             )
-        # the simulator keeps every gate's 2^n x 2^n operator of the ansatz
+        # the simulator keeps each gate's tables over the 4^n Pauli strings,
+        # 1 MiB per fixed gate and 1.6 MiB per rotation at 8 qubits
         if self.ansatz.n_qubits > MAX_REFERENCE_QUBITS:
             raise CapacityError(
                 f"dense simulation supports at most {MAX_REFERENCE_QUBITS} qubits"
@@ -48,6 +54,17 @@ class EnsembleContext:
                 raise ParameterDomainError(f"basis index {idx} out of range for dim {dim}")
         if self.phi_a == self.phi_b:
             raise ParameterDomainError("the two initial states must be orthogonal")
+
+    @functools.cached_property
+    def schedule(self) -> Schedule:
+        """The ansatz compiled under the estimator's noise model, looked up
+        once per context."""
+        return compile_circuit(self.ansatz, self.estimator.noise)
+
+    @functools.cached_property
+    def readout(self) -> Readout:
+        """The Hamiltonian's readout, looked up once per context."""
+        return compile_readout(self.hamiltonian)
 
 
 @dataclass(frozen=True)
@@ -64,15 +81,16 @@ class ReferencePair:
 
 @functools.lru_cache(maxsize=16)
 def _preparations(dim: int, a: int, b: int) -> np.ndarray:
-    """The ensemble's initial operators as one read-only (4, d, d) stack,
-    built once per (d, a, b): |a><a| and |b><b|, then the Hermitian parts of
-    |a><b|, (|a><b| + |b><a|)/2 and (|a><b| - |b><a|)/(2i)."""
+    """The ensemble's initial operators as one read-only (4, 4^n) stack of
+    Pauli vectors, built once per (d, a, b): |a><a| and |b><b|, then the
+    Hermitian parts of |a><b|, (|a><b| + |b><a|)/2 and (|a><b| - |b><a|)/(2i)."""
     stack = np.zeros((4, dim, dim), dtype=complex)
     stack[0, a, a] = stack[1, b, b] = 1.0
     stack[2, a, b] = stack[2, b, a] = 0.5
     stack[3, a, b], stack[3, b, a] = -0.5j, 0.5j
-    stack.flags.writeable = False
-    return stack
+    paulis = to_pauli(stack)
+    paulis.flags.writeable = False
+    return paulis
 
 
 def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -80,10 +98,9 @@ def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None)
     cost per row of an (m, p) parameter stack.  The 2m states are evolved
     and measured as one stack ordered [theta_0 a, theta_0 b, theta_1 a, ...],
     so the shots drawn are those of m calls on stacks of one."""
-    dim = ctx.hamiltonian.dim
-    initial = _preparations(dim, ctx.phi_a, ctx.phi_b)[:2]
-    rhos = evolve_circuit(initial, ctx.ansatz, theta, ctx.estimator.noise)
-    pairs = expectation(rhos.reshape(-1, dim, dim), ctx.hamiltonian, ctx.estimator, rng)
+    initial = _preparations(ctx.hamiltonian.dim, ctx.phi_a, ctx.phi_b)[:2]
+    states = evolve_circuit(initial, ctx.schedule, theta)
+    pairs = expectation(states.reshape(-1, initial.shape[1]), ctx.readout, ctx.estimator, rng)
     pairs = pairs.reshape(-1, 2)
     return 0.0 + pairs[:, 0] + pairs[:, 1]
 
@@ -97,8 +114,8 @@ def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
     the last two preparations, which give Re z and Im z.
     """
     initial = _preparations(ctx.hamiltonian.dim, ctx.phi_a, ctx.phi_b)
-    rhos = evolve_circuit(initial, ctx.ansatz, np.asarray(theta)[None], ctx.estimator.noise)
-    m_aa, m_bb, re_z, im_z = expectation_exact(rhos[0], ctx.hamiltonian)
+    states = evolve_circuit(initial, ctx.schedule, np.asarray(theta)[None])
+    m_aa, m_bb, re_z, im_z = expectation_exact(states[0], ctx.readout)
     block = np.array([[m_aa, re_z - 1j * im_z], [re_z + 1j * im_z, m_bb]])
     e0, e1 = np.linalg.eigvalsh(block)
     return float(e0), float(e1)

@@ -1,10 +1,21 @@
-"""Few-qubit density-matrix simulation: gates, channels, estimators."""
+"""Few-qubit simulation on Pauli vectors: gates, channels, estimators."""
 from .channels import damp, depolarize
 from .circuits import Circuit, Gate, load_circuit, parse_circuit
 from .noise import NoiseModel, NoiseRule
-from .pauli import PauliSum, load_hamiltonian, parse_hamiltonian, pauli_string_matrix
+from .pauli import (
+    PauliSum,
+    load_hamiltonian,
+    parse_hamiltonian,
+    pauli_index,
+    pauli_string_matrix,
+    to_pauli,
+)
 from .simulate import (
     EstimatorSpec,
+    Readout,
+    Schedule,
+    compile_circuit,
+    compile_readout,
     evolve_circuit,
     expectation,
     expectation_exact,
@@ -18,6 +29,10 @@ __all__ = [
     "NoiseModel",
     "NoiseRule",
     "PauliSum",
+    "Readout",
+    "Schedule",
+    "compile_circuit",
+    "compile_readout",
     "damp",
     "depolarize",
     "evolve_circuit",
@@ -28,5 +43,7 @@ __all__ = [
     "load_hamiltonian",
     "parse_circuit",
     "parse_hamiltonian",
+    "pauli_index",
     "pauli_string_matrix",
+    "to_pauli",
 ]

@@ -4,10 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import DimensionError, ParameterDomainError
-from .pauli import PauliSum, read_text
+from .pauli import read_text
 
 SINGLE_QUBIT_KINDS = frozenset({"x", "y", "z", "h", "rx", "ry", "rz"})
 PARAMETRIC_KINDS = frozenset({"rx", "ry", "rz", "prot"})
@@ -70,22 +68,15 @@ class Gate:
                 f"gate duration must be positive and finite, got {self.duration_ns!r} ns"
             )
 
-    def operator(self, n_qubits: int) -> np.ndarray:
-        """The gate's 2^n x 2^n operator: a fixed gate's unitary, or a
-        rotation's Pauli generator P, the gate being exp(-i theta/2 P)."""
-        if any(not 0 <= q < n_qubits for q in self.qubits):
-            raise DimensionError(f"gate qubits {self.qubits} outside 0..{n_qubits - 1}")
+    def local_terms(self) -> tuple[tuple[float, str], ...]:
+        """The gate as Pauli terms on its own qubits, in the order listed: a
+        fixed gate's unitary, or a rotation's generator P, the gate being
+        exp(-i theta/2 P)."""
+        if self.kind == "prot":
+            return ((1.0, self.pauli_string.upper()),)
         if self.kind in PARAMETRIC_KINDS:
-            terms = ((1.0, self.pauli_string if self.kind == "prot" else self.kind[1]),)
-        else:
-            terms = _FIXED_TERMS[self.kind]
-        padded = []
-        for coeff, local in terms:
-            string = ["I"] * n_qubits
-            for q, c in zip(self.qubits, local):
-                string[q] = c
-            padded.append((coeff, "".join(string)))
-        return PauliSum.from_terms(padded).to_matrix()
+            return ((1.0, self.kind[1].upper()),)
+        return _FIXED_TERMS[self.kind]
 
 
 @dataclass(frozen=True)

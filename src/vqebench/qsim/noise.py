@@ -62,7 +62,8 @@ class NoiseRule:
                 )
 
     def channels(self, gate: Gate) -> tuple[partial, ...]:
-        """The maps rho -> rho to apply after `gate`, in order.
+        """The channels to apply after `gate`, in order, each a function of
+        the qubit count that returns its Pauli transfer tables.
 
         Single-qubit channels act independently on every qubit the gate
         touches; depolarizing acts on all of the gate's qubits at once.
@@ -84,7 +85,7 @@ class NoiseModel:
     rules: tuple[NoiseRule, ...]
 
     def channels(self, gate: Gate) -> tuple[partial, ...]:
-        """The maps every rule matching `gate` applies after it, rule by rule."""
+        """The channels every rule matching `gate` applies after it, rule by rule."""
         return tuple(
             m for rule in self.rules if gate.kind in rule.gates for m in rule.channels(gate)
         )

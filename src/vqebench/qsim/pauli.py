@@ -1,7 +1,9 @@
-"""Pauli-string Hamiltonians and their dense matrix representation.
+"""Pauli-string Hamiltonians, their dense matrix representation, and the
+Pauli vector of a state.
 
-Qubit 0 corresponds to the leftmost character of a Pauli string and to the
-most significant bit of a computational-basis index.
+Qubit 0 corresponds to the leftmost character of a Pauli string, to the
+most significant bit of a computational-basis index and to the most
+significant base-4 digit of a Pauli-vector index.
 """
 from __future__ import annotations
 
@@ -18,6 +20,14 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+#: A Pauli string's index in a Pauli vector r_P = Tr(P rho) reads its
+#: letters as base-4 digits, I, X, Y, Z = 0..3, so r[..., 0] is Tr rho and
+#: qubit q's digit is the bit pair 2(n - 1 - q) of the index.
+PAULI_DIGITS = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+
+#: Row a maps a qubit's 2x2 block, flattened as 2i + j, to Tr(sigma_a block).
+_TRACE_WITH = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
 @dataclass(frozen=True)
@@ -118,3 +128,33 @@ def read_text(path, what: str) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParameterDomainError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def pauli_index(string: str) -> int:
+    """The index of a Pauli string in a Pauli vector."""
+    index = 0
+    for c in string.upper():
+        index = 4 * index + PAULI_DIGITS[c]
+    return index
+
+
+def pauli_digits(n_qubits: int, qubit: int) -> np.ndarray:
+    """Qubit q's digit (0..3 for I, X, Y, Z) of every Pauli-vector index."""
+    return (np.arange(4**n_qubits) >> 2 * (n_qubits - 1 - qubit)) & 3
+
+
+def to_pauli(rho: np.ndarray) -> np.ndarray:
+    """The real Pauli vectors r_P = Tr(P rho) of a (k, d, d) stack of
+    Hermitian operators, (k, 4^n): one 2x2 -> 4 transform per qubit."""
+    d = rho.shape[-1]
+    n = d.bit_length() - 1
+    if rho.ndim != 3 or rho.shape[1] != d or d != 2**n:
+        raise DimensionError(f"expected a (k, 2^n, 2^n) operator stack, got shape {rho.shape}")
+    k = len(rho)
+    # axes (k, row bit of qubit 0, column bit of qubit 0, row bit of qubit 1, ...)
+    t = rho.reshape(k, *(2,) * (2 * n))
+    t = t.transpose(0, *(a for q in range(n) for a in (1 + q, 1 + n + q)))
+    t = t.reshape(k, *(4,) * n)
+    for q in range(n):
+        t = np.moveaxis(np.tensordot(t, _TRACE_WITH, axes=(1 + q, 1)), -1, 1 + q)
+    return np.ascontiguousarray(t.real.reshape(k, 4**n))

@@ -1,16 +1,27 @@
-"""Noisy density-matrix circuit evolution and expectation estimators."""
+"""Noisy circuit evolution and expectation estimators on Pauli vectors.
+
+A state is its real Pauli vector r_P = Tr(P rho) over the 4^n Pauli
+strings, indexed as in `pauli.PAULI_DIGITS`.  Every fixed gate is a
+Clifford gate, so it maps r to a signed permutation of r (Aaronson &
+Gottesman, Phys. Rev. A 70, 052328, 2004); a rotation exp(-i theta/2 P)
+mixes each string that anticommutes with P with one partner string; the
+channels scale r, damping adding one Z <- I term.  A circuit under a noise
+model and a Hamiltonian are each compiled once into index tables.
+"""
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError, is_count
-from .circuits import Circuit
+from .channels import Channel
+from .circuits import Circuit, Gate
 from .noise import NoiseModel
-from .pauli import PauliSum, pauli_string_matrix
+from .pauli import PauliSum, pauli_digits, pauli_index, pauli_string_matrix
 
 
 @dataclass(frozen=True)
@@ -34,134 +45,196 @@ class EstimatorSpec:
         return "exact" if self.n_m is None else "shots"
 
 
-def evolve_circuit(
-    rho0: np.ndarray,
-    circuit: Circuit,
-    theta: np.ndarray,
-    noise: NoiseModel | None = None,
-) -> np.ndarray:
-    """Apply the circuit's gates in order, inserting noise channels after
-    each gate matched by the noise model.  rho0 is a (k, d, d) stack of
-    density matrices and theta an (m, p) stack of parameter vectors; the
-    result is (m, k, d, d), slice j the whole of rho0 evolved under row j."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2 or theta.shape[1] != circuit.n_params:
-        raise DimensionError(
-            f"expected an (m, {circuit.n_params}) parameter stack, got shape {theta.shape}"
-        )
-    d = 2**circuit.n_qubits
-    if rho0.ndim != 3 or rho0.shape[1:] != (d, d):
-        raise DimensionError(
-            f"expected a (k, {d}, {d}) state stack for the circuit's"
-            f" {circuit.n_qubits} qubits, got shape {rho0.shape}"
-        )
-    # exp(-i theta/2 P) = cos(theta/2) I - i sin(theta/2) P, one (d, d)
-    # rotation per row at each rotation gate, shaped (m, 1, d, d) to
-    # broadcast over rho0.  Only the current gate's rotations are live, so
-    # memory stays a few copies of the evolved stack.
-    half = theta.T[:, :, None, None, None] / 2.0
-    cosines, i_sines = np.cos(half), 1j * np.sin(half)
-    plan = _schedule(circuit, noise)
-    rho = rho0
-    for param_index, op, channels in plan.steps:
-        if param_index is not None:
-            op = cosines[param_index] * plan.identity - i_sines[param_index] * op
-        rho = op @ rho @ op.conj().swapaxes(-1, -2)
-        for channel in channels:
-            rho = channel(rho)
-    if rho.ndim == 3:  # no rotation gate has added the m axis
-        rho = np.repeat(rho[None], len(theta), axis=0)
-    return rho
+class _Step(NamedTuple):
+    """One gate and the channels after it, over the 4^n Pauli strings.  A
+    fixed gate maps r to weight * r[source].  A rotation maps r to
+    r * scale * (cos(theta) where turned, else 1) + sin(theta) weight *
+    r[source]: a string Q that anticommutes with P turns toward its partner
+    source = i P Q, whose sign weight carries (0 where Q commutes).  The
+    channels' scalings are folded into weight and scale; tail holds the
+    damping feeds and any scaling that cannot move before them."""
+
+    param_index: int | None
+    source: np.ndarray  # (4^n,) intp
+    weight: np.ndarray  # (4^n,)
+    turned: np.ndarray | None  # (4^n,) bool, rotations only
+    scale: np.ndarray | None  # (4^n,), rotations only
+    tail: tuple[Channel, ...]  # scale None when folded
 
 
-class _Schedule(NamedTuple):
-    """What evolving a circuit under a noise model needs that does not
-    depend on theta."""
+class Schedule(NamedTuple):
+    """A circuit under a noise model, compiled: what evolving it needs that
+    does not depend on theta."""
 
-    identity: np.ndarray  # (d, d)
-    # per gate: its parameter index, its operator (a fixed gate's unitary, a
-    # rotation's Pauli generator) and the channel maps attached after it
-    steps: tuple
+    n_qubits: int
+    n_params: int
+    steps: tuple[_Step, ...]
+
+
+#: PHASE[a, b] = k where sigma_a sigma_b = i^k sigma_(a XOR b), I, X, Y, Z = 0..3
+_PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
+
+
+@functools.lru_cache(maxsize=None)
+def _clifford_table(terms: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed gate U, given as Pauli terms on its a qubits, as a signed
+    permutation of the 4^a local strings: U^dag P_l U = sign[l] P_source[l].
+    A gate that is not a Clifford gate has no such table, and raises."""
+    u = PauliSum.from_terms(terms).to_matrix()
+    a = len(terms[0][1])
+    strings = [pauli_string_matrix("".join(s)) for s in product("IXYZ", repeat=a)]
+    table = np.array(
+        [[np.trace(p_j @ u.conj().T @ p_l @ u) for p_j in strings] for p_l in strings]
+    ) / 2**a
+    signs = np.rint(table.real)
+    if not (np.allclose(table, signs, rtol=0, atol=1e-12) and np.all(np.abs(signs).sum(1) == 1)):
+        raise ValueError(f"the gate {terms} is not a Clifford gate")
+    source = np.abs(signs).argmax(axis=1)
+    return source, signs[np.arange(4**a), source]
+
+
+def _gate_tables(gate: Gate, n: int):
+    """The gate's (source, weight, turned) over n qubits, before noise."""
+    index = np.arange(4**n)
+    if gate.param_index is None:
+        local_source, local_sign = _clifford_table(gate.local_terms())
+        # the bit pairs of the gate's qubits, last qubit lowest, read as a
+        # local index and written back from its source
+        shifts = [2 * (n - 1 - q) for q in reversed(gate.qubits)]
+        local = sum(((index >> s) & 3) << 2 * i for i, s in enumerate(shifts))
+        moved = local_source[local]
+        source = index & ~sum(3 << s for s in shifts)
+        source |= sum(((moved >> 2 * i) & 3) << s for i, s in enumerate(shifts))
+        return source, local_sign[local], None
+    [(_, string)] = gate.local_terms()
+    generator = [0] * n
+    for q, c in zip(gate.qubits, string):
+        generator[q] = pauli_index(c)
+    # P Q = i^phase (P XOR Q), and R^dag Q R = cos(theta) Q + sin(theta) i P Q
+    # for a Q that anticommutes with P, which an odd phase marks; there
+    # i P Q = i^(1 + phase) (P XOR Q) = (phase - 2) (P XOR Q)
+    phase = sum(_PHASE[g, pauli_digits(n, q)] for q, g in enumerate(generator)) % 4
+    turned = phase % 2 == 1
+    partner = index ^ sum(g << 2 * (n - 1 - q) for q, g in enumerate(generator))
+    return partner, np.where(turned, phase - 2.0, 0.0), turned
+
+
+def _commutes_with_feed(scale: np.ndarray, channel: Channel) -> bool:
+    """Whether a scaling commutes with a channel's feed: it scales each
+    string that takes a feed as the string that feeds it."""
+    return bool(np.all((scale == scale[channel.source]) | (channel.feed == 0)))
 
 
 @functools.lru_cache(maxsize=64)
-def _schedule(circuit: Circuit, noise: NoiseModel | None) -> _Schedule:
-    """The circuit's schedule, built once.  maxsize covers the catalog's
-    noise models for a circuit."""
+def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> Schedule:
+    """The circuit's schedule under the noise model, built once.  maxsize
+    covers the catalog's noise models for a circuit."""
     n = circuit.n_qubits
     steps = []
     for gate in circuit.gates:
-        channels = () if noise is None else noise.channels(gate)
-        steps.append((gate.param_index, gate.operator(n), channels))
-    return _Schedule(identity=np.eye(2**n, dtype=complex), steps=tuple(steps))
+        source, weight, turned = _gate_tables(gate, n)
+        folded, tail = np.ones(4**n), []
+        for make in () if noise is None else noise.channels(gate):
+            channel = make(n)
+            if all(_commutes_with_feed(channel.scale, c) for c in tail if c.feed is not None):
+                folded = folded * channel.scale
+                channel = channel._replace(scale=None)
+            if channel.scale is not None or channel.feed is not None:
+                tail.append(channel)
+        scale = None if turned is None else folded
+        steps.append(_Step(gate.param_index, source, weight * folded, turned, scale, tuple(tail)))
+    return Schedule(n, circuit.n_params, tuple(steps))
 
 
-class _Readout(NamedTuple):
-    """What measuring a Hamiltonian needs that does not depend on the state.
-    A Pauli string P has one nonzero entry per row i, at column i XOR the mask
-    of its X/Y positions, so <P> = sum_i phases[i] * rho[flips[i], i]."""
+def evolve_circuit(r0: np.ndarray, schedule: Schedule, theta: np.ndarray) -> np.ndarray:
+    """Apply the compiled circuit's gates in order, each followed by its
+    noise channels.  r0 is a (k, 4^n) stack of Pauli vectors and theta an
+    (m, p) stack of parameter vectors; the result is (m, k, 4^n), slice j
+    the whole of r0 evolved under row j.  A non-finite theta gives NaN
+    states."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != schedule.n_params:
+        raise DimensionError(
+            f"expected an (m, {schedule.n_params}) parameter stack, got shape {theta.shape}"
+        )
+    size = 4**schedule.n_qubits
+    if r0.ndim != 2 or r0.shape[1] != size:
+        raise DimensionError(
+            f"expected a (k, {size}) Pauli-vector stack for the circuit's"
+            f" {schedule.n_qubits} qubits, got shape {r0.shape}"
+        )
+    # one (m, 1, 1) factor per parameter, broadcast over the stack; each
+    # rotation builds its own (m, 1, 4^n) weights, so memory stays a few
+    # copies of the evolved stack however many rotations there are
+    with np.errstate(invalid="ignore"):
+        cosines, sines = np.cos(theta.T[:, :, None, None]), np.sin(theta.T[:, :, None, None])
+    r = r0
+    for step in schedule.steps:
+        if step.param_index is None:
+            r = r.take(step.source, axis=-1) * step.weight
+        else:
+            j = step.param_index
+            r = r * (np.where(step.turned, cosines[j], 1.0) * step.scale) + (
+                r.take(step.source, axis=-1) * step.weight * sines[j]
+            )
+        for scale, source, feed in step.tail:
+            if scale is not None:
+                r = r * scale
+            if feed is not None:
+                r = r + r.take(source, axis=-1) * feed
+    if r.ndim == 2:  # no rotation gate has added the m axis
+        r = np.repeat(r[None], len(theta), axis=0)
+    return r
+
+
+class Readout(NamedTuple):
+    """What measuring a Hamiltonian needs that does not depend on the state."""
 
     constant: float  # the identity terms' coefficients, summed
     coeffs: np.ndarray  # (T,) coefficients of the measured (non-identity) terms
-    flips: np.ndarray  # (T, d) column of each row's nonzero entry
-    phases: np.ndarray  # (T, d) that entry
-    rows: np.ndarray  # (d,) the row index i
+    index: np.ndarray  # (T,) their Pauli-vector indices
+    weights: np.ndarray  # (4^n,) constant at 0, each coefficient at its index
 
 
 @functools.lru_cache(maxsize=16)
-def _readout(hamiltonian: PauliSum) -> _Readout:
+def compile_readout(hamiltonian: PauliSum) -> Readout:
     """The Hamiltonian's readout, built once."""
-    n, d = hamiltonian.n_qubits, hamiltonian.dim
-    rows = np.arange(d)
-    constant, coeffs, flips, phases = 0.0, [], [], []
+    constant, coeffs, index = 0.0, [], []
     for coeff, string in hamiltonian:
         if set(string) == {"I"}:
             constant += coeff
             continue
-        flip = rows ^ sum(1 << (n - 1 - q) for q, c in enumerate(string) if c in "XY")
         coeffs.append(coeff)
-        flips.append(flip)
-        phases.append(pauli_string_matrix(string)[rows, flip])
-    return _Readout(
-        constant=constant,
-        coeffs=np.array(coeffs, dtype=float),
-        flips=np.array(flips, dtype=np.intp).reshape(len(coeffs), d),
-        phases=np.array(phases, dtype=complex).reshape(len(coeffs), d),
-        rows=rows,
-    )
+        index.append(pauli_index(string))
+    weights = np.zeros(4**hamiltonian.n_qubits)
+    weights[0] = constant
+    weights[index] = coeffs
+    return Readout(constant, np.array(coeffs, dtype=float), np.array(index, dtype=np.intp), weights)
 
 
-def _read_terms(rho: np.ndarray, hamiltonian: PauliSum):
-    """The readout, and per state of a (k, d, d) stack Re Tr(rho) and each
-    measured term's Re Tr(P rho), (k,) and (k, T)."""
-    d = hamiltonian.dim
-    if rho.ndim != 3 or rho.shape[1:] != (d, d):
+def _check_states(r: np.ndarray, readout: Readout) -> None:
+    size = len(readout.weights)
+    if r.ndim != 2 or r.shape[1] != size:
         raise DimensionError(
-            f"expected a (k, {d}, {d}) state stack for the Hamiltonian, got shape {rho.shape}"
+            f"expected a (k, {size}) Pauli-vector stack for the Hamiltonian, got shape {r.shape}"
         )
-    plan = _readout(hamiltonian)
-    # The gather comes back with the stack axis innermost, so numpy's sum over
-    # d would change order with k; C-ordered, a stack reads as its stacks of one do.
-    gathered = np.ascontiguousarray(rho[:, plan.flips, plan.rows])
-    paulis = (gathered * plan.phases).sum(axis=-1).real
-    return plan, np.trace(rho, axis1=1, axis2=2).real, paulis
 
 
-def expectation_exact(rho: np.ndarray, hamiltonian: PauliSum) -> np.ndarray:
-    """Re Tr(rho H) = constant * Tr(rho) + sum_t c_t Re Tr(P_t rho), read from
-    the Hamiltonian's readout table: one value per state of a (k, d, d)
-    stack, equal bit for bit to that state read as a stack of one."""
-    plan, traces, paulis = _read_terms(rho, hamiltonian)
-    return plan.constant * traces + (paulis * plan.coeffs).sum(axis=-1)
+def expectation_exact(r: np.ndarray, readout: Readout) -> np.ndarray:
+    """Tr(rho H) = constant * Tr(rho) + sum_t c_t Tr(P_t rho): one value per
+    state of a (k, 4^n) stack.  Each row is summed on its own, in one order,
+    so it equals that state read as a stack of one bit for bit."""
+    _check_states(r, readout)
+    return (r * readout.weights).sum(axis=-1)
 
 
 def expectation_shots(
-    rho: np.ndarray,
-    hamiltonian: PauliSum,
+    r: np.ndarray,
+    readout: Readout,
     n_m: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Shot-based estimate, one value per state of a (k, d, d) stack: each
+    """Shot-based estimate, one value per state of a (k, 4^n) stack: each
     non-identity Pauli term P is measured with n_m shots, X ~ Binomial(n_m,
     (1 + <P>) / 2) of them +1, and estimated as 2X/n_m - 1; identity terms
     contribute exactly.  The one `rng.binomial` call draws what measuring
@@ -169,25 +242,25 @@ def expectation_shots(
     probabilities (NaN entries, zero trace) gives NaN and draws nothing."""
     if n_m < 1:
         raise ParameterDomainError(f"shot count must be >= 1, got {n_m}")
-    plan, traces, paulis = _read_terms(rho, hamiltonian)
+    _check_states(r, readout)
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0 for a zero-trace state
-        p_plus = (1.0 + paulis / traces[:, None]) / 2.0
+        p_plus = (1.0 + r.take(readout.index, axis=1) / r[:, :1]) / 2.0
     lost = ~np.isfinite(p_plus)
     counts = rng.binomial(n_m, np.where(lost, 0.0, p_plus).clip(0.0, 1.0))
     estimates = np.where(lost, np.nan, 2.0 * counts / n_m - 1.0)
-    return plan.constant + (estimates * plan.coeffs).sum(axis=-1)
+    return readout.constant + (estimates * readout.coeffs).sum(axis=-1)
 
 
 def expectation(
-    rho: np.ndarray,
-    hamiltonian: PauliSum,
+    r: np.ndarray,
+    readout: Readout,
     spec: EstimatorSpec,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Expectation under an estimator spec (rng required in shots mode), one
-    value per state of a (k, d, d) stack."""
+    value per state of a (k, 4^n) stack."""
     if spec.mode == "exact":
-        return expectation_exact(rho, hamiltonian)
+        return expectation_exact(r, readout)
     if rng is None:
         raise ParameterDomainError("shot-based estimation requires an rng")
-    return expectation_shots(rho, hamiltonian, spec.n_m, rng)
+    return expectation_shots(r, readout, spec.n_m, rng)

@@ -1,16 +1,19 @@
 """Reference helpers the tests check the program against: basis and
-state-vector density matrices, each gate's local unitary or Pauli generator
+state-vector density matrices, the density matrix of a Pauli vector summed
+string by string, each gate's local unitary or Pauli generator
 written out entry by entry, an operator embedded on a qubit subset by
 permuting tensor axes (a builder independent of the program's Pauli-sum
 gates), the density-matrix invariants, purity and partial trace, a rotation
 gate's unitary, the noise channels as Kraus sets applied one embedded
-operator at a time, and a prediction ellipse's Mahalanobis distance and
+operator at a time, a circuit's evolution of a density matrix gate by gate
+and Kraus operator by Kraus operator, and a prediction ellipse's Mahalanobis distance and
 coverage."""
 import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy.linalg
 
 from vqebench.errors import DimensionError, InvalidChannelError, ParameterDomainError
 from vqebench.qsim import pauli_string_matrix
@@ -29,6 +32,19 @@ def basis_state(index: int, n_qubits: int) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0
     return rho
+
+
+def from_pauli(r: np.ndarray) -> np.ndarray:
+    """The (k, d, d) operators of a (k, 4^n) stack of Pauli vectors r_P =
+    Tr(P rho), as rho = sum_P r_P P / 2^n over the strings in index order
+    (I, X, Y, Z = 0..3, qubit 0 the most significant digit)."""
+    n = (r.shape[-1].bit_length() - 1) // 2
+    if r.ndim != 2 or r.shape[-1] != 4 ** n:
+        raise DimensionError(f"expected a (k, 4^n) Pauli-vector stack, got shape {r.shape}")
+    rho = np.zeros((len(r), 2 ** n, 2 ** n), dtype=complex)
+    for index, letters in enumerate(product("IXYZ", repeat=n)):
+        rho += r[:, index, None, None] * ref_pauli_string(letters)
+    return rho / 2 ** n
 
 
 def n_qubits_of(rho: np.ndarray) -> int:
@@ -115,13 +131,17 @@ REF_FIXED_UNITARIES = {
 }
 
 
+def ref_pauli_string(letters) -> np.ndarray:
+    """The matrix of a Pauli string, a Kronecker product of REF_PAULI."""
+    matrix = np.array([[1.0]])
+    for c in letters:
+        matrix = np.kron(matrix, REF_PAULI[c.upper()])
+    return matrix.astype(complex)
+
+
 def ref_generator(gate) -> np.ndarray:
     """A rotation gate's Pauli generator on its own qubits, as listed."""
-    string = gate.pauli_string if gate.kind == "prot" else gate.kind[1]
-    generator = np.array([[1.0]])
-    for c in string.upper():
-        generator = np.kron(generator, REF_PAULI[c])
-    return generator.astype(complex)
+    return ref_pauli_string(gate.pauli_string if gate.kind == "prot" else gate.kind[1])
 
 
 def rotation(theta: float, generator: np.ndarray) -> np.ndarray:
@@ -226,6 +246,43 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
         )
     n = n_qubits_of(rho)
     return kraus_sum(rho, [embed_operator(op, qubits, n) for op in channel.operators])
+
+
+def kraus_attach(rule):
+    """The attach(gate) of a noise rule for reference_evolution: the Kraus
+    channels it attaches after a gate, each with the qubits it acts on;
+    phase damping and thermal relaxation on each of the gate's qubits,
+    depolarizing on all of them at once."""
+
+    def attach(gate):
+        if rule.kind == "depolarizing":
+            return [(kraus_depolarizing(rule.p, len(gate.qubits)), gate.qubits)]
+        if rule.kind == "phase_damping":
+            kraus = kraus_phase_damping(rule.lam)
+        else:
+            kraus = kraus_thermal_relaxation(gate.duration_ns, rule.t1_ns, rule.t2_ns)
+        return [(kraus, (q,)) for q in gate.qubits]
+
+    return attach
+
+
+def reference_evolution(rho, circuit, theta, rule, attach):
+    """Gate by gate: the embedded unitary (expm of the Pauli generator for
+    rotations), then sum_i E_i rho E_i^dag for each attached channel."""
+    n = circuit.n_qubits
+    for gate in circuit.gates:
+        if gate.kind in REF_FIXED_UNITARIES:
+            local = REF_FIXED_UNITARIES[gate.kind].astype(complex)
+        else:
+            local = scipy.linalg.expm(-0.5j * theta[gate.param_index] * ref_generator(gate))
+        u = embed_operator(local, gate.qubits, n)
+        rho = u @ rho @ u.conj().T
+        if rule is None or gate.kind not in rule.gates:
+            continue
+        for channel, qubits in attach(gate):
+            full = [embed_operator(op, qubits, n) for op in channel.operators]
+            rho = sum(e @ rho @ e.conj().T for e in full)
+    return rho
 
 
 def mahalanobis_sq(ellipse, points: np.ndarray) -> np.ndarray:

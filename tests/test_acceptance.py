@@ -12,17 +12,20 @@ from vqebench.harness import config_from_dict, run_experiment, toy_problem_paths
 from vqebench.harness.records import _record_row
 from vqebench.optimizers import OptimizerSpec, minimize
 from vqebench.qsim import (
+    Circuit,
     EstimatorSpec,
     Gate,
     NoiseModel,
     NoiseRule,
-    damp,
-    depolarize,
+    PauliSum,
+    compile_circuit,
+    compile_readout,
     evolve_circuit,
     expectation_exact,
     expectation_shots,
     load_circuit,
     load_hamiltonian,
+    to_pauli,
 )
 from vqebench.stats import (
     Sample2D,
@@ -35,7 +38,7 @@ from vqebench.stats import (
     permdisp,
 )
 
-from oracles import basis_state, ellipse_contains, pure_state
+from oracles import basis_state, ellipse_contains, from_pauli, pure_state
 
 
 _CAPTURE = None
@@ -77,11 +80,12 @@ def toy_problem():
 
 
 def _after(rule, qubits, rho, duration_ns=None):
-    """rho after the maps `rule` attaches to a gate on `qubits`."""
+    """rho after the channels `rule` attaches to a gate on `qubits`, the
+    gate a rotation at theta = 0 (the identity)."""
     gate = Gate("prot", qubits, 0, "Z" * len(qubits), duration_ns)
-    for channel in rule.channels(gate):
-        rho = channel(rho)
-    return rho
+    n = rho.shape[0].bit_length() - 1
+    schedule = compile_circuit(Circuit(n, (gate,)), NoiseModel((rule,)))
+    return from_pauli(evolve_circuit(to_pauli(rho[None]), schedule, np.zeros((1, 1)))[0])[0]
 
 
 def test_criterion_1_channel_analytics():
@@ -99,7 +103,7 @@ def test_criterion_1_channel_analytics():
             rho = a @ a.conj().T
             rho /= np.trace(rho)
             qubits = tuple(range(arity))
-            out = depolarize(rho, qubits, 1.0)
+            out = _after(NoiseRule(frozenset({"prot"}), "depolarizing", p=1.0), qubits, rho)
             assert np.max(np.abs(out - np.eye(d) / d)) < 1e-9
             p = 0.23
             out = _after(NoiseRule(frozenset({"prot"}), "depolarizing", p=p), qubits, rho)
@@ -112,8 +116,9 @@ def test_criterion_1_channel_analytics():
         assert abs(out[1, 1].real - math.exp(-t_g / t1)) < 1e-9
         out = _after(thermal, (0,), plus, t_g)
         assert abs(abs(out[0, 1]) - 0.5 * math.exp(-t_g / t2)) < 1e-9
-        # amplitude damping: b11 -> (1 - gamma) b11, the rest to |0>
-        out = damp(excited, 0, 0.3, math.sqrt(0.7))
+        # amplitude damping (T2 = 2 T1): b11 -> (1 - gamma) b11, the rest to |0>
+        damping = NoiseRule(frozenset({"prot"}), "thermal_relaxation", t1_ns=100.0, t2_ns=200.0)
+        out = _after(damping, (0,), excited, -100.0 * math.log(0.7))
         assert abs(out[0, 0].real - 0.3) < 1e-9 and abs(out[1, 1].real - 0.7) < 1e-9
 
 
@@ -143,8 +148,9 @@ def test_criterion_3_noiseless_convergence():
 def test_criterion_4_shot_noise_unbiasedness():
     with criterion(4, "shot-noise unbiasedness"):
         hamiltonian, circuit = toy_problem()
-        rho = evolve_circuit(basis_state(0, 2)[None], circuit, np.array([[0.3, -0.7, 0.5]]))[0]
-        exact = expectation_exact(rho, hamiltonian)[0]
+        r0 = to_pauli(basis_state(0, 2)[None])
+        rho = evolve_circuit(r0, compile_circuit(circuit), np.array([[0.3, -0.7, 0.5]]))[0]
+        exact = expectation_exact(rho, compile_readout(hamiltonian))[0]
         n_m = 256
         n_seeds = 10_000
         # binomial variance of the estimator: sum_k c_k^2 (1 - <P_k>^2) / n_m
@@ -152,14 +158,12 @@ def test_criterion_4_shot_noise_unbiasedness():
         for coeff, string in hamiltonian:
             if set(string) == {"I"}:
                 continue
-            from vqebench.qsim import PauliSum
-
-            mean_k = expectation_exact(rho, PauliSum.from_terms([(1.0, string)]))[0]
+            mean_k = expectation_exact(rho, compile_readout(PauliSum.from_terms([(1.0, string)])))[0]
             var += coeff**2 * (1.0 - mean_k**2) / n_m
         sigma = math.sqrt(var)
         rng = np.random.default_rng(2024)
         draws = np.concatenate(
-            [expectation_shots(rho, hamiltonian, n_m, rng) for _ in range(n_seeds)]
+            [expectation_shots(rho, compile_readout(hamiltonian), n_m, rng) for _ in range(n_seeds)]
         )
         se = sigma / math.sqrt(n_seeds)
         assert abs(draws.mean() - exact) <= 5.0 * se

@@ -5,12 +5,23 @@ import numpy as np
 import pytest
 
 from vqebench.errors import DimensionError, InvalidChannelError, ParameterDomainError
-from vqebench.qsim import Gate, NoiseRule, damp
+from vqebench.qsim import (
+    Circuit,
+    Gate,
+    NoiseModel,
+    NoiseRule,
+    compile_circuit,
+    damp,
+    depolarize,
+    evolve_circuit,
+    to_pauli,
+)
 
 from oracles import (
     KrausChannel,
     apply_channel,
     check_density,
+    from_pauli,
     kraus_amplitude_damping,
     kraus_depolarizing,
     kraus_phase_damping,
@@ -33,26 +44,46 @@ def random_stack(rng, n_qubits, k=3):
     return np.stack([random_density(rng, n_qubits) for _ in range(k)])
 
 
-def channel(kind, qubits=(0,), duration_ns=None, **params):
-    """The maps a `kind` noise rule attaches after a gate on `qubits`,
-    composed into one function of rho."""
+def pauli_channel(kind, qubits=(0,), duration_ns=None, **params):
+    """The channels a `kind` noise rule attaches after a gate on `qubits`,
+    as the simulator applies them to a (k, 4^n) stack of Pauli vectors.
+    The gate is a rotation at theta = 0, the identity."""
     gate = Gate("prot", tuple(qubits), 0, "Z" * len(qubits), duration_ns)
-    maps = NoiseRule(frozenset({"prot"}), kind, **params).channels(gate)
+    noise = NoiseModel((NoiseRule(frozenset({"prot"}), kind, **params),))
 
-    def apply(rho):
-        for m in maps:
-            rho = m(rho)
-        return rho
+    def apply(r):
+        n = (r.shape[-1].bit_length() - 1) // 2
+        return evolve_circuit(r, compile_circuit(Circuit(n, (gate,)), noise), np.zeros((1, 1)))[0]
 
     return apply
+
+
+def channel(kind, qubits=(0,), duration_ns=None, **params):
+    """The same channels as one function of a density matrix or a (k, d, d)
+    stack of them."""
+    on_paulis = pauli_channel(kind, qubits, duration_ns, **params)
+
+    def apply(rho):
+        stack = rho if rho.ndim == 3 else rho[None]
+        out = from_pauli(on_paulis(to_pauli(stack)))
+        return out if rho.ndim == 3 else out[0]
+
+    return apply
+
+
+def _thermal_damp(gamma):
+    """Thermal relaxation with T2 = 2 T1 over the duration that makes it
+    amplitude damping by gamma, coherence sqrt(1 - gamma)."""
+    t1 = 100.0
+    return dict(kind="thermal_relaxation", duration_ns=-t1 * math.log1p(-gamma), t1_ns=t1, t2_ns=2 * t1)
 
 
 # --- phase damping ---------------------------------------------------------
 
 def test_phase_damping_identity_at_zero(rng):
-    rho = random_density(rng)
-    out = channel("phase_damping", lam=0.0)(rho)
-    assert np.array_equal(out, rho)
+    r = to_pauli(random_stack(rng, 1))
+    out = pauli_channel("phase_damping", lam=0.0)(r)
+    assert np.array_equal(out, r)
 
 
 def test_phase_damping_full():
@@ -128,16 +159,36 @@ def test_depolarizing_domain():
 
 def test_amplitude_damping_decay():
     rho = pure_state([0.0, 1.0])
-    out = damp(rho, 0, 0.25, math.sqrt(0.75))
+    params = _thermal_damp(0.25)
+    out = channel(params.pop("kind"), **params)(rho)
     assert out[1, 1].real == pytest.approx(0.75)
     assert out[0, 0].real == pytest.approx(0.25)
+
+
+def test_channel_tables():
+    """damp scales X and Y at its qubit by the coherence and Z by 1 - gamma
+    and feeds gamma of I into Z; depolarize scales every string that is not
+    the identity on its qubits by 1 - p.  Strings index as base-4 digits,
+    qubit 0 the most significant."""
+    scale, source, feed = damp(2, 1, 0.25, 0.5)
+    assert np.array_equal(scale, np.tile([1.0, 0.5, 0.5, 0.75], 4))
+    assert np.array_equal(feed, np.tile([0.0, 0.0, 0.0, 0.25], 4))
+    assert np.array_equal(source[3::4], [0, 4, 8, 12])  # ?Z reads ?I
+    scale, source, feed = damp(2, 0, 0.0, 0.5)
+    assert np.array_equal(scale, np.repeat([1.0, 0.5, 0.5, 1.0], 4))
+    assert source is None and feed is None
+    scale, _, feed = depolarize(2, (1,), 0.2)
+    assert np.array_equal(scale, np.tile([1.0, 0.8, 0.8, 0.8], 4)) and feed is None
+    scale, _, _ = depolarize(2, (1, 0), 0.2)
+    assert np.array_equal(scale, np.r_[1.0, np.full(15, 0.8)])
 
 
 def test_thermal_identity_limit():
     out = channel("thermal_relaxation", duration_ns=50.0, t1_ns=1e15, t2_ns=1e15)(PLUS)
     assert np.allclose(out, PLUS, atol=1e-12)
-    out = channel("thermal_relaxation", t1_ns=math.inf, t2_ns=math.inf)(PLUS)
-    assert np.array_equal(out, PLUS)
+    r = to_pauli(PLUS[None])
+    out = pauli_channel("thermal_relaxation", t1_ns=math.inf, t2_ns=math.inf)(r)
+    assert np.array_equal(out, r)
 
 
 def test_thermal_population_decay():
@@ -191,7 +242,7 @@ def test_thermal_invalid_t2():
     [
         lambda: channel("phase_damping", (1,), lam=0.37),
         lambda: channel("depolarizing", (1,), p=0.22),
-        lambda: lambda rho: damp(rho, 1, 0.41, math.sqrt(0.59)),
+        lambda: channel(qubits=(1,), **_thermal_damp(0.41)),
         lambda: channel("thermal_relaxation", (1,), 50.0, t1_ns=200.0, t2_ns=150.0),
     ],
 )
@@ -239,6 +290,35 @@ def test_depolarizing_matches_kraus_on_every_qubit_tuple(rng, n):
                 got = channel("depolarizing", qubits, p=p)(stack)
                 want = apply_channel(stack, kraus, qubits)
                 assert np.max(np.abs(got - want)) < _ORACLE_TOL, (qubits, p)
+
+
+@pytest.mark.parametrize("thermal_first", [True, False])
+def test_two_rules_on_one_gate_match_kraus_in_rule_order(rng, thermal_first):
+    """Rules that match one gate apply rule by rule.  A scaling is folded
+    into the gate only where it commutes with the damping terms before it:
+    depolarizing after thermal relaxation on the same qubits is not."""
+    t_g, t1, t2, p = 150.0, 100.0, 120.0, 0.3
+    rules = [
+        NoiseRule(frozenset({"prot"}), "thermal_relaxation", t1_ns=t1, t2_ns=t2),
+        NoiseRule(frozenset({"prot"}), "depolarizing", p=p),
+    ]
+    if not thermal_first:
+        rules.reverse()
+    gate = Gate("prot", (2, 0), 0, "ZZ", t_g)
+    schedule = compile_circuit(Circuit(3, (gate,)), NoiseModel(tuple(rules)))
+    stack = random_stack(rng, 3)
+    got = from_pauli(evolve_circuit(to_pauli(stack), schedule, np.zeros((1, 1)))[0])
+    want = stack
+    for rule in rules:
+        if rule.kind == "depolarizing":
+            want = apply_channel(want, kraus_depolarizing(p, 2), (2, 0))
+        else:
+            for q in gate.qubits:
+                want = apply_channel(want, kraus_thermal_relaxation(t_g, t1, t2), (q,))
+    assert np.max(np.abs(got - want)) < _ORACLE_TOL
+    tail = schedule.steps[0].tail
+    assert [c.feed is None for c in tail] == ([False, False, True] if thermal_first else [False, False])
+    assert [c.scale is None for c in tail] == ([True, True, False] if thermal_first else [True, True])
 
 
 # --- the oracle's own checks -----------------------------------------------

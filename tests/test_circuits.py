@@ -5,9 +5,25 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import REF_FIXED_UNITARIES, embed_operator, pure_state, ref_generator, rotation
+from oracles import (
+    REF_FIXED_UNITARIES,
+    embed_operator,
+    from_pauli,
+    pure_state,
+    ref_generator,
+    rotation,
+)
 from vqebench.errors import DimensionError, ParameterDomainError
-from vqebench.qsim import Circuit, Gate, evolve_circuit, parse_circuit, pauli_string_matrix
+from vqebench.qsim import (
+    Circuit,
+    Gate,
+    PauliSum,
+    compile_circuit,
+    evolve_circuit,
+    parse_circuit,
+    pauli_string_matrix,
+    to_pauli,
+)
 from vqebench.qsim.circuits import PARAMETRIC_KINDS, SINGLE_QUBIT_KINDS
 
 
@@ -20,12 +36,18 @@ def test_gate_durations_default():
 def _evolved(gate, theta, rho):
     """rho after the one-gate circuit of a rotation gate at parameter theta."""
     circuit = Circuit(n_qubits=rho.shape[0].bit_length() - 1, gates=(gate,))
-    return evolve_circuit(rho[None], circuit, np.array([[theta]]))[0, 0]
+    r = evolve_circuit(to_pauli(rho[None]), compile_circuit(circuit), np.array([[theta]]))[0]
+    return from_pauli(r)[0]
+
+
+def _local_matrix(gate):
+    """The matrix of the gate's Pauli terms on its own qubits."""
+    return PauliSum.from_terms(gate.local_terms()).to_matrix()
 
 
 def test_rz_unitary():
     gate = Gate("rz", (0,), param_index=0)
-    u = rotation(math.pi, gate.operator(1))
+    u = rotation(math.pi, _local_matrix(gate))
     assert np.allclose(u, np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)]))
     rho = pure_state([1.0, 1.0j])
     assert np.allclose(_evolved(gate, math.pi, rho), u @ rho @ u.conj().T)
@@ -33,7 +55,7 @@ def test_rz_unitary():
 
 def test_ry_unitary_rotates_zero_to_one():
     gate = Gate("ry", (0,), param_index=0)
-    vec = rotation(math.pi, gate.operator(1)) @ np.array([1.0, 0.0])
+    vec = rotation(math.pi, _local_matrix(gate)) @ np.array([1.0, 0.0])
     assert abs(vec[1]) == pytest.approx(1.0)
     assert _evolved(gate, math.pi, pure_state([1.0, 0.0]))[1, 1].real == pytest.approx(1.0)
 
@@ -42,19 +64,20 @@ def test_prot_unitary_matches_exponential(rng):
     gate = Gate("prot", (0, 1), param_index=0, pauli_string="XY")
     theta = 0.83
     p = pauli_string_matrix("XY")
-    u = rotation(theta, gate.operator(2))
+    u = rotation(theta, _local_matrix(gate))
     assert np.allclose(u, scipy.linalg.expm(-0.5j * theta * p))
     rho = pure_state(rng.normal(size=4) + 1j * rng.normal(size=4))
     assert np.allclose(_evolved(gate, theta, rho), u @ rho @ u.conj().T)
 
 
-def test_operator_is_a_fixed_gates_unitary_or_a_rotations_generator():
-    assert np.array_equal(Gate("cx", (0, 1)).operator(2)[2:, 2:], [[0, 1], [1, 0]])
-    assert np.array_equal(Gate("rz", (0,), param_index=0).operator(1), np.diag([1, -1]))
+def test_local_terms_are_a_fixed_gates_unitary_or_a_rotations_generator():
+    assert np.array_equal(_local_matrix(Gate("cx", (0, 1)))[2:, 2:], [[0, 1], [1, 0]])
+    assert np.array_equal(_local_matrix(Gate("rz", (0,), param_index=0)), np.diag([1, -1]))
     lower = Gate("prot", (2, 0), param_index=0, pauli_string="xz")
-    assert np.array_equal(lower.operator(3), pauli_string_matrix("ZIX"))
+    assert lower.local_terms() == ((1.0, "XZ"),)
+    assert np.array_equal(_local_matrix(lower), pauli_string_matrix("XZ"))
     with pytest.raises(DimensionError):
-        Gate("x", (2,)).operator(2)
+        Circuit(2, (Gate("x", (2,)),))
 
 
 def _placements(n):
@@ -72,11 +95,22 @@ def _placements(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_operator_equals_the_embedded_local_operator_on_every_placement(n):
+def test_gate_tables_equal_the_embedded_local_operator_on_every_placement(n, rng):
+    """Each gate's Pauli tables act on a state as U rho U^dag does, U the
+    reference unitary embedded by permuting tensor axes: the local table is
+    lifted to the gate's qubits in the order listed."""
+    a = rng.normal(size=(2, 2**n, 2**n)) + 1j * rng.normal(size=(2, 2**n, 2**n))
+    stack = a @ a.conj().swapaxes(1, 2)
+    r0 = to_pauli(stack)
+    theta = 0.7
     for gate in _placements(n):
         local = REF_FIXED_UNITARIES.get(gate.kind)
-        local = ref_generator(gate) if local is None else local.astype(complex)
-        assert np.array_equal(gate.operator(n), embed_operator(local, gate.qubits, n)), gate
+        local = rotation(theta, ref_generator(gate)) if local is None else local.astype(complex)
+        u = embed_operator(local, gate.qubits, n)
+        schedule = compile_circuit(Circuit(n, (gate,)))
+        got = evolve_circuit(r0, schedule, np.full((1, schedule.n_params), theta))[0]
+        want = to_pauli(u @ stack @ u.conj().T)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), gate
 
 
 

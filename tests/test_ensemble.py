@@ -17,12 +17,17 @@ from vqebench.qsim import (
     EstimatorSpec,
     Gate,
     PauliSum,
+    compile_circuit,
+    compile_readout,
     evolve_circuit,
     expectation,
     expectation_exact,
     expectation_shots,
     parse_circuit,
+    to_pauli,
 )
+
+from oracles import basis_state, kraus_attach, pure_state, reference_evolution
 
 # Reference eigenvalues of -ZI - IZ + 0.5 XX, computed by dense 4x4
 # diagonalization: e0 = -sqrt(4 + 0.25), e1 = -0.5.
@@ -96,17 +101,17 @@ def test_sa_cost_zero_gate_ansatz(toy_hamiltonian):
 def test_evaluation_path_takes_stacks_and_returns_arrays(toy_hamiltonian, toy_circuit, toy_ctx):
     """One state or one parameter vector is a stack of one: the shapes of a
     second, one-state path are rejected, an (m, 0) stack gives m values, and
-    a circuit that starts with a fixed gate evolves to (m, k, d, d)."""
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
+    a circuit that starts with a fixed gate evolves to (m, k, 4^n)."""
+    r = to_pauli(basis_state(0, 2)[None])[0]
+    schedule, readout = compile_circuit(toy_circuit), compile_readout(toy_hamiltonian)
     theta, rng = np.zeros(3), np.random.default_rng(0)
     removed = {
-        "evolve_circuit one state": lambda: evolve_circuit(rho, toy_circuit, theta[None]),
-        "evolve_circuit one vector": lambda: evolve_circuit(rho[None], toy_circuit, theta),
-        "expectation_exact": lambda: expectation_exact(rho, toy_hamiltonian),
-        "expectation_shots": lambda: expectation_shots(rho, toy_hamiltonian, 16, rng),
-        "expectation exact": lambda: expectation(rho, toy_hamiltonian, EstimatorSpec()),
-        "expectation shots": lambda: expectation(rho, toy_hamiltonian, EstimatorSpec(n_m=16), rng),
+        "evolve_circuit one state": lambda: evolve_circuit(r, schedule, theta[None]),
+        "evolve_circuit one vector": lambda: evolve_circuit(r[None], schedule, theta),
+        "expectation_exact": lambda: expectation_exact(r, readout),
+        "expectation_shots": lambda: expectation_shots(r, readout, 16, rng),
+        "expectation exact": lambda: expectation(r, readout, EstimatorSpec()),
+        "expectation shots": lambda: expectation(r, readout, EstimatorSpec(n_m=16), rng),
         "sa_cost": lambda: sa_cost(theta, toy_ctx),
         "resolve_states a stack": lambda: resolve_states(theta[None], toy_ctx),
     }
@@ -127,13 +132,13 @@ def test_evaluation_path_takes_stacks_and_returns_arrays(toy_hamiltonian, toy_ci
                 assert np.all(costs == costs[0])
     assert sa_cost(np.zeros((3, 0)), replace(toy_ctx, ansatz=fixed)).tolist() == [-2.0] * 3
     # gates before the first rotation evolve the state stack once
-    circuit = parse_circuit("h 0\ncx 0 1\nry 1 t0\nprot XY t1 0 1", n_qubits=2)
-    rho0 = np.stack([rho, np.roll(rho, 1, axis=(0, 1))])
+    schedule = compile_circuit(parse_circuit("h 0\ncx 0 1\nry 1 t0\nprot XY t1 0 1", n_qubits=2))
+    r0 = to_pauli(np.stack([basis_state(0, 2), basis_state(1, 2)]))
     thetas = np.random.default_rng(1).uniform(-np.pi, np.pi, size=(3, 2))
-    got = evolve_circuit(rho0, circuit, thetas)
-    assert got.shape == (3, 2, 4, 4)
+    got = evolve_circuit(r0, schedule, thetas)
+    assert got.shape == (3, 2, 16)
     for j in range(3):
-        assert np.array_equal(evolve_circuit(rho0, circuit, thetas[j : j + 1])[0], got[j])
+        assert np.array_equal(evolve_circuit(r0, schedule, thetas[j : j + 1])[0], got[j])
 
 
 def test_sa_cost_param_mismatch(toy_ctx):
@@ -202,17 +207,14 @@ def test_toy_ansatz_reaches_reference(toy_ctx, toy_reference):
 def _polarization_resolve(theta, ctx):
     """The reference: the block from four evolved pure preparations, the cross
     term by the polarization identity."""
-    from oracles import pure_state
-    from vqebench.qsim import evolve_circuit, expectation_exact
-
     e_a = np.zeros(ctx.hamiltonian.dim)
     e_b = np.zeros(ctx.hamiltonian.dim)
     e_a[ctx.phi_a] = 1.0
     e_b[ctx.phi_b] = 1.0
     preparations = (e_a, e_b, (e_a + e_b) / np.sqrt(2.0), e_a.astype(complex) + 1j * e_b)
-    initial = np.stack([pure_state(vec) for vec in preparations])
-    rhos = evolve_circuit(initial, ctx.ansatz, theta[None], ctx.estimator.noise)
-    m_aa, m_bb, plus, imag = expectation_exact(rhos[0], ctx.hamiltonian)
+    initial = to_pauli(np.stack([pure_state(vec) for vec in preparations]))
+    states = evolve_circuit(initial, compile_circuit(ctx.ansatz, ctx.estimator.noise), theta[None])
+    m_aa, m_bb, plus, imag = expectation_exact(states[0], compile_readout(ctx.hamiltonian))
     re_ab = plus - 0.5 * (m_aa + m_bb)
     im_ab = 0.5 * (m_aa + m_bb) - imag
     block = np.array([[m_aa, re_ab + 1j * im_ab], [re_ab - 1j * im_ab, m_bb]])
@@ -247,19 +249,26 @@ def _built_per_call(ctx, k):
     if k == 4:
         initial[2, a, b] = initial[2, b, a] = 0.5
         initial[3, a, b], initial[3, b, a] = -0.5j, 0.5j
-    return initial
+    return to_pauli(initial)
+
+
+def _evolve_built_per_call(ctx, k, thetas):
+    """The k preparations, built afresh, evolved under a schedule and
+    measured with a readout both compiled afresh."""
+    schedule = compile_circuit(ctx.ansatz, ctx.estimator.noise)
+    states = evolve_circuit(_built_per_call(ctx, k), schedule, thetas)
+    return states.reshape(-1, 4**ctx.ansatz.n_qubits), compile_readout(ctx.hamiltonian)
 
 
 def _sa_cost_built_per_call(thetas, ctx):
-    dim = ctx.hamiltonian.dim
-    rhos = evolve_circuit(_built_per_call(ctx, 2), ctx.ansatz, thetas, ctx.estimator.noise)
-    pairs = expectation(rhos.reshape(-1, dim, dim), ctx.hamiltonian, ctx.estimator).reshape(-1, 2)
+    states, readout = _evolve_built_per_call(ctx, 2, thetas)
+    pairs = expectation(states, readout, ctx.estimator).reshape(-1, 2)
     return 0.0 + pairs[:, 0] + pairs[:, 1]
 
 
 def _resolve_built_per_call(theta, ctx):
-    rhos = evolve_circuit(_built_per_call(ctx, 4), ctx.ansatz, theta[None], ctx.estimator.noise)
-    m_aa, m_bb, re_z, im_z = expectation_exact(rhos[0], ctx.hamiltonian)
+    states, readout = _evolve_built_per_call(ctx, 4, theta[None])
+    m_aa, m_bb, re_z, im_z = expectation_exact(states, readout)
     block = np.array([[m_aa, re_z - 1j * im_z], [re_z + 1j * im_z, m_bb]])
     e0, e1 = np.linalg.eigvalsh(block)
     return float(e0), float(e1)
@@ -291,11 +300,11 @@ def test_preparations_are_read_only():
     from vqebench.ensemble import _preparations
 
     stack = _preparations(4, 0, 1)
-    assert stack.shape == (4, 4, 4)
+    assert stack.shape == (4, 16)
     for view in (stack, stack[:2]):
         with pytest.raises(ValueError, match="read-only"):
-            view[0, 0, 0] = 2.0
-    assert stack[0, 0, 0] == 1.0
+            view[0, 0] = 2.0
+    assert stack[0, 0] == 1.0
 
 
 def test_preparations_built_once_for_all_contexts_and_calls(monkeypatch, rng):
@@ -320,3 +329,42 @@ def test_preparations_built_once_for_all_contexts_and_calls(monkeypatch, rng):
     assert len(evolved) == 3 * len(contexts)
     assert all(np.shares_memory(rho0, stack) for rho0 in evolved)
     assert [len(rho0) for rho0 in evolved[:3]] == [2, 4, 2]
+
+
+@pytest.mark.parametrize("phis", [(0, 1), (2, 1)])
+def test_exact_sa_cost_matches_the_dense_kraus_oracle_on_every_family(phis, rng):
+    """The exact variant of every catalog family against density matrices
+    evolved gate by gate and Kraus operator by Kraus operator."""
+    contexts = _exact_catalog_contexts(phis)
+    assert len(contexts) == 21
+    for ctx in contexts:
+        noise = ctx.estimator.noise
+        [rule] = (None,) if noise is None else noise.rules
+        h = ctx.hamiltonian.to_matrix()
+        thetas = rng.uniform(-np.pi, np.pi, size=(3, ctx.ansatz.n_params))
+        want = [
+            sum(
+                np.trace(h @ reference_evolution(basis_state(i, 2), ctx.ansatz, t, rule, kraus_attach(rule))).real
+                for i in phis
+            )
+            for t in thetas
+        ]
+        assert np.max(np.abs(sa_cost(thetas, ctx) - want)) < 1e-12, ctx.estimator
+
+
+def test_context_holds_its_compiled_plan(monkeypatch, toy_ctx, rng):
+    """A context looks its schedule and readout up once: later costs do not
+    hash the circuit, the noise model or the Hamiltonian again."""
+    from vqebench import ensemble
+
+    assert toy_ctx.schedule is compile_circuit(toy_ctx.ansatz, toy_ctx.estimator.noise)
+    assert toy_ctx.readout is compile_readout(toy_ctx.hamiltonian)
+
+    def refuse(*args):
+        raise AssertionError("looked up again")
+
+    monkeypatch.setattr(ensemble, "compile_circuit", refuse)
+    monkeypatch.setattr(ensemble, "compile_readout", refuse)
+    thetas = rng.uniform(-np.pi, np.pi, size=(2, 3))
+    sa_cost(thetas, toy_ctx)
+    resolve_states(thetas[0], toy_ctx)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from vqebench.errors import ParameterDomainError
 from vqebench.harness import (
     config_from_dict,
     lookup_family,
@@ -26,7 +27,7 @@ from vqebench.harness import (
     toy_problem_paths,
     write_records,
 )
-from vqebench.harness.records import CSV_HEADER, RunRecord, _record_row
+from vqebench.harness.records import _COLUMNS, CSV_HEADER, RunRecord, _record_row
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.csv"
 
@@ -66,15 +67,39 @@ def golden_rows():
     return [_record_row(r) for r in golden_records()]
 
 
+def pinned_records():
+    """The golden CSV's records, parsed cell by cell with the runs CSV's
+    column parsers.  Its two grids share the runs ideal/<kind>/0, which
+    read_records rejects as repeated."""
+    with open(GOLDEN, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert tuple(rows[0]) == CSV_HEADER
+    return [RunRecord(*(parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row))) for row in rows[1:]]
+
+
 def _as_dicts(rows):
     return [dict(zip(CSV_HEADER, row)) for row in rows]
 
 
-def test_golden_runs_unchanged():
+def test_pinned_records_read_the_shipped_file():
+    keys = [
+        (family.name, optimizer.kind, seed)
+        for cfg in _grids()
+        for family in cfg.families
+        for optimizer in cfg.optimizers
+        for seed in cfg.seeds
+    ]
+    pinned = pinned_records()
+    assert list(map(_key, pinned)) == keys
+    assert len(set(keys)) < len(keys)
+    with pytest.raises(ParameterDomainError, match="repeat run"):
+        read_records(GOLDEN)
     with open(GOLDEN, newline="") as handle:
-        pinned = list(csv.reader(handle))
-    assert tuple(pinned[0]) == CSV_HEADER
-    expected = _as_dicts(pinned[1:])
+        assert list(map(_record_row, pinned)) == list(csv.reader(handle))[1:]
+
+
+def test_golden_runs_unchanged():
+    expected = _as_dicts(map(_record_row, pinned_records()))
     actual = _as_dicts(golden_rows())
     assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
@@ -154,7 +179,7 @@ def test_rebaseline_report_lists_moved_rows():
 
 if __name__ == "__main__":
     records = golden_records()
-    pinned = read_records(GOLDEN) if GOLDEN.exists() else []
+    pinned = pinned_records() if GOLDEN.exists() else []
     if list(map(_key, pinned)) == list(map(_key, records)):
         print("\n".join(rebaseline_report(pinned, records)))
         # wall_time_ms is not pinned: keeping the old values leaves unmoved rows byte-identical
