@@ -47,7 +47,8 @@ class EnsembleContext:
         # 1 MiB per fixed gate and 1.6 MiB per rotation at 8 qubits
         if self.ansatz.n_qubits > MAX_REFERENCE_QUBITS:
             raise CapacityError(
-                f"dense simulation supports at most {MAX_REFERENCE_QUBITS} qubits"
+                f"the Pauli-vector simulator supports at most {MAX_REFERENCE_QUBITS} qubits,"
+                f" got {self.ansatz.n_qubits}"
             )
         for idx in (self.phi_a, self.phi_b):
             if not 0 <= idx < dim:

@@ -33,7 +33,7 @@ class DimensionError(VqeBenchError, ValueError):
 
 
 class CapacityError(VqeBenchError, ValueError):
-    """Problem size exceeds what dense simulation supports."""
+    """Problem size exceeds what the Pauli-vector simulator supports."""
 
 
 class DegenerateSampleError(VqeBenchError, ValueError):

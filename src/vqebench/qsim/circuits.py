@@ -7,22 +7,31 @@ from dataclasses import dataclass, field
 from ..errors import DimensionError, ParameterDomainError
 from .pauli import read_text
 
-SINGLE_QUBIT_KINDS = frozenset({"x", "y", "z", "h", "rx", "ry", "rz"})
-PARAMETRIC_KINDS = frozenset({"rx", "ry", "rz", "prot"})
-GATE_KINDS = SINGLE_QUBIT_KINDS | {"cx", "prot"}
+#: Each gate kind as the rotations exp(-i theta/2 P) it applies, in order:
+#: (P on the gate's qubits, k) turns by theta = k pi/2, or by the gate's
+#: parameter when k is None; prot's P is its Pauli string.  A fixed gate's
+#: rotations multiply to its unitary up to a global phase: h = R_Y(pi/2)
+#: R_Z(pi), and cx (control first) = R_ZI(-pi/2) R_IX(-pi/2) R_ZX(pi/2),
+#: whose rotations commute.
+_ROTATIONS = {
+    "x": (("X", 2),),
+    "y": (("Y", 2),),
+    "z": (("Z", 2),),
+    "h": (("Z", 2), ("Y", 1)),
+    "cx": (("ZI", -1), ("IX", -1), ("ZX", 1)),
+    "rx": (("X", None),),
+    "ry": (("Y", None),),
+    "rz": (("Z", None),),
+    "prot": ((None, None),),
+}
+GATE_KINDS = frozenset(_ROTATIONS)
+PARAMETRIC_KINDS = frozenset(kind for kind, steps in _ROTATIONS.items() if steps[0][1] is None)
 
 DEFAULT_DURATION_1Q_NS = 50.0
 DEFAULT_DURATION_MULTIQ_NS = 150.0
 
-_H = 1 / math.sqrt(2)
-# Each fixed gate as Pauli terms on its own qubits, in the order listed.
-_FIXED_TERMS = {
-    "x": ((1.0, "X"),),
-    "y": ((1.0, "Y"),),
-    "z": ((1.0, "Z"),),
-    "h": ((_H, "X"), (_H, "Z")),
-    "cx": ((0.5, "II"), (0.5, "ZI"), (0.5, "IX"), (-0.5, "ZX")),  # control first
-}
+#: How many unreferenced parameter indices an error message lists.
+_LISTED = 5
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class Gate:
                 )
         elif self.pauli_string is not None:
             raise ParameterDomainError(f"gate {self.kind!r} takes no Pauli string")
-        expected_arity = 2 if self.kind == "cx" else (len(self.qubits) if self.kind == "prot" else 1)
+        expected_arity = len(self.rotations()[0][0])
         if len(self.qubits) != expected_arity:
             raise ParameterDomainError(
                 f"gate {self.kind!r} expects {expected_arity} qubits, got {len(self.qubits)}"
@@ -68,15 +77,13 @@ class Gate:
                 f"gate duration must be positive and finite, got {self.duration_ns!r} ns"
             )
 
-    def local_terms(self) -> tuple[tuple[float, str], ...]:
-        """The gate as Pauli terms on its own qubits, in the order listed: a
-        fixed gate's unitary, or a rotation's generator P, the gate being
-        exp(-i theta/2 P)."""
+    def rotations(self) -> tuple[tuple[str, int | None], ...]:
+        """The rotations exp(-i theta/2 P) the gate applies, in order, each
+        (P on the gate's qubits, k): theta = k pi/2, or the gate's parameter
+        when k is None."""
         if self.kind == "prot":
-            return ((1.0, self.pauli_string.upper()),)
-        if self.kind in PARAMETRIC_KINDS:
-            return ((1.0, self.kind[1].upper()),)
-        return _FIXED_TERMS[self.kind]
+            return ((self.pauli_string.upper(), None),)
+        return _ROTATIONS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,13 @@ class Circuit:
                 )
         used = {g.param_index for g in self.gates if g.param_index is not None}
         object.__setattr__(self, "n_params", max(used, default=-1) + 1)
-        missing = sorted(set(range(self.n_params)) - used)
-        if missing:
-            raise ParameterDomainError(f"unreferenced parameter indices: {missing}")
+        n_missing = self.n_params - len(used)
+        if n_missing:
+            # the first few missing indices lie below len(used) + _LISTED
+            scan = range(min(self.n_params, len(used) + _LISTED))
+            missing = [i for i in scan if i not in used][:_LISTED]
+            more = f" and {n_missing - _LISTED} more" if n_missing > _LISTED else ""
+            raise ParameterDomainError(f"unreferenced parameter indices: {missing}{more}")
 
 
 def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from ..errors import InvalidChannelError, ParameterDomainError
-from .channels import damp, depolarize
+from .channels import Channel, damp, depolarize
 from .circuits import GATE_KINDS, Gate
 
 #: The parameters each rule kind needs; the others must stay None.
@@ -61,31 +60,28 @@ class NoiseRule:
                     f"T2={self.t2_ns} exceeds 2*T1={2.0 * self.t1_ns}; no physical channel"
                 )
 
-    def channels(self, gate: Gate) -> tuple[partial, ...]:
-        """The channels to apply after `gate`, in order, each a function of
-        the qubit count that returns its Pauli transfer tables.
+    def channels(self, gate: Gate, n_qubits: int) -> tuple[Channel, ...]:
+        """The channels to apply after `gate` in a circuit of n_qubits, in
+        order, as Pauli transfer tables.
 
         Single-qubit channels act independently on every qubit the gate
         touches; depolarizing acts on all of the gate's qubits at once.
         """
         if self.kind == "depolarizing":
-            return (partial(depolarize, qubits=gate.qubits, p=self.p),)
+            return (depolarize(n_qubits, gate.qubits, self.p),)
         if self.kind == "phase_damping":
             gamma, coherence = 0.0, math.sqrt(1.0 - self.lam)
         else:
             gamma = -math.expm1(-gate.duration_ns / self.t1_ns)
             coherence = math.exp(-gate.duration_ns / self.t2_ns)
-        return tuple(
-            partial(damp, qubit=q, gamma=gamma, coherence=coherence) for q in gate.qubits
-        )
+        return tuple(damp(n_qubits, q, gamma, coherence) for q in gate.qubits)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     rules: tuple[NoiseRule, ...]
 
-    def channels(self, gate: Gate) -> tuple[partial, ...]:
+    def channels(self, gate: Gate, n_qubits: int) -> tuple[Channel, ...]:
         """The channels every rule matching `gate` applies after it, rule by rule."""
-        return tuple(
-            m for rule in self.rules if gate.kind in rule.gates for m in rule.channels(gate)
-        )
+        matching = (rule for rule in self.rules if gate.kind in rule.gates)
+        return tuple(c for rule in matching for c in rule.channels(gate, n_qubits))

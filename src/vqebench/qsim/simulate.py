@@ -1,18 +1,19 @@
 """Noisy circuit evolution and expectation estimators on Pauli vectors.
 
 A state is its real Pauli vector r_P = Tr(P rho) over the 4^n Pauli
-strings, indexed as in `pauli.PAULI_DIGITS`.  Every fixed gate is a
-Clifford gate, so it maps r to a signed permutation of r (Aaronson &
-Gottesman, Phys. Rev. A 70, 052328, 2004); a rotation exp(-i theta/2 P)
-mixes each string that anticommutes with P with one partner string; the
-channels scale r, damping adding one Z <- I term.  A circuit under a noise
-model and a Hamiltonian are each compiled once into index tables.
+strings, indexed as in `pauli.PAULI_DIGITS`.  Every gate is a product of
+rotations exp(-i theta/2 P) (`Gate.rotations`), and a rotation mixes each
+string that anticommutes with P with one partner string.  A fixed gate
+turns by quarter turns, each a signed permutation of r, so the gate is one
+signed permutation, their composition (a Clifford gate: Aaronson &
+Gottesman, Phys. Rev. A 70, 052328, 2004).  The channels scale r, damping
+adding one Z <- I term.  A circuit under a noise model and a Hamiltonian
+are each compiled once into index tables.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from ..errors import DimensionError, ParameterDomainError, is_count
 from .channels import Channel
 from .circuits import Circuit, Gate
 from .noise import NoiseModel
-from .pauli import PauliSum, pauli_digits, pauli_index, pauli_string_matrix
+from .pauli import PauliSum, pauli_digits, pauli_index
 
 
 @dataclass(frozen=True)
@@ -75,48 +76,37 @@ class Schedule(NamedTuple):
 _PHASE = np.array([[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]])
 
 
-@functools.lru_cache(maxsize=None)
-def _clifford_table(terms: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """A fixed gate U, given as Pauli terms on its a qubits, as a signed
-    permutation of the 4^a local strings: U^dag P_l U = sign[l] P_source[l].
-    A gate that is not a Clifford gate has no such table, and raises."""
-    u = PauliSum.from_terms(terms).to_matrix()
-    a = len(terms[0][1])
-    strings = [pauli_string_matrix("".join(s)) for s in product("IXYZ", repeat=a)]
-    table = np.array(
-        [[np.trace(p_j @ u.conj().T @ p_l @ u) for p_j in strings] for p_l in strings]
-    ) / 2**a
-    signs = np.rint(table.real)
-    if not (np.allclose(table, signs, rtol=0, atol=1e-12) and np.all(np.abs(signs).sum(1) == 1)):
-        raise ValueError(f"the gate {terms} is not a Clifford gate")
-    source = np.abs(signs).argmax(axis=1)
-    return source, signs[np.arange(4**a), source]
-
-
-def _gate_tables(gate: Gate, n: int):
-    """The gate's (source, weight, turned) over n qubits, before noise."""
-    index = np.arange(4**n)
-    if gate.param_index is None:
-        local_source, local_sign = _clifford_table(gate.local_terms())
-        # the bit pairs of the gate's qubits, last qubit lowest, read as a
-        # local index and written back from its source
-        shifts = [2 * (n - 1 - q) for q in reversed(gate.qubits)]
-        local = sum(((index >> s) & 3) << 2 * i for i, s in enumerate(shifts))
-        moved = local_source[local]
-        source = index & ~sum(3 << s for s in shifts)
-        source |= sum(((moved >> 2 * i) & 3) << s for i, s in enumerate(shifts))
-        return source, local_sign[local], None
-    [(_, string)] = gate.local_terms()
-    generator = [0] * n
-    for q, c in zip(gate.qubits, string):
-        generator[q] = pauli_index(c)
+def _rotation_tables(string: str, qubits, n: int):
+    """exp(-i theta/2 P) for the Pauli string P on the qubits, over n qubits:
+    (partner, sign, turned), a string Q that anticommutes with P (turned)
+    turning toward its partner i P Q = sign (P XOR Q)."""
     # P Q = i^phase (P XOR Q), and R^dag Q R = cos(theta) Q + sin(theta) i P Q
     # for a Q that anticommutes with P, which an odd phase marks; there
     # i P Q = i^(1 + phase) (P XOR Q) = (phase - 2) (P XOR Q)
-    phase = sum(_PHASE[g, pauli_digits(n, q)] for q, g in enumerate(generator)) % 4
+    digits = [(q, pauli_index(c)) for q, c in zip(qubits, string)]
+    phase = sum(_PHASE[g, pauli_digits(n, q)] for q, g in digits) % 4
     turned = phase % 2 == 1
-    partner = index ^ sum(g << 2 * (n - 1 - q) for q, g in enumerate(generator))
+    partner = np.arange(4**n) ^ sum(g << 2 * (n - 1 - q) for q, g in digits)
     return partner, np.where(turned, phase - 2.0, 0.0), turned
+
+
+def _gate_tables(gate: Gate, n: int):
+    """The gate's (source, weight, turned) over n qubits, before noise.  A
+    fixed gate composes its quarter turns, each a signed permutation: after
+    r -> weight * r[source], a turn with tables (s, w) gives source[s] and
+    w * weight[s], every weight exactly +-1."""
+    if gate.param_index is not None:
+        [(string, _)] = gate.rotations()
+        return _rotation_tables(string, gate.qubits, n)
+    index = np.arange(4**n)
+    source, weight = index, np.ones(4**n)
+    for string, k in gate.rotations():
+        partner, sign, turned = _rotation_tables(string, gate.qubits, n)
+        cos, sin = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+        step_source = np.where(turned, partner, index) if sin else index
+        step_weight = np.where(turned, cos + sin * sign, 1.0)
+        source, weight = source[step_source], step_weight * weight[step_source]
+    return source, weight, None
 
 
 def _commutes_with_feed(scale: np.ndarray, channel: Channel) -> bool:
@@ -134,8 +124,7 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> Schedu
     for gate in circuit.gates:
         source, weight, turned = _gate_tables(gate, n)
         folded, tail = np.ones(4**n), []
-        for make in () if noise is None else noise.channels(gate):
-            channel = make(n)
+        for channel in () if noise is None else noise.channels(gate, n):
             if all(_commutes_with_feed(channel.scale, c) for c in tail if c.feed is not None):
                 folded = folded * channel.scale
                 channel = channel._replace(scale=None)

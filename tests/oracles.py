@@ -1,22 +1,22 @@
 """Reference helpers the tests check the program against: basis and
 state-vector density matrices, the density matrix of a Pauli vector summed
-string by string, each gate's local unitary or Pauli generator
-written out entry by entry, an operator embedded on a qubit subset by
-permuting tensor axes (a builder independent of the program's Pauli-sum
-gates), the density-matrix invariants, purity and partial trace, a rotation
-gate's unitary, the noise channels as Kraus sets applied one embedded
-operator at a time, a circuit's evolution of a density matrix gate by gate
-and Kraus operator by Kraus operator, and a prediction ellipse's Mahalanobis distance and
-coverage."""
+string by string, each gate's local unitary or Pauli generator written out
+entry by entry, an operator embedded on a qubit subset by permuting tensor
+axes (a builder independent of the program's Pauli tables), the
+density-matrix invariants, purity and partial trace, every gate placement
+on n qubits, a rotation gate's unitary, the noise channels as Kraus sets
+applied one embedded operator at a time, a circuit's evolution of a density
+matrix gate by gate and Kraus operator by Kraus operator, and a prediction
+ellipse's Mahalanobis distance and coverage."""
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import scipy.linalg
 
 from vqebench.errors import DimensionError, InvalidChannelError, ParameterDomainError
-from vqebench.qsim import pauli_string_matrix
+from vqebench.qsim import Gate, pauli_string_matrix
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -137,6 +137,20 @@ def ref_pauli_string(letters) -> np.ndarray:
     for c in letters:
         matrix = np.kron(matrix, REF_PAULI[c.upper()])
     return matrix.astype(complex)
+
+
+def placements(n):
+    """Every gate on n qubits: each kind on each qubit or ordered qubit
+    tuple, and prot with every Pauli string on every ordered tuple."""
+    for kind in ("h", "rx", "ry", "rz", "x", "y", "z"):
+        for q in range(n):
+            yield Gate(kind, (q,), param_index=0 if kind.startswith("r") else None)
+    for qubits in permutations(range(n), 2):
+        yield Gate("cx", qubits)
+    for k in range(1, n + 1):
+        for qubits in permutations(range(n), k):
+            for string in product("IXYZ", repeat=k):
+                yield Gate("prot", qubits, param_index=0, pauli_string="".join(string))
 
 
 def ref_generator(gate) -> np.ndarray:

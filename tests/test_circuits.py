@@ -1,5 +1,4 @@
 import math
-from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from oracles import (
     REF_FIXED_UNITARIES,
     embed_operator,
     from_pauli,
+    placements,
     pure_state,
     ref_generator,
     rotation,
@@ -17,14 +17,12 @@ from vqebench.errors import DimensionError, ParameterDomainError
 from vqebench.qsim import (
     Circuit,
     Gate,
-    PauliSum,
     compile_circuit,
     evolve_circuit,
     parse_circuit,
     pauli_string_matrix,
     to_pauli,
 )
-from vqebench.qsim.circuits import PARAMETRIC_KINDS, SINGLE_QUBIT_KINDS
 
 
 def test_gate_durations_default():
@@ -40,14 +38,9 @@ def _evolved(gate, theta, rho):
     return from_pauli(r)[0]
 
 
-def _local_matrix(gate):
-    """The matrix of the gate's Pauli terms on its own qubits."""
-    return PauliSum.from_terms(gate.local_terms()).to_matrix()
-
-
 def test_rz_unitary():
     gate = Gate("rz", (0,), param_index=0)
-    u = rotation(math.pi, _local_matrix(gate))
+    u = rotation(math.pi, ref_generator(gate))
     assert np.allclose(u, np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)]))
     rho = pure_state([1.0, 1.0j])
     assert np.allclose(_evolved(gate, math.pi, rho), u @ rho @ u.conj().T)
@@ -55,7 +48,7 @@ def test_rz_unitary():
 
 def test_ry_unitary_rotates_zero_to_one():
     gate = Gate("ry", (0,), param_index=0)
-    vec = rotation(math.pi, _local_matrix(gate)) @ np.array([1.0, 0.0])
+    vec = rotation(math.pi, ref_generator(gate)) @ np.array([1.0, 0.0])
     assert abs(vec[1]) == pytest.approx(1.0)
     assert _evolved(gate, math.pi, pure_state([1.0, 0.0]))[1, 1].real == pytest.approx(1.0)
 
@@ -64,46 +57,33 @@ def test_prot_unitary_matches_exponential(rng):
     gate = Gate("prot", (0, 1), param_index=0, pauli_string="XY")
     theta = 0.83
     p = pauli_string_matrix("XY")
-    u = rotation(theta, _local_matrix(gate))
+    u = rotation(theta, ref_generator(gate))
     assert np.allclose(u, scipy.linalg.expm(-0.5j * theta * p))
     rho = pure_state(rng.normal(size=4) + 1j * rng.normal(size=4))
     assert np.allclose(_evolved(gate, theta, rho), u @ rho @ u.conj().T)
 
 
-def test_local_terms_are_a_fixed_gates_unitary_or_a_rotations_generator():
-    assert np.array_equal(_local_matrix(Gate("cx", (0, 1)))[2:, 2:], [[0, 1], [1, 0]])
-    assert np.array_equal(_local_matrix(Gate("rz", (0,), param_index=0)), np.diag([1, -1]))
+def test_rotations_list_a_rotation_gates_generator():
+    assert Gate("rz", (0,), param_index=0).rotations() == (("Z", None),)
+    assert np.array_equal(ref_generator(Gate("rz", (0,), param_index=0)), np.diag([1, -1]))
     lower = Gate("prot", (2, 0), param_index=0, pauli_string="xz")
-    assert lower.local_terms() == ((1.0, "XZ"),)
-    assert np.array_equal(_local_matrix(lower), pauli_string_matrix("XZ"))
+    assert lower.rotations() == (("XZ", None),)
+    assert np.array_equal(ref_generator(lower), pauli_string_matrix("XZ"))
     with pytest.raises(DimensionError):
         Circuit(2, (Gate("x", (2,)),))
-
-
-def _placements(n):
-    """Every gate on n qubits: each kind on each qubit or ordered qubit
-    tuple, and prot with every Pauli string on every ordered tuple."""
-    for kind in sorted(SINGLE_QUBIT_KINDS):
-        for q in range(n):
-            yield Gate(kind, (q,), param_index=0 if kind in PARAMETRIC_KINDS else None)
-    for qubits in permutations(range(n), 2):
-        yield Gate("cx", qubits)
-    for k in range(1, n + 1):
-        for qubits in permutations(range(n), k):
-            for string in product("IXYZ", repeat=k):
-                yield Gate("prot", qubits, param_index=0, pauli_string="".join(string))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gate_tables_equal_the_embedded_local_operator_on_every_placement(n, rng):
     """Each gate's Pauli tables act on a state as U rho U^dag does, U the
-    reference unitary embedded by permuting tensor axes: the local table is
-    lifted to the gate's qubits in the order listed."""
+    reference unitary embedded by permuting tensor axes: the rotations are
+    lifted to the gate's qubits in the order listed.  A fixed gate's tables
+    are a signed permutation."""
     a = rng.normal(size=(2, 2**n, 2**n)) + 1j * rng.normal(size=(2, 2**n, 2**n))
     stack = a @ a.conj().swapaxes(1, 2)
     r0 = to_pauli(stack)
     theta = 0.7
-    for gate in _placements(n):
+    for gate in placements(n):
         local = REF_FIXED_UNITARIES.get(gate.kind)
         local = rotation(theta, ref_generator(gate)) if local is None else local.astype(complex)
         u = embed_operator(local, gate.qubits, n)
@@ -111,7 +91,10 @@ def test_gate_tables_equal_the_embedded_local_operator_on_every_placement(n, rng
         got = evolve_circuit(r0, schedule, np.full((1, schedule.n_params), theta))[0]
         want = to_pauli(u @ stack @ u.conj().T)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), gate
-
+        if gate.param_index is None:
+            [step] = schedule.steps
+            assert np.array_equal(np.sort(step.source), np.arange(4**n)), gate
+            assert np.all(np.abs(step.weight) == 1.0), gate
 
 
 def test_prot_requires_matching_string_length():
@@ -168,6 +151,16 @@ def test_parse_circuit_names_why_a_gate_is_rejected(line, cause):
 def test_circuit_rejects_unreferenced_params():
     gates = (Gate("ry", (0,), param_index=1),)
     with pytest.raises(ParameterDomainError, match=r"unreferenced parameter indices: \[0\]"):
+        Circuit(n_qubits=1, gates=gates)
+
+
+def test_unreferenced_parameter_message_lists_the_first_few():
+    with pytest.raises(ParameterDomainError) as info:
+        parse_circuit("ry 0 t3000000")
+    assert len(str(info.value)) < 200
+    assert str(info.value) == "unreferenced parameter indices: [0, 1, 2, 3, 4] and 2999995 more"
+    gates = tuple(Gate("ry", (0,), param_index=i) for i in (10, 3, 1))
+    with pytest.raises(ParameterDomainError, match=r"\[0, 2, 4, 5, 6\] and 3 more$"):
         Circuit(n_qubits=1, gates=gates)
 
 

@@ -76,7 +76,8 @@ def test_reference_energies_capacity():
 
 def test_context_capacity():
     big = PauliSum.from_terms([(1.0, "Z" * 9)])
-    with pytest.raises(CapacityError):
+    message = "the Pauli-vector simulator supports at most 8 qubits, got 9"
+    with pytest.raises(CapacityError, match=message):
         EnsembleContext(big, parse_circuit("ry 8 t0", n_qubits=9), 0, 1, EstimatorSpec())
 
 

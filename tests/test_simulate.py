@@ -1,6 +1,11 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,8 @@ from vqebench.qsim import (
     pauli_string_matrix,
     to_pauli,
 )
-from vqebench.qsim import simulate
+from vqebench.harness.catalog import family_catalog
+from vqebench.qsim import circuits, simulate
 from vqebench.qsim.circuits import GATE_KINDS, PARAMETRIC_KINDS
 
 from oracles import (
@@ -39,6 +45,7 @@ from oracles import (
     purity,
     ref_pauli_string,
     reference_evolution,
+    rotation,
 )
 
 
@@ -158,26 +165,38 @@ def test_to_pauli_and_from_pauli_round_trip(n, rng):
 
 
 @pytest.mark.parametrize("kind", sorted(GATE_KINDS - PARAMETRIC_KINDS))
-def test_fixed_gate_table_is_a_signed_permutation(kind):
-    """Every fixed gate is a Clifford gate: U^dag P_l U = sign_l P_source_l
-    with source a permutation and signs +-1, checked against the gate's
-    reference unitary."""
-    gate = Gate(kind, (0, 1) if kind == "cx" else (0,))
-    source, sign = simulate._clifford_table(gate.local_terms())
-    a = len(gate.qubits)
-    assert sorted(source) == list(range(4**a))
-    assert set(np.abs(sign)) == {1.0}
-    u = REF_FIXED_UNITARIES[kind].astype(complex)
-    strings = [ref_pauli_string(letters) for letters in product("IXYZ", repeat=a)]
-    for l, p_l in enumerate(strings):
-        assert np.allclose(u.conj().T @ p_l @ u, sign[l] * strings[source[l]])
+def test_fixed_gate_rotations_multiply_to_the_reference_unitary(kind):
+    """A fixed gate's quarter turns exp(-i k pi/4 P), applied in the order
+    listed, multiply out to its reference unitary up to one global phase."""
+    want = REF_FIXED_UNITARIES[kind].astype(complex)
+    u = np.eye(len(want), dtype=complex)
+    for string, k in circuits._ROTATIONS[kind]:
+        u = rotation(k * math.pi / 2, ref_pauli_string(string)) @ u
+    phase = np.vdot(want, u) / len(want)
+    assert abs(abs(phase) - 1.0) < 1e-12
+    assert np.max(np.abs(u - phase * want)) < 1e-12
 
 
-def test_non_clifford_fixed_gate_has_no_table():
-    # cos(a) Z + sin(a) X is a Hermitian unitary, a Clifford gate only at
-    # multiples of pi/4
-    with pytest.raises(ValueError, match="not a Clifford gate"):
-        simulate._clifford_table(((math.cos(0.3), "Z"), (math.sin(0.3), "X")))
+def test_compiling_builds_no_dense_matrix():
+    # a fresh process, so that no table an earlier test cached hides a call:
+    # with every dense builder raising, every placement on up to 3 qubits
+    # compiles under each catalog noise model
+    code = (
+        "from vqebench.harness.catalog import family_catalog\n"
+        "from vqebench.qsim import Circuit, PauliSum, compile_circuit, pauli\n"
+        "from oracles import placements\n"
+        "def dense(*args):\n"
+        "    raise AssertionError('a dense matrix was built')\n"
+        "PauliSum.to_matrix = pauli.pauli_string_matrix = dense\n"
+        "models = {f.estimator.noise for f in family_catalog()}\n"
+        "for n in (1, 2, 3):\n"
+        "    for gate in placements(n):\n"
+        "        for noise in models:\n"
+        "            compile_circuit(Circuit(n, (gate,)), noise)\n"
+    )
+    src = Path(simulate.__file__).parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # --- expectations ----------------------------------------------------------
@@ -384,13 +403,34 @@ def test_evolution_matches_reference_on_every_gate_kind(case, rng):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+#: sha256 of every step's tables, with no noise and under each catalog
+#: noise model in catalog order; a change that moves one declares why
+SCHEDULE_SHA256 = {
+    "toy": "0537f758061fcc0d457287869c23060da599b5330b940d57a715bda4599803e4",
+    "all_kinds": "b23cce0c12773dc563ab6beee3a29efe6b04efc8e843d8dfab234a672a100744",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_SHA256))
+def test_schedules_pinned(name, toy_circuit):
+    circuit = toy_circuit if name == "toy" else parse_circuit(_ALL_KINDS_CIRCUIT, n_qubits=3)
+    models = [None] + [f.estimator.noise for f in family_catalog() if f.estimator.noise]
+    digest = hashlib.sha256()
+    for noise in models:
+        for step in compile_circuit(circuit, noise).steps:
+            tail = [table for channel in step.tail for table in channel]
+            for table in (step.source, step.weight, step.turned, step.scale, *tail):
+                digest.update(b"-" if table is None else table.dtype.str.encode() + table.tobytes())
+    assert digest.hexdigest() == SCHEDULE_SHA256[name]
+
+
 def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circuit):
     calls = []
     channels = NoiseRule.channels
 
-    def counting(rule, gate):
+    def counting(rule, gate, n_qubits):
         calls.append(len(gate.qubits))
-        return channels(rule, gate)
+        return channels(rule, gate, n_qubits)
 
     # a model no other test builds, so the simulator has not seen it yet
     noise = NoiseModel((NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),))
