@@ -58,7 +58,7 @@ class EnsembleContext:
 
     @functools.cached_property
     def schedule(self) -> Schedule:
-        """The ansatz compiled under the estimator's noise model, looked up
+        """The ansatz compiled under the estimator's noise rules, looked up
         once per context."""
         return compile_circuit(self.ansatz, self.estimator.noise)
 
@@ -110,7 +110,7 @@ def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
     """Eigenvalues of the 2x2 Hamiltonian block spanned by the two states
     evolved under one parameter vector, sorted ascending.
 
-    Expectations are taken exactly; the estimator's noise model still applies
+    Expectations are taken exactly; the estimator's noise rules still apply
     to state preparation.  The cross term z = Tr(H E(|a><b|)) is read from
     the last two preparations, which give Re z and Im z.
     """

@@ -5,7 +5,7 @@ import functools
 from dataclasses import dataclass
 
 from ..errors import ParameterDomainError
-from ..qsim import EstimatorSpec, NoiseModel, NoiseRule
+from ..qsim import EstimatorSpec, NoiseRule
 from ..qsim.circuits import GATE_KINDS
 
 #: Shot count used by every noisy family, chosen large enough that sampling
@@ -33,41 +33,26 @@ def family_catalog() -> tuple[FamilySpec, ...]:
     (`ry ry cx prot`) has no `rz`, so there `DP-x%` adds no channel: it is
     `SN-6144` under another name and random stream.  Built once per process.
     """
-    families = [FamilySpec("ideal", EstimatorSpec())]
-    for n_m in (256, 512, 1024, 6144):
-        families.append(FamilySpec(f"SN-{n_m}", EstimatorSpec(n_m)))
-    for pct in (1, 5, 10, 20):
-        noise = NoiseModel(
-            (NoiseRule(frozenset({"rz"}), "phase_damping", lam=pct / 100.0),)
-        )
-        families.append(FamilySpec(f"DP-{pct}%", EstimatorSpec(NOISY_SHOTS, noise)))
-    for pct in (1, 5, 10, 20):
-        noise = NoiseModel((NoiseRule(_DEPOL_GATES, "depolarizing", p=pct / 100.0),))
-        families.append(FamilySpec(f"DEPOL-{pct}%", EstimatorSpec(NOISY_SHOTS, noise)))
-    for t2_us in (70, 80, 180, 380):
-        noise = NoiseModel(
-            (
-                NoiseRule(
-                    GATE_KINDS,
-                    "thermal_relaxation",
-                    t1_ns=(t2_us + 20) * 1000.0,
-                    t2_ns=t2_us * 1000.0,
-                ),
-            )
-        )
-        families.append(FamilySpec(f"T2={t2_us}us", EstimatorSpec(NOISY_SHOTS, noise)))
-    for t1_ns in (50, 100, 200, 300):
-        noise = NoiseModel(
-            (
-                NoiseRule(
-                    GATE_KINDS,
-                    "thermal_relaxation",
-                    t1_ns=float(t1_ns),
-                    t2_ns=float(t1_ns),
-                ),
-            )
-        )
-        families.append(FamilySpec(f"TR-T1={t1_ns}ns", EstimatorSpec(NOISY_SHOTS, noise)))
+    dephasing = functools.partial(NoiseRule, frozenset({"rz"}), "phase_damping")
+    depolarizing = functools.partial(NoiseRule, _DEPOL_GATES, "depolarizing")
+    relaxation = functools.partial(NoiseRule, GATE_KINDS, "thermal_relaxation")
+    noisy = [
+        *((f"DP-{pct}%", dephasing(lam=pct / 100.0)) for pct in (1, 5, 10, 20)),
+        *((f"DEPOL-{pct}%", depolarizing(p=pct / 100.0)) for pct in (1, 5, 10, 20)),
+        *(
+            (f"T2={us}us", relaxation(t1_ns=(us + 20) * 1000.0, t2_ns=us * 1000.0))
+            for us in (70, 80, 180, 380)
+        ),
+        *(
+            (f"TR-T1={ns}ns", relaxation(t1_ns=float(ns), t2_ns=float(ns)))
+            for ns in (50, 100, 200, 300)
+        ),
+    ]
+    families = [
+        FamilySpec("ideal", EstimatorSpec()),
+        *(FamilySpec(f"SN-{n_m}", EstimatorSpec(n_m)) for n_m in (256, 512, 1024, 6144)),
+        *(FamilySpec(name, EstimatorSpec(NOISY_SHOTS, (rule,))) for name, rule in noisy),
+    ]
     names = [f.name for f in families]
     assert len(names) == len(set(names)) == 21
     return tuple(families)

@@ -4,7 +4,7 @@ print the family catalog.
 Each command loads only the layers it runs: `run` the simulator, the
 ensemble and the optimizers; `analyze` and `rank` the runs CSV
 (`records`), the reports and the statistics layer; `catalog` the catalog
-and the simulator's noise models.  Every command needs numpy alone.
+and the simulator's noise rules.  Every command needs numpy alone.
 """
 from __future__ import annotations
 

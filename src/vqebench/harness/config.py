@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ParameterDomainError, is_integer
 from ..optimizers import SPEC_FIELDS, IsomaParams, OptimizerSpec
-from ..qsim import EstimatorSpec, NoiseModel, NoiseRule
+from ..qsim import EstimatorSpec, NoiseRule
 from .catalog import FamilySpec, lookup_family
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -133,7 +133,7 @@ def _noise_rule(obj) -> NoiseRule:
 
 def _inline_family(name: str, n_m: int | None = None, noise: tuple = ()) -> FamilySpec:
     """An inline family object: its name and its estimator's fields."""
-    return FamilySpec(name, EstimatorSpec(n_m, NoiseModel(noise) if noise else None))
+    return FamilySpec(name, EstimatorSpec(n_m, noise))
 
 
 def _family(obj) -> FamilySpec:

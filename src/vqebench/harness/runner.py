@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -97,9 +98,11 @@ def run_experiment(
 ) -> list[RunRecord]:
     """Run the whole grid.  Results are identical for any jobs value: each
     run draws from its own seeded stream and records are emitted in grid
-    order.  If out_path is given, records stream to the CSV as they finish;
-    a problem that fails to load leaves out_path untouched."""
+    order.  At most min(jobs, runs, CPUs) worker processes start, none when
+    that is 1.  If out_path is given, records stream to the CSV as they
+    finish; a problem that fails to load leaves out_path untouched."""
     tasks = _tasks(cfg)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     records = []
     sinks = [records.append]
     with contextlib.ExitStack() as stack:
@@ -109,10 +112,10 @@ def run_experiment(
         if progress is not None:
             sinks.append(progress)
         runs = map(execute_run, tasks)
-        if jobs > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # its import costs every command
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             runs = pool.map(execute_run, tasks)
         for record in runs:
             for sink in sinks:

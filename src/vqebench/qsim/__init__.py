@@ -1,7 +1,6 @@
 """Few-qubit simulation on Pauli vectors: gates, channels, estimators."""
-from .channels import damp, depolarize
 from .circuits import Circuit, Gate, load_circuit, parse_circuit
-from .noise import NoiseModel, NoiseRule
+from .noise import NoiseRule, damp, depolarize
 from .pauli import (
     PauliSum,
     load_hamiltonian,
@@ -26,7 +25,6 @@ __all__ = [
     "Circuit",
     "EstimatorSpec",
     "Gate",
-    "NoiseModel",
     "NoiseRule",
     "PauliSum",
     "Readout",

@@ -7,8 +7,8 @@ string that anticommutes with P with one partner string.  A fixed gate
 turns by quarter turns, each a signed permutation of r, so the gate is one
 signed permutation, their composition (a Clifford gate: Aaronson &
 Gottesman, Phys. Rev. A 70, 052328, 2004).  The channels scale r, damping
-adding one Z <- I term.  A circuit under a noise model and a Hamiltonian
-are each compiled once into index tables.
+adding one Z <- I term.  A circuit under a tuple of noise rules and a
+Hamiltonian are each compiled once into index tables.
 """
 from __future__ import annotations
 
@@ -19,26 +19,29 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError, is_count
-from .channels import Channel
 from .circuits import Circuit, Gate
-from .noise import NoiseModel
+from .noise import Channel, NoiseRule
 from .pauli import PauliSum, pauli_digits, pauli_index
 
 
 @dataclass(frozen=True)
 class EstimatorSpec:
     """How expectations are measured: exactly when n_m is None, else with
-    n_m shots per term; noise is an optional noise model attached to state
-    preparation."""
+    n_m shots per term; noise is the tuple of rules whose channels state
+    preparation applies, () for noiseless.  noise is a cache key of the
+    compiled circuit, so anything but a tuple of NoiseRule is rejected
+    here."""
 
     n_m: int | None = None
-    noise: NoiseModel | None = None
+    noise: tuple[NoiseRule, ...] = ()
 
     def __post_init__(self):
         if self.n_m is not None and not is_count(self.n_m):
             raise ParameterDomainError(
                 f"shot count must be an integer from 1 to 2**63 - 1, got {self.n_m!r}"
             )
+        if not (isinstance(self.noise, tuple) and all(isinstance(r, NoiseRule) for r in self.noise)):
+            raise ParameterDomainError(f"noise must be a tuple of NoiseRule, got {self.noise!r}")
 
     @property
     def mode(self) -> str:
@@ -64,7 +67,7 @@ class _Step(NamedTuple):
 
 
 class Schedule(NamedTuple):
-    """A circuit under a noise model, compiled: what evolving it needs that
+    """A circuit under its noise rules, compiled: what evolving it needs that
     does not depend on theta."""
 
     n_qubits: int
@@ -115,16 +118,25 @@ def _commutes_with_feed(scale: np.ndarray, channel: Channel) -> bool:
     return bool(np.all((scale == scale[channel.source]) | (channel.feed == 0)))
 
 
+def compile_circuit(circuit: Circuit, noise: tuple[NoiseRule, ...] = ()) -> Schedule:
+    """The circuit's schedule under the noise rules, built once per
+    (circuit, noise) however noise is passed.  After each gate come the
+    channels of every rule whose gates hold the gate's kind, rule by rule:
+    the one place where rules are matched to gates."""
+    return _compile(circuit, noise)
+
+
 @functools.lru_cache(maxsize=64)
-def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> Schedule:
-    """The circuit's schedule under the noise model, built once.  maxsize
-    covers the catalog's noise models for a circuit."""
+def _compile(circuit: Circuit, noise: tuple[NoiseRule, ...]) -> Schedule:
+    """compile_circuit, cached; maxsize covers the catalog's noise for a
+    circuit."""
     n = circuit.n_qubits
     steps = []
     for gate in circuit.gates:
         source, weight, turned = _gate_tables(gate, n)
         folded, tail = np.ones(4**n), []
-        for channel in () if noise is None else noise.channels(gate, n):
+        matching = [rule for rule in noise if gate.kind in rule.gates]
+        for channel in [c for rule in matching for c in rule.channels(gate, n)]:
             if all(_commutes_with_feed(channel.scale, c) for c in tail if c.feed is not None):
                 folded = folded * channel.scale
                 channel = channel._replace(scale=None)

@@ -15,7 +15,6 @@ from vqebench.qsim import (
     Circuit,
     EstimatorSpec,
     Gate,
-    NoiseModel,
     NoiseRule,
     PauliSum,
     compile_circuit,
@@ -84,7 +83,7 @@ def _after(rule, qubits, rho, duration_ns=None):
     gate a rotation at theta = 0 (the identity)."""
     gate = Gate("prot", qubits, 0, "Z" * len(qubits), duration_ns)
     n = rho.shape[0].bit_length() - 1
-    schedule = compile_circuit(Circuit(n, (gate,)), NoiseModel((rule,)))
+    schedule = compile_circuit(Circuit(n, (gate,)), (rule,))
     return from_pauli(evolve_circuit(to_pauli(rho[None]), schedule, np.zeros((1, 1)))[0])[0]
 
 
@@ -300,7 +299,7 @@ def test_criterion_10_noise_ordering():
             rule = NoiseRule(gate_kinds, kind, **{key: rate})
             ctx = EnsembleContext(
                 hamiltonian, circuit, 0, 1,
-                EstimatorSpec(noise=NoiseModel((rule,))),
+                EstimatorSpec(noise=(rule,)),
             )
             res = minimize(
                 lambda t: sa_cost(t, ctx), np.zeros(3),

@@ -8,7 +8,6 @@ from vqebench.errors import DimensionError, InvalidChannelError, ParameterDomain
 from vqebench.qsim import (
     Circuit,
     Gate,
-    NoiseModel,
     NoiseRule,
     compile_circuit,
     damp,
@@ -49,7 +48,7 @@ def pauli_channel(kind, qubits=(0,), duration_ns=None, **params):
     as the simulator applies them to a (k, 4^n) stack of Pauli vectors.
     The gate is a rotation at theta = 0, the identity."""
     gate = Gate("prot", tuple(qubits), 0, "Z" * len(qubits), duration_ns)
-    noise = NoiseModel((NoiseRule(frozenset({"prot"}), kind, **params),))
+    noise = (NoiseRule(frozenset({"prot"}), kind, **params),)
 
     def apply(r):
         n = (r.shape[-1].bit_length() - 1) // 2
@@ -305,7 +304,7 @@ def test_two_rules_on_one_gate_match_kraus_in_rule_order(rng, thermal_first):
     if not thermal_first:
         rules.reverse()
     gate = Gate("prot", (2, 0), 0, "ZZ", t_g)
-    schedule = compile_circuit(Circuit(3, (gate,)), NoiseModel(tuple(rules)))
+    schedule = compile_circuit(Circuit(3, (gate,)), tuple(rules))
     stack = random_stack(rng, 3)
     got = from_pauli(evolve_circuit(to_pauli(stack), schedule, np.zeros((1, 1)))[0])
     want = stack

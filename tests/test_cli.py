@@ -70,6 +70,33 @@ def test_cli_import_leaves_out_the_process_pool():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_catalog_loads_only_the_catalog_and_the_simulator_it_names():
+    # a fresh process, so that no other test's imports count; a change to
+    # this set edits the pin and says why
+    code = (
+        "import contextlib, io, sys\n"
+        "from vqebench.harness.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['catalog']) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'vqebench')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+    assert out.stdout.decode().split() == [
+        "vqebench",
+        "vqebench.errors",
+        "vqebench.harness",
+        "vqebench.harness.catalog",
+        "vqebench.harness.cli",
+        "vqebench.harness.records",
+        "vqebench.qsim",
+        "vqebench.qsim.circuits",
+        "vqebench.qsim.noise",
+        "vqebench.qsim.pauli",
+        "vqebench.qsim.simulate",
+    ]
+
+
 def test_catalog_lists_21(capsys):
     assert main(["catalog"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -176,11 +176,9 @@ def test_resolve_bounded_below_by_reference(toy_ctx, toy_reference, rng):
 
 
 def test_resolve_under_noise_still_valid(toy_hamiltonian, toy_circuit):
-    from vqebench.qsim import NoiseModel, NoiseRule
+    from vqebench.qsim import NoiseRule
 
-    noise = NoiseModel(
-        (NoiseRule(frozenset({"ry", "cx", "prot"}), "depolarizing", p=0.05),)
-    )
+    noise = (NoiseRule(frozenset({"ry", "cx", "prot"}), "depolarizing", p=0.05),)
     ctx = EnsembleContext(
         toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec(noise=noise)
     )
@@ -340,7 +338,7 @@ def test_exact_sa_cost_matches_the_dense_kraus_oracle_on_every_family(phis, rng)
     assert len(contexts) == 21
     for ctx in contexts:
         noise = ctx.estimator.noise
-        [rule] = (None,) if noise is None else noise.rules
+        [rule] = noise or (None,)
         h = ctx.hamiltonian.to_matrix()
         thetas = rng.uniform(-np.pi, np.pi, size=(3, ctx.ansatz.n_params))
         want = [
@@ -355,7 +353,7 @@ def test_exact_sa_cost_matches_the_dense_kraus_oracle_on_every_family(phis, rng)
 
 def test_context_holds_its_compiled_plan(monkeypatch, toy_ctx, rng):
     """A context looks its schedule and readout up once: later costs do not
-    hash the circuit, the noise model or the Hamiltonian again."""
+    hash the circuit, the noise rules or the Hamiltonian again."""
     from vqebench import ensemble
 
     assert toy_ctx.schedule is compile_circuit(toy_ctx.ansatz, toy_ctx.estimator.noise)

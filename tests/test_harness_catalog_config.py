@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from vqebench.harness import (
     lookup_family,
     toy_problem_paths,
 )
+from vqebench.qsim import compile_circuit
 
 
 def test_catalog_has_21_unique_families():
@@ -32,10 +34,25 @@ def test_catalog_composition():
     assert sum(n.startswith("TR-T1=") for n in names) == 4
 
 
+#: sha256 over every family in catalog order: its name, n_m and each rule's
+#: kind, sorted gates and parameters; a change that moves it declares why
+CATALOG_SHA256 = "5f01b52c8a2d582e00f803969d2e9f3c35a7077a2292873801110aa7ca0dd6e9"
+
+
+def test_catalog_pinned():
+    digest = hashlib.sha256()
+    for family in family_catalog():
+        rules = [
+            (r.kind, sorted(r.gates), r.lam, r.p, r.t1_ns, r.t2_ns) for r in family.estimator.noise
+        ]
+        digest.update(repr((family.name, family.estimator.n_m, rules)).encode())
+    assert digest.hexdigest() == CATALOG_SHA256
+
+
 def test_ideal_family_is_exact():
     fam = lookup_family("ideal")
     assert fam.estimator.mode == "exact"
-    assert fam.estimator.noise is None
+    assert fam.estimator.noise == ()
 
 
 def test_shot_noise_families_have_no_channels():
@@ -43,12 +60,12 @@ def test_shot_noise_families_have_no_channels():
         fam = lookup_family(f"SN-{n_m}")
         assert fam.estimator.mode == "shots"
         assert fam.estimator.n_m == n_m
-        assert fam.estimator.noise is None
+        assert fam.estimator.noise == ()
 
 
 def test_dephasing_families_attach_to_rz_only():
     fam = lookup_family("DP-10%")
-    (rule,) = fam.estimator.noise.rules
+    (rule,) = fam.estimator.noise
     assert rule.gates == frozenset({"rz"})
     assert rule.kind == "phase_damping"
     assert rule.lam == pytest.approx(0.10)
@@ -57,7 +74,7 @@ def test_dephasing_families_attach_to_rz_only():
 
 def test_depolarizing_families_gate_list():
     fam = lookup_family("DEPOL-20%")
-    (rule,) = fam.estimator.noise.rules
+    (rule,) = fam.estimator.noise
     assert rule.gates == frozenset({"x", "y", "z", "h", "rx", "ry", "rz", "cx"})
     assert rule.p == pytest.approx(0.20)
 
@@ -65,7 +82,7 @@ def test_depolarizing_families_gate_list():
 def test_t2_families_set_t1_offset():
     for t2_us in (70, 80, 180, 380):
         fam = lookup_family(f"T2={t2_us}us")
-        (rule,) = fam.estimator.noise.rules
+        (rule,) = fam.estimator.noise
         assert rule.kind == "thermal_relaxation"
         assert rule.t2_ns == pytest.approx(t2_us * 1000.0)
         assert rule.t1_ns == pytest.approx((t2_us + 20) * 1000.0)
@@ -73,7 +90,7 @@ def test_t2_families_set_t1_offset():
 
 def test_tr_families_set_t1_equal_t2():
     fam = lookup_family("TR-T1=100ns")
-    (rule,) = fam.estimator.noise.rules
+    (rule,) = fam.estimator.noise
     assert rule.t1_ns == rule.t2_ns == pytest.approx(100.0)
 
 
@@ -118,8 +135,16 @@ def test_config_inline_family_and_optimizer():
     data["optimizers"] = [{"kind": "nelder_mead", "maxiter": 77}]
     cfg = config_from_dict(data)
     assert cfg.families[0].estimator.n_m == 128
-    assert cfg.families[0].estimator.noise.rules[0].lam == pytest.approx(0.3)
+    assert cfg.families[0].estimator.noise[0].lam == pytest.approx(0.3)
     assert cfg.optimizers[0].maxiter == 77
+
+
+def test_config_inline_family_without_noise_compiles_as_noiseless(toy_circuit):
+    data = base_config_dict()
+    data["families"] = [{"name": "quiet", "n_m": 64, "noise": []}]
+    (family,) = config_from_dict(data).families
+    assert family.estimator.noise == ()
+    assert compile_circuit(toy_circuit, family.estimator.noise) is compile_circuit(toy_circuit)
 
 
 def test_config_uniform_theta0():

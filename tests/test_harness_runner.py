@@ -192,6 +192,36 @@ def test_problem_loaded_once_per_grid(monkeypatch):
     assert calls == {"load_hamiltonian": 1, "load_circuit": 1}
 
 
+def test_worker_processes_capped_by_runs_and_cpus(monkeypatch):
+    # the stand-in pool records its size and runs in this process, so no
+    # worker process starts whatever jobs asks for
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    two_runs = make_config(optimizers=({"kind": "bfgs", "maxiter": 1},), seeds=(0, 1))
+    assert len(run_experiment(two_runs, jobs=10**6)) == 2
+    assert pools == [2]
+    assert len(run_experiment(make_config(seeds=(0,)), jobs=2)) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown: one CPU
+    assert len(run_experiment(two_runs, jobs=2)) == 2
+    assert pools == [2]
+
+
 # --- the finite-difference step a run uses -----------------------------------
 
 def _first_gradient_step(spec):

@@ -15,7 +15,6 @@ from vqebench.qsim import (
     Circuit,
     EstimatorSpec,
     Gate,
-    NoiseModel,
     NoiseRule,
     PauliSum,
     compile_circuit,
@@ -60,12 +59,12 @@ def _paulis(*rhos):
     return to_pauli(np.stack(rhos))
 
 
-def _evolve(r0, circuit, theta, noise=None):
+def _evolve(r0, circuit, theta, noise=()):
     """A Pauli-vector stack evolved under a parameter stack."""
     return evolve_circuit(r0, compile_circuit(circuit, noise), theta)
 
 
-def _evolve_one(rho, circuit, theta, noise=None):
+def _evolve_one(rho, circuit, theta, noise=()):
     """One density matrix under one parameter vector, as stacks of one."""
     theta = np.asarray(theta, dtype=float)[None]
     return from_pauli(_evolve(_paulis(rho), circuit, theta, noise)[0])[0]
@@ -96,7 +95,7 @@ def test_rz_pi_on_plus_gives_minus():
 def test_noise_applied_after_matching_gate():
     plus = pure_state([1.0, 1.0])
     circ = parse_circuit("rz 0 t0", n_qubits=1)
-    noise = NoiseModel((NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.2),))
+    noise = (NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.2),)
     out = _evolve_one(plus, circ, [0.0], noise)
     assert abs(out[0, 1]) == pytest.approx(0.5 * math.sqrt(0.8), abs=1e-12)
 
@@ -104,7 +103,7 @@ def test_noise_applied_after_matching_gate():
 def test_noise_rule_skips_unmatched_gates():
     plus = pure_state([1.0, 1.0])
     circ = parse_circuit("h 0\nh 0", n_qubits=1)
-    noise = NoiseModel((NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.9),))
+    noise = (NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.9),)
     out = _evolve_one(plus, circ, [], noise)
     assert np.allclose(out, plus, atol=1e-12)
 
@@ -112,7 +111,7 @@ def test_noise_rule_skips_unmatched_gates():
 def test_depolarizing_noise_uses_gate_arity():
     rho = basis_state(0, 2)
     circ = parse_circuit("cx 0 1", n_qubits=2)
-    noise = NoiseModel((NoiseRule(frozenset({"cx"}), "depolarizing", p=1.0),))
+    noise = (NoiseRule(frozenset({"cx"}), "depolarizing", p=1.0),)
     out = _evolve_one(rho, circ, [], noise)
     assert np.allclose(out, np.eye(4) / 4.0, atol=1e-10)
 
@@ -125,15 +124,8 @@ def test_noiseless_evolution_preserves_purity(toy_circuit):
 
 
 def test_noisy_evolution_preserves_density_invariants(toy_circuit):
-    noise = NoiseModel(
-        (
-            NoiseRule(
-                frozenset({"ry", "cx", "prot"}),
-                "thermal_relaxation",
-                t1_ns=300.0,
-                t2_ns=200.0,
-            ),
-        )
+    noise = (
+        NoiseRule(frozenset({"ry", "cx", "prot"}), "thermal_relaxation", t1_ns=300.0, t2_ns=200.0),
     )
     out = _evolve_one(basis_state(0, 2), toy_circuit, [0.5, 0.5, 0.5], noise)
     check_density(out)
@@ -180,7 +172,7 @@ def test_fixed_gate_rotations_multiply_to_the_reference_unitary(kind):
 def test_compiling_builds_no_dense_matrix():
     # a fresh process, so that no table an earlier test cached hides a call:
     # with every dense builder raising, every placement on up to 3 qubits
-    # compiles under each catalog noise model
+    # compiles under each catalog family's noise
     code = (
         "from vqebench.harness.catalog import family_catalog\n"
         "from vqebench.qsim import Circuit, PauliSum, compile_circuit, pauli\n"
@@ -337,6 +329,12 @@ def test_estimator_spec_validation():
     for n_m in (0, 2.5, 256.0, True, "256"):
         with pytest.raises(ParameterDomainError):
             EstimatorSpec(n_m=n_m)
+    # noise keys the compiled-circuit cache, so a list is refused here, not
+    # as an unhashable type inside a run
+    rule = NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.1)
+    for noise in ([rule], rule, ("x",), None):
+        with pytest.raises(ParameterDomainError, match="noise must be a tuple of NoiseRule"):
+            EstimatorSpec(256, noise)
 
 
 # --- reference evolution over every gate kind ------------------------------
@@ -391,7 +389,7 @@ _NOISE_CASES = {
 @pytest.mark.parametrize("case", sorted(_NOISE_CASES))
 def test_evolution_matches_reference_on_every_gate_kind(case, rng):
     rule, attach = _NOISE_CASES[case]
-    noise = None if rule is None else NoiseModel((rule,))
+    noise = () if rule is None else (rule,)
     circuit = parse_circuit(_ALL_KINDS_CIRCUIT, n_qubits=3)
     assert {g.kind for g in circuit.gates} == _ALL
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -404,7 +402,7 @@ def test_evolution_matches_reference_on_every_gate_kind(case, rng):
 
 
 #: sha256 of every step's tables, with no noise and under each catalog
-#: noise model in catalog order; a change that moves one declares why
+#: family's noise in catalog order; a change that moves one declares why
 SCHEDULE_SHA256 = {
     "toy": "0537f758061fcc0d457287869c23060da599b5330b940d57a715bda4599803e4",
     "all_kinds": "b23cce0c12773dc563ab6beee3a29efe6b04efc8e843d8dfab234a672a100744",
@@ -414,7 +412,7 @@ SCHEDULE_SHA256 = {
 @pytest.mark.parametrize("name", sorted(SCHEDULE_SHA256))
 def test_schedules_pinned(name, toy_circuit):
     circuit = toy_circuit if name == "toy" else parse_circuit(_ALL_KINDS_CIRCUIT, n_qubits=3)
-    models = [None] + [f.estimator.noise for f in family_catalog() if f.estimator.noise]
+    models = [()] + [f.estimator.noise for f in family_catalog() if f.estimator.noise]
     digest = hashlib.sha256()
     for noise in models:
         for step in compile_circuit(circuit, noise).steps:
@@ -433,7 +431,7 @@ def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circui
         return channels(rule, gate, n_qubits)
 
     # a model no other test builds, so the simulator has not seen it yet
-    noise = NoiseModel((NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),))
+    noise = (NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),)
     monkeypatch.setattr(NoiseRule, "channels", counting)
     for theta in np.linspace(-1.0, 1.0, 15).reshape(5, 3):
         _evolve_one(basis_state(0, 2), toy_circuit, theta, noise)
@@ -444,7 +442,7 @@ def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circui
 @pytest.mark.parametrize("case", sorted(_NOISE_CASES))
 def test_stacked_evolution_equals_per_state(case, rng):
     rule, _ = _NOISE_CASES[case]
-    noise = None if rule is None else NoiseModel((rule,))
+    noise = () if rule is None else (rule,)
     circuit = parse_circuit(_ALL_KINDS_CIRCUIT, n_qubits=3)
     stack = _paulis(*(_random_density(rng, 8) for _ in range(3)))
     for _ in range(3):
@@ -469,7 +467,7 @@ def test_parameter_stack_equals_one_vector_at_a_time(case, rng):
     # stack of one, bit for bit: the exact estimator's golden rows pin the
     # summation order of this path
     rule, _ = _NOISE_CASES[case]
-    noise = None if rule is None else NoiseModel((rule,))
+    noise = () if rule is None else (rule,)
     for n in range(1, 9):
         circuit = _wide_circuit(n)
         thetas = rng.uniform(-math.pi, math.pi, size=(2, circuit.n_params))
