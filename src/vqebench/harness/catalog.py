@@ -31,7 +31,15 @@ def family_catalog() -> tuple[FamilySpec, ...]:
 
     Dephasing (`DP-x%`) attaches to `rz` gates only.  The bundled toy ansatz
     (`ry ry cx prot`) has no `rz`, so there `DP-x%` adds no channel: it is
-    `SN-6144` under another name and random stream.  Built once per process.
+    `SN-6144` under another name and random stream.
+
+    Thermal relaxation acts over 50 ns after a one-qubit gate and 150 ns
+    after `cx` and `prot`: γ = 1 - e^(-t/T1), coherence e^(-t/T2).  So
+    `TR-T1=50ns` damps a one-qubit gate by γ 0.632 with coherence 0.368, and
+    `cx` and `prot` by γ 0.950; `TR-T1=300ns` by γ 0.154 with coherence 0.846,
+    and γ 0.393; `T2=70us` a one-qubit gate by γ 5.6e-4 with coherence
+    0.99929.  This is what puts the `TR-T1` noise floors below the ideal
+    E0 + E1: both ensemble states relax toward |00>.  Built once per process.
     """
     dephasing = functools.partial(NoiseRule, frozenset({"rz"}), "phase_damping")
     depolarizing = functools.partial(NoiseRule, _DEPOL_GATES, "depolarizing")

@@ -98,11 +98,16 @@ def run_experiment(
 ) -> list[RunRecord]:
     """Run the whole grid.  Results are identical for any jobs value: each
     run draws from its own seeded stream and records are emitted in grid
-    order.  At most min(jobs, runs, CPUs) worker processes start, none when
-    that is 1.  If out_path is given, records stream to the CSV as they
-    finish; a problem that fails to load leaves out_path untouched."""
+    order.  At most min(jobs, runs, CPUs this process may run on) worker
+    processes start, none when that is 1.  If out_path is given, records
+    stream to the CSV as they finish; a problem that fails to load leaves
+    out_path untouched."""
     tasks = _tasks(cfg)
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
     records = []
     sinks = [records.append]
     with contextlib.ExitStack() as stack:

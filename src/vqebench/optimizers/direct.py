@@ -17,6 +17,7 @@ INITIAL_SIMPLEX_SCALE = 0.05
 BRACKET_GROW = 1.618033988749895
 BRACKET_MAX_STEPS = 20
 BRENT_MAX_ITER = 50
+BRENT_TOL = 1e-10
 POWELL_IMPROVEMENT_TOL = 1e-10
 
 # trust-region schedule for the linear-model method
@@ -86,7 +87,7 @@ def _bracket(point, f0):
     return (xa, xb, xc), (fa, fb, fc)
 
 
-def _brent(point, triple, f_triple, tol=1e-10):
+def _brent(point, triple, f_triple):
     """Brent's parabolic/golden-section minimization inside a bracket."""
     xa, xb, xc = triple
     lo, hi = min(xa, xc), max(xa, xc)
@@ -96,7 +97,7 @@ def _brent(point, triple, f_triple, tol=1e-10):
     d = e = 0.0
     for _ in range(BRENT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        tol1 = tol * abs(x) + 1e-12
+        tol1 = BRENT_TOL * abs(x) + 1e-12
         if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
             break
         use_golden = True

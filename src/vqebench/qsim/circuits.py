@@ -1,7 +1,6 @@
 """Gates, parametrized circuits, and the circuit text format."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..errors import DimensionError, ParameterDomainError
@@ -27,9 +26,6 @@ _ROTATIONS = {
 GATE_KINDS = frozenset(_ROTATIONS)
 PARAMETRIC_KINDS = frozenset(kind for kind, steps in _ROTATIONS.items() if steps[0][1] is None)
 
-DEFAULT_DURATION_1Q_NS = 50.0
-DEFAULT_DURATION_MULTIQ_NS = 150.0
-
 #: How many unreferenced parameter indices an error message lists.
 _LISTED = 5
 
@@ -40,11 +36,12 @@ class Gate:
     qubits: tuple[int, ...]
     param_index: int | None = None
     pauli_string: str | None = None
-    duration_ns: float | None = None  # None: the default for the gate's arity
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ParameterDomainError(f"unknown gate kind {self.kind!r}")
+        if not isinstance(self.qubits, tuple):
+            raise ParameterDomainError(f"gate qubits must be a tuple, got {self.qubits!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ParameterDomainError(f"repeated qubit in {self.qubits}")
         if self.kind in PARAMETRIC_KINDS and self.param_index is None:
@@ -67,15 +64,6 @@ class Gate:
             raise ParameterDomainError(
                 f"gate {self.kind!r} expects {expected_arity} qubits, got {len(self.qubits)}"
             )
-        if self.duration_ns is None:
-            default = (
-                DEFAULT_DURATION_1Q_NS if len(self.qubits) == 1 else DEFAULT_DURATION_MULTIQ_NS
-            )
-            object.__setattr__(self, "duration_ns", default)
-        elif not 0.0 < self.duration_ns < math.inf:
-            raise ParameterDomainError(
-                f"gate duration must be positive and finite, got {self.duration_ns!r} ns"
-            )
 
     def rotations(self) -> tuple[tuple[str, int | None], ...]:
         """The rotations exp(-i theta/2 P) the gate applies, in order, each
@@ -88,11 +76,16 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A circuit is a cache key of its compiled schedule, so its gates and
+    each gate's qubits must be tuples."""
+
     n_qubits: int
     gates: tuple[Gate, ...]
     n_params: int = field(init=False)  # 1 + the highest t<k> index, 0 if none
 
     def __post_init__(self):
+        if not (isinstance(self.gates, tuple) and all(isinstance(g, Gate) for g in self.gates)):
+            raise ParameterDomainError(f"circuit gates must be a tuple of Gate, got {self.gates!r}")
         for gate in self.gates:
             if any(not 0 <= q < self.n_qubits for q in gate.qubits):
                 raise DimensionError(

@@ -50,6 +50,10 @@ def depolarize(n_qubits: int, qubits, p: float) -> Channel:
     return Channel(np.where(touched, 1.0 - p, 1.0), None, None)
 
 
+#: The gate times in ns, on one qubit and on more, that thermal relaxation acts over.
+GATE_NS_1Q = 50.0
+GATE_NS_MULTIQ = 150.0
+
 #: The parameters each rule kind needs; the others must stay None.
 _PARAMS = {
     "phase_damping": ("lam",),
@@ -64,8 +68,9 @@ class NoiseRule:
 
     kind is one of "phase_damping" (param lam in [0, 1]), "depolarizing"
     (param p in [0, 1]), "thermal_relaxation" (params t1_ns, t2_ns > 0 with
-    T2 <= 2 T1; the channel follows each gate's duration).  Every check is
-    written so that NaN fails it.
+    T2 <= 2 T1; the channel acts over the gate's time).  Every check is
+    written so that NaN fails it.  A rule is part of a cache key of the
+    compiled circuit, so gates must be a frozenset.
     """
 
     gates: frozenset[str]
@@ -76,6 +81,8 @@ class NoiseRule:
     t2_ns: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.gates, frozenset):
+            raise ParameterDomainError(f"noise rule gates must be a frozenset, got {self.gates!r}")
         if not self.gates or not self.gates <= GATE_KINDS:
             raise ParameterDomainError(
                 f"noise rule gates must be a non-empty subset of {sorted(GATE_KINDS)}, "
@@ -115,6 +122,7 @@ class NoiseRule:
         if self.kind == "phase_damping":
             gamma, coherence = 0.0, math.sqrt(1.0 - self.lam)
         else:
-            gamma = -math.expm1(-gate.duration_ns / self.t1_ns)
-            coherence = math.exp(-gate.duration_ns / self.t2_ns)
+            t = GATE_NS_1Q if len(gate.qubits) == 1 else GATE_NS_MULTIQ
+            gamma = -math.expm1(-t / self.t1_ns)
+            coherence = math.exp(-t / self.t2_ns)
         return tuple(damp(n_qubits, q, gamma, coherence) for q in gate.qubits)

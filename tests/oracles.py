@@ -262,6 +262,12 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits) -> np.ndarray:
     return kraus_sum(rho, [embed_operator(op, qubits, n) for op in channel.operators])
 
 
+def gate_ns(gate) -> float:
+    """The time in ns that thermal relaxation acts over after `gate`: 50
+    on one qubit, 150 on more."""
+    return 50.0 if len(gate.qubits) == 1 else 150.0
+
+
 def kraus_attach(rule):
     """The attach(gate) of a noise rule for reference_evolution: the Kraus
     channels it attaches after a gate, each with the qubits it acts on;
@@ -274,7 +280,7 @@ def kraus_attach(rule):
         if rule.kind == "phase_damping":
             kraus = kraus_phase_damping(rule.lam)
         else:
-            kraus = kraus_thermal_relaxation(gate.duration_ns, rule.t1_ns, rule.t2_ns)
+            kraus = kraus_thermal_relaxation(gate_ns(gate), rule.t1_ns, rule.t2_ns)
         return [(kraus, (q,)) for q in gate.qubits]
 
     return attach

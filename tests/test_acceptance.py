@@ -78,10 +78,10 @@ def toy_problem():
     return load_hamiltonian(ham_path), load_circuit(circ_path)
 
 
-def _after(rule, qubits, rho, duration_ns=None):
+def _after(rule, qubits, rho):
     """rho after the channels `rule` attaches to a gate on `qubits`, the
     gate a rotation at theta = 0 (the identity)."""
-    gate = Gate("prot", qubits, 0, "Z" * len(qubits), duration_ns)
+    gate = Gate("prot", qubits, 0, "Z" * len(qubits))
     n = rho.shape[0].bit_length() - 1
     schedule = compile_circuit(Circuit(n, (gate,)), (rule,))
     return from_pauli(evolve_circuit(to_pauli(rho[None]), schedule, np.zeros((1, 1)))[0])[0]
@@ -107,17 +107,19 @@ def test_criterion_1_channel_analytics():
             p = 0.23
             out = _after(NoiseRule(frozenset({"prot"}), "depolarizing", p=p), qubits, rho)
             assert np.max(np.abs(out - ((1 - p) * rho + p * np.eye(d) / d))) < 1e-9
-        # thermal relaxation: population factor e^{-t/T1}, coherence e^{-t/T2}
-        t1, t2, t_g = 220.0, 180.0, 65.0
+        # thermal relaxation over a one-qubit gate's 50 ns: population
+        # factor e^{-t/T1}, coherence e^{-t/T2}
+        t1, t2, t_g = 220.0, 180.0, 50.0
         thermal = NoiseRule(frozenset({"prot"}), "thermal_relaxation", t1_ns=t1, t2_ns=t2)
         excited = pure_state([0.0, 1.0])
-        out = _after(thermal, (0,), excited, t_g)
+        out = _after(thermal, (0,), excited)
         assert abs(out[1, 1].real - math.exp(-t_g / t1)) < 1e-9
-        out = _after(thermal, (0,), plus, t_g)
+        out = _after(thermal, (0,), plus)
         assert abs(abs(out[0, 1]) - 0.5 * math.exp(-t_g / t2)) < 1e-9
         # amplitude damping (T2 = 2 T1): b11 -> (1 - gamma) b11, the rest to |0>
-        damping = NoiseRule(frozenset({"prot"}), "thermal_relaxation", t1_ns=100.0, t2_ns=200.0)
-        out = _after(damping, (0,), excited, -100.0 * math.log(0.7))
+        t1 = -t_g / math.log(0.7)
+        damping = NoiseRule(frozenset({"prot"}), "thermal_relaxation", t1_ns=t1, t2_ns=2.0 * t1)
+        out = _after(damping, (0,), excited)
         assert abs(out[0, 0].real - 0.3) < 1e-9 and abs(out[1, 1].real - 0.7) < 1e-9
 
 

@@ -21,6 +21,7 @@ from oracles import (
     apply_channel,
     check_density,
     from_pauli,
+    gate_ns,
     kraus_amplitude_damping,
     kraus_depolarizing,
     kraus_phase_damping,
@@ -43,11 +44,11 @@ def random_stack(rng, n_qubits, k=3):
     return np.stack([random_density(rng, n_qubits) for _ in range(k)])
 
 
-def pauli_channel(kind, qubits=(0,), duration_ns=None, **params):
+def pauli_channel(kind, qubits=(0,), **params):
     """The channels a `kind` noise rule attaches after a gate on `qubits`,
     as the simulator applies them to a (k, 4^n) stack of Pauli vectors.
     The gate is a rotation at theta = 0, the identity."""
-    gate = Gate("prot", tuple(qubits), 0, "Z" * len(qubits), duration_ns)
+    gate = Gate("prot", tuple(qubits), 0, "Z" * len(qubits))
     noise = (NoiseRule(frozenset({"prot"}), kind, **params),)
 
     def apply(r):
@@ -57,10 +58,10 @@ def pauli_channel(kind, qubits=(0,), duration_ns=None, **params):
     return apply
 
 
-def channel(kind, qubits=(0,), duration_ns=None, **params):
+def channel(kind, qubits=(0,), **params):
     """The same channels as one function of a density matrix or a (k, d, d)
     stack of them."""
-    on_paulis = pauli_channel(kind, qubits, duration_ns, **params)
+    on_paulis = pauli_channel(kind, qubits, **params)
 
     def apply(rho):
         stack = rho if rho.ndim == 3 else rho[None]
@@ -71,10 +72,10 @@ def channel(kind, qubits=(0,), duration_ns=None, **params):
 
 
 def _thermal_damp(gamma):
-    """Thermal relaxation with T2 = 2 T1 over the duration that makes it
-    amplitude damping by gamma, coherence sqrt(1 - gamma)."""
-    t1 = 100.0
-    return dict(kind="thermal_relaxation", duration_ns=-t1 * math.log1p(-gamma), t1_ns=t1, t2_ns=2 * t1)
+    """Thermal relaxation with T2 = 2 T1, T1 chosen so that over a one-qubit
+    gate's 50 ns it is amplitude damping by gamma, coherence sqrt(1 - gamma)."""
+    t1 = -50.0 / math.log1p(-gamma)
+    return dict(kind="thermal_relaxation", t1_ns=t1, t2_ns=2 * t1)
 
 
 # --- phase damping ---------------------------------------------------------
@@ -183,7 +184,7 @@ def test_channel_tables():
 
 
 def test_thermal_identity_limit():
-    out = channel("thermal_relaxation", duration_ns=50.0, t1_ns=1e15, t2_ns=1e15)(PLUS)
+    out = channel("thermal_relaxation", t1_ns=1e15, t2_ns=1e15)(PLUS)
     assert np.allclose(out, PLUS, atol=1e-12)
     r = to_pauli(PLUS[None])
     out = pauli_channel("thermal_relaxation", t1_ns=math.inf, t2_ns=math.inf)(r)
@@ -191,36 +192,64 @@ def test_thermal_identity_limit():
 
 
 def test_thermal_population_decay():
-    t1 = 120.0
+    t1 = 50.0 / math.log(2.0)
     rho = pure_state([0.0, 1.0])
-    out = channel("thermal_relaxation", duration_ns=t1 * math.log(2.0), t1_ns=t1, t2_ns=t1)(rho)
+    out = channel("thermal_relaxation", t1_ns=t1, t2_ns=t1)(rho)
     assert out[1, 1].real == pytest.approx(0.5, abs=1e-15)
 
 
 def test_thermal_coherence_decay():
-    t1, t2 = 300.0, 200.0
-    out = channel("thermal_relaxation", duration_ns=t2, t1_ns=t1, t2_ns=t2)(PLUS)
+    t1, t2 = 75.0, 50.0
+    out = channel("thermal_relaxation", t1_ns=t1, t2_ns=t2)(PLUS)
     assert abs(out[0, 1]) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
 
 
 def test_thermal_t2_equals_2t1_is_pure_amplitude_damping(rng):
-    t1 = 100.0
-    t_g = 37.0
+    t_g = 50.0
+    t1 = t_g / 0.37
     gamma = 1.0 - math.exp(-t_g / t1)
     rho = random_density(rng)
-    thermal = channel("thermal_relaxation", duration_ns=t_g, t1_ns=t1, t2_ns=2.0 * t1)(rho)
+    thermal = channel("thermal_relaxation", t1_ns=t1, t2_ns=2.0 * t1)(rho)
     damped = apply_channel(rho, kraus_amplitude_damping(gamma), (0,))
     assert np.allclose(thermal, damped, atol=1e-15)
 
 
 def test_thermal_t1_infinite_is_pure_dephasing(rng):
-    t2 = 80.0
-    t_g = 25.0
+    t2 = 160.0
+    t_g = 50.0
     rho = random_density(rng)
-    thermal = channel("thermal_relaxation", duration_ns=t_g, t1_ns=math.inf, t2_ns=t2)(rho)
+    thermal = channel("thermal_relaxation", t1_ns=math.inf, t2_ns=t2)(rho)
     lam = 1.0 - math.exp(-2.0 * t_g / t2)
     dephased = channel("phase_damping", lam=lam)(rho)
     assert np.allclose(thermal, dephased, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "gate, t",
+    [
+        (Gate("x", (1,)), 50.0),
+        (Gate("cx", (2, 0)), 150.0),
+        (Gate("prot", (0, 2, 1), 0, "XYZ"), 150.0),
+    ],
+)
+def test_thermal_channel_acts_over_the_gate_time_of_its_arity(gate, t):
+    """A thermal rule attaches one damping channel per qubit of the gate, in
+    the gate's qubit order, over 50 ns on one qubit and 150 ns on more: at
+    that qubit Z scales by e^(-t/T1), X and Y by e^(-t/T2), and Z gains
+    1 - e^(-t/T1) of the string with I there."""
+    t1, t2, n = 100.0, 80.0, 3
+    rule = NoiseRule(frozenset({"x", "cx", "prot"}), "thermal_relaxation", t1_ns=t1, t2_ns=t2)
+    coherence, decay, gamma = math.exp(-t / t2), math.exp(-t / t1), -math.expm1(-t / t1)
+    channels = rule.channels(gate, n)
+    assert len(channels) == len(gate.qubits)
+    strings = np.arange(4**n)
+    for qubit, (scale, source, feed) in zip(gate.qubits, channels):
+        shift = 2 * (n - 1 - qubit)
+        digit = (strings >> shift) & 3
+        want_scale = np.array([1.0, coherence, coherence, decay])[digit]
+        np.testing.assert_allclose(scale, want_scale, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(feed, np.where(digit == 3, gamma, 0.0), rtol=1e-15, atol=0.0)
+        assert np.array_equal(source, strings - (digit << shift))
 
 
 def test_thermal_invalid_t2():
@@ -229,9 +258,6 @@ def test_thermal_invalid_t2():
     for t1, t2 in ((-1.0, 100.0), (100.0, 0.0), (math.nan, 100.0), (100.0, math.nan)):
         with pytest.raises(ParameterDomainError):
             NoiseRule(frozenset({"x"}), "thermal_relaxation", t1_ns=t1, t2_ns=t2)
-    for duration in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ParameterDomainError):
-            Gate("x", (0,), duration_ns=duration)
 
 
 # --- generic channel invariants --------------------------------------------
@@ -242,7 +268,7 @@ def test_thermal_invalid_t2():
         lambda: channel("phase_damping", (1,), lam=0.37),
         lambda: channel("depolarizing", (1,), p=0.22),
         lambda: channel(qubits=(1,), **_thermal_damp(0.41)),
-        lambda: channel("thermal_relaxation", (1,), 50.0, t1_ns=200.0, t2_ns=150.0),
+        lambda: channel("thermal_relaxation", (1,), t1_ns=200.0, t2_ns=150.0),
     ],
 )
 def test_channels_preserve_density_invariants(rng, factory):
@@ -272,7 +298,7 @@ def test_single_qubit_closed_forms_match_kraus_on_every_qubit(rng, n):
     ]
     for qubit in range(n):
         for params, kraus in cases:
-            got = channel(qubits=(qubit,), duration_ns=t_g, **params)(stack)
+            got = channel(qubits=(qubit,), **params)(stack)
             want = apply_channel(stack, kraus, (qubit,))
             assert np.max(np.abs(got - want)) < _ORACLE_TOL, (qubit, params)
 
@@ -296,14 +322,14 @@ def test_two_rules_on_one_gate_match_kraus_in_rule_order(rng, thermal_first):
     """Rules that match one gate apply rule by rule.  A scaling is folded
     into the gate only where it commutes with the damping terms before it:
     depolarizing after thermal relaxation on the same qubits is not."""
-    t_g, t1, t2, p = 150.0, 100.0, 120.0, 0.3
+    t1, t2, p = 100.0, 120.0, 0.3
     rules = [
         NoiseRule(frozenset({"prot"}), "thermal_relaxation", t1_ns=t1, t2_ns=t2),
         NoiseRule(frozenset({"prot"}), "depolarizing", p=p),
     ]
     if not thermal_first:
         rules.reverse()
-    gate = Gate("prot", (2, 0), 0, "ZZ", t_g)
+    gate = Gate("prot", (2, 0), 0, "ZZ")
     schedule = compile_circuit(Circuit(3, (gate,)), tuple(rules))
     stack = random_stack(rng, 3)
     got = from_pauli(evolve_circuit(to_pauli(stack), schedule, np.zeros((1, 1)))[0])
@@ -313,7 +339,7 @@ def test_two_rules_on_one_gate_match_kraus_in_rule_order(rng, thermal_first):
             want = apply_channel(want, kraus_depolarizing(p, 2), (2, 0))
         else:
             for q in gate.qubits:
-                want = apply_channel(want, kraus_thermal_relaxation(t_g, t1, t2), (q,))
+                want = apply_channel(want, kraus_thermal_relaxation(gate_ns(gate), t1, t2), (q,))
     assert np.max(np.abs(got - want)) < _ORACLE_TOL
     tail = schedule.steps[0].tail
     assert [c.feed is None for c in tail] == ([False, False, True] if thermal_first else [False, False])

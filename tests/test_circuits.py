@@ -25,12 +25,6 @@ from vqebench.qsim import (
 )
 
 
-def test_gate_durations_default():
-    assert Gate("h", (0,)).duration_ns == 50.0
-    assert Gate("cx", (0, 1)).duration_ns == 150.0
-    assert Gate("prot", (0, 1), param_index=0, pauli_string="XY").duration_ns == 150.0
-
-
 def _evolved(gate, theta, rho):
     """rho after the one-gate circuit of a rotation gate at parameter theta."""
     circuit = Circuit(n_qubits=rho.shape[0].bit_length() - 1, gates=(gate,))

@@ -213,13 +213,21 @@ def test_worker_processes_capped_by_runs_and_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
     two_runs = make_config(optimizers=({"kind": "bfgs", "maxiter": 1},), seeds=(0, 1))
     assert len(run_experiment(two_runs, jobs=10**6)) == 2
     assert pools == [2]
     assert len(run_experiment(make_config(seeds=(0,)), jobs=2)) == 1
+    # the CPUs this process may run on, not the machine's: one usable CPU
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert len(run_experiment(two_runs, jobs=8)) == 2
+    assert pools == [2]
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)  # no affinity: the machine's
+    assert len(run_experiment(two_runs, jobs=2)) == 2
+    assert pools == [2, 2]
     monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown: one CPU
     assert len(run_experiment(two_runs, jobs=2)) == 2
-    assert pools == [2]
+    assert pools == [2, 2]
 
 
 # --- the finite-difference step a run uses -----------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     basis_state,
     check_density,
     from_pauli,
+    gate_ns,
     kraus_depolarizing,
     kraus_phase_damping,
     kraus_thermal_relaxation,
@@ -337,6 +338,22 @@ def test_estimator_spec_validation():
             EstimatorSpec(256, noise)
 
 
+def test_cache_keys_are_checked_where_they_are_built():
+    """A circuit and its noise rules key the compiled-circuit cache, so
+    unhashable parts are refused when built, not as a TypeError on the first
+    compile."""
+    builds = [
+        lambda: Gate("x", [0]),
+        lambda: Circuit(1, [Gate("x", (0,))]),
+        lambda: Circuit(1, ("x 0",)),
+        lambda: NoiseRule({"rz"}, "phase_damping", lam=0.1),
+        lambda: NoiseRule(["rz"], "phase_damping", lam=0.1),
+    ]
+    for build in builds:
+        with pytest.raises(ParameterDomainError, match="must be a"):
+            build()
+
+
 # --- reference evolution over every gate kind ------------------------------
 
 #: Every gate kind on three qubits, multi-qubit targets out of order.
@@ -381,7 +398,7 @@ _NOISE_CASES = {
     ),
     "thermal_relaxation": (
         NoiseRule(_ALL, "thermal_relaxation", t1_ns=300.0, t2_ns=200.0),
-        _per_qubit(lambda g: kraus_thermal_relaxation(g.duration_ns, 300.0, 200.0)),
+        _per_qubit(lambda g: kraus_thermal_relaxation(gate_ns(g), 300.0, 200.0)),
     ),
 }
 
