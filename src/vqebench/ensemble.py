@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ParameterDomainError
+from .errors import CapacityError, DimensionError, ParameterDomainError, is_integer
 from .qsim import (
     Circuit,
     EstimatorSpec,
@@ -51,6 +51,8 @@ class EnsembleContext:
                 f" got {self.ansatz.n_qubits}"
             )
         for idx in (self.phi_a, self.phi_b):
+            if not is_integer(idx):
+                raise ParameterDomainError(f"basis index must be an integer, got {idx!r}")
             if not 0 <= idx < dim:
                 raise ParameterDomainError(f"basis index {idx} out of range for dim {dim}")
         if self.phi_a == self.phi_b:

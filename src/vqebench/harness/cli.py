@@ -4,7 +4,8 @@ print the family catalog.
 Each command loads only the layers it runs: `run` the simulator, the
 ensemble and the optimizers; `analyze` and `rank` the runs CSV
 (`records`), the reports and the statistics layer; `catalog` the catalog
-and the simulator's noise rules.  Every command needs numpy alone.
+and its noise rules (`vqebench.qsim.noise`).  Every command needs numpy
+alone.
 """
 from __future__ import annotations
 
@@ -65,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--per-optimizer", required=True, dest="out_dir", help="output directory"
     )
+    # stats.permutation.DEFAULT_N_PERM, written out so that parsing loads no stats
     analyze.add_argument("--n-perm", type=_positive_int, default=9999, help="permutation budget")
     analyze.add_argument("--seed", type=_non_negative_int, default=0, help="permutation RNG seed")
 

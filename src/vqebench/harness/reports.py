@@ -29,6 +29,7 @@ from ..stats import (
     rankdata,
     tied_rank_groups,
 )
+from ..stats.permutation import DEFAULT_N_PERM
 
 _MIN_GROUP = 3  # points per family needed for the multivariate battery
 
@@ -65,7 +66,7 @@ def _write_matrix_csv(path: Path, labels, matrix) -> None:
     _write_csv(path, ["", *labels], ([label, *row] for label, row in zip(labels, matrix)), ".6g")
 
 
-def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> None:
+def analyze_optimizer(records, out_dir, n_perm: int = DEFAULT_N_PERM, seed: int = 0) -> None:
     """Run the full battery for one optimizer's records and write the report
     files into out_dir."""
     out_dir = Path(out_dir)
@@ -135,7 +136,7 @@ def analyze_optimizer(records, out_dir, n_perm: int = 9999, seed: int = 0) -> No
     )
 
 
-def analyze_runs(records, out_dir, n_perm: int = 9999, seed: int = 0) -> list[str]:
+def analyze_runs(records, out_dir, n_perm: int = DEFAULT_N_PERM, seed: int = 0) -> list[str]:
     """Per-optimizer battery; returns the optimizer names analyzed.  Each
     optimizer's reports go to the subdirectory named after it.  A name that
     is not a plain directory name, or energies whose spread overflows a

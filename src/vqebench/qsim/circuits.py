@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import DimensionError, ParameterDomainError
+from ..errors import DimensionError, ParameterDomainError, is_integer
 from .pauli import read_text
 
 #: Each gate kind as the rotations exp(-i theta/2 P) it applies, in order:
@@ -42,12 +42,18 @@ class Gate:
             raise ParameterDomainError(f"unknown gate kind {self.kind!r}")
         if not isinstance(self.qubits, tuple):
             raise ParameterDomainError(f"gate qubits must be a tuple, got {self.qubits!r}")
+        if not all(is_integer(q) for q in self.qubits):
+            raise ParameterDomainError(f"gate qubits must be integers, got {self.qubits!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ParameterDomainError(f"repeated qubit in {self.qubits}")
         if self.kind in PARAMETRIC_KINDS and self.param_index is None:
             raise ParameterDomainError(f"gate {self.kind!r} requires a parameter index")
         if self.kind not in PARAMETRIC_KINDS and self.param_index is not None:
             raise ParameterDomainError(f"gate {self.kind!r} takes no parameter")
+        if self.param_index is not None and not is_integer(self.param_index):
+            raise ParameterDomainError(
+                f"parameter index must be an integer, got {self.param_index!r}"
+            )
         if self.param_index is not None and self.param_index < 0:
             raise ParameterDomainError(f"negative parameter index t{self.param_index}")
         if self.kind == "prot":
@@ -84,6 +90,8 @@ class Circuit:
     n_params: int = field(init=False)  # 1 + the highest t<k> index, 0 if none
 
     def __post_init__(self):
+        if not is_integer(self.n_qubits):
+            raise ParameterDomainError(f"qubit count must be an integer, got {self.n_qubits!r}")
         if not (isinstance(self.gates, tuple) and all(isinstance(g, Gate) for g in self.gates)):
             raise ParameterDomainError(f"circuit gates must be a tuple of Gate, got {self.gates!r}")
         for gate in self.gates:

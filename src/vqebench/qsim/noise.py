@@ -1,6 +1,6 @@
 """Gate noise as plain data: a family's noise is a tuple of `NoiseRule`s,
 () for noiseless, and each rule attaches its channels after every gate
-whose kind it names.
+whose kind it names.  `EstimatorSpec` pairs the rules with a shot count.
 
 The channels are Pauli transfer matrices on Pauli vectors r_P = Tr(P rho).
 Every catalog channel is diagonal in the Pauli basis, except that amplitude
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import InvalidChannelError, ParameterDomainError
+from ..errors import InvalidChannelError, ParameterDomainError, is_count
 from .circuits import GATE_KINDS, Gate
 from .pauli import pauli_digits
 
@@ -126,3 +126,28 @@ class NoiseRule:
             gamma = -math.expm1(-t / self.t1_ns)
             coherence = math.exp(-t / self.t2_ns)
         return tuple(damp(n_qubits, q, gamma, coherence) for q in gate.qubits)
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """How expectations are measured: exactly when n_m is None, else with
+    n_m shots per term; noise is the tuple of rules whose channels state
+    preparation applies, () for noiseless.  noise is a cache key of the
+    compiled circuit, so anything but a tuple of NoiseRule is rejected
+    here."""
+
+    n_m: int | None = None
+    noise: tuple[NoiseRule, ...] = ()
+
+    def __post_init__(self):
+        if self.n_m is not None and not is_count(self.n_m):
+            raise ParameterDomainError(
+                f"shot count must be an integer from 1 to 2**63 - 1, got {self.n_m!r}"
+            )
+        if not (isinstance(self.noise, tuple) and all(isinstance(r, NoiseRule) for r in self.noise)):
+            raise ParameterDomainError(f"noise must be a tuple of NoiseRule, got {self.noise!r}")
+
+    @property
+    def mode(self) -> str:
+        """The estimator kind that n_m implies: "exact" or "shots"."""
+        return "exact" if self.n_m is None else "shots"

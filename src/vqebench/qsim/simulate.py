@@ -13,40 +13,14 @@ Hamiltonian are each compiled once into index tables.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DimensionError, ParameterDomainError, is_count
+from ..errors import DimensionError, ParameterDomainError
 from .circuits import Circuit, Gate
-from .noise import Channel, NoiseRule
+from .noise import Channel, EstimatorSpec, NoiseRule
 from .pauli import PauliSum, pauli_digits, pauli_index
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """How expectations are measured: exactly when n_m is None, else with
-    n_m shots per term; noise is the tuple of rules whose channels state
-    preparation applies, () for noiseless.  noise is a cache key of the
-    compiled circuit, so anything but a tuple of NoiseRule is rejected
-    here."""
-
-    n_m: int | None = None
-    noise: tuple[NoiseRule, ...] = ()
-
-    def __post_init__(self):
-        if self.n_m is not None and not is_count(self.n_m):
-            raise ParameterDomainError(
-                f"shot count must be an integer from 1 to 2**63 - 1, got {self.n_m!r}"
-            )
-        if not (isinstance(self.noise, tuple) and all(isinstance(r, NoiseRule) for r in self.noise)):
-            raise ParameterDomainError(f"noise must be a tuple of NoiseRule, got {self.noise!r}")
-
-    @property
-    def mode(self) -> str:
-        """The estimator kind that n_m implies: "exact" or "shots"."""
-        return "exact" if self.n_m is None else "shots"
 
 
 class _Step(NamedTuple):

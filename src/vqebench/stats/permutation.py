@@ -35,9 +35,10 @@ from .normality import f_ratio, sums_of_squares
 from .ranks import p_adjust, pair_matrices
 from .types import PairwiseMatrix, TestResult
 
-__all__ = ["permanova", "permdisp", "pairwise_posthoc"]
-
 _BLOCK = 256  # labellings scored at once
+
+#: The permutation budget when none is given: p-values in steps of 1e-4.
+DEFAULT_N_PERM = 9999
 
 
 def _n_assignments(codes: np.ndarray) -> int:
@@ -165,7 +166,7 @@ def _f_test(values, codes, sums, n_perm, rng, **extras) -> TestResult:
     )
 
 
-def permanova(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
+def permanova(points, labels, n_perm: int = DEFAULT_N_PERM, rng=None) -> TestResult:
     """Pseudo-F test of equal group centroids under Euclidean distance, with
     permutation of group labels."""
     points, uniq, codes, rng = _prologue(points, labels, rng)
@@ -175,7 +176,7 @@ def permanova(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
     return _f_test(points, codes, sums, n_perm, rng, r2=float(r2))
 
 
-def permdisp(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
+def permdisp(points, labels, n_perm: int = DEFAULT_N_PERM, rng=None) -> TestResult:
     """Homogeneity of multivariate dispersions: ANOVA on distances to group
     centroids, with permutation of the distance labels."""
     points, uniq, codes, rng = _prologue(points, labels, rng)
@@ -187,7 +188,7 @@ def permdisp(points, labels, n_perm: int = 10000, rng=None) -> TestResult:
 
 
 def pairwise_posthoc(
-    points, labels, test: str = "permanova", n_perm: int = 10000, rng=None
+    points, labels, test: str = "permanova", n_perm: int = DEFAULT_N_PERM, rng=None
 ) -> PairwiseMatrix:
     """Two-group tests for every unordered pair of labels, all drawing from
     one rng in row-major pair order, with a joint Benjamini-Hochberg

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -70,33 +71,6 @@ def test_cli_import_leaves_out_the_process_pool():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_catalog_loads_only_the_catalog_and_the_simulator_it_names():
-    # a fresh process, so that no other test's imports count; a change to
-    # this set edits the pin and says why
-    code = (
-        "import contextlib, io, sys\n"
-        "from vqebench.harness.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['catalog']) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'vqebench')))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
-    assert out.stdout.decode().split() == [
-        "vqebench",
-        "vqebench.errors",
-        "vqebench.harness",
-        "vqebench.harness.catalog",
-        "vqebench.harness.cli",
-        "vqebench.harness.records",
-        "vqebench.qsim",
-        "vqebench.qsim.circuits",
-        "vqebench.qsim.noise",
-        "vqebench.qsim.pauli",
-        "vqebench.qsim.simulate",
-    ]
-
-
 def test_catalog_lists_21(capsys):
     assert main(["catalog"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -150,6 +124,20 @@ def test_analyze_bad_runs_exits_3(tmp_path, capsys):
     bad = tmp_path / "runs.csv"
     bad.write_text("nope\n")
     assert main(["analyze", "--runs", str(bad), "--per-optimizer", str(tmp_path / "a")]) == 3
+
+
+def test_analyze_default_budget_is_the_library_default():
+    # the CLI writes the budget as a literal, so that catalog and run need not
+    # load the stats layer to parse their arguments
+    from vqebench.harness import reports
+    from vqebench.harness.cli import _build_parser
+    from vqebench.stats import permutation
+
+    args = _build_parser().parse_args(["analyze", "--runs", "r.csv", "--per-optimizer", "out"])
+    functions = (permutation.permanova, permutation.permdisp, permutation.pairwise_posthoc,
+                 reports.analyze_optimizer, reports.analyze_runs)
+    defaults = {inspect.signature(fn).parameters["n_perm"].default for fn in functions}
+    assert defaults == {args.n_perm} == {permutation.DEFAULT_N_PERM}
 
 
 def test_analyze_writes_reports(tmp_path, capsys):
@@ -419,30 +407,9 @@ def test_input_that_is_not_utf8_exits_with_its_code(tmp_path, capsys, bad_file, 
     assert len(err) == 1 and err[0].startswith(prefix) and "UTF-8" in err[0].upper(), err
 
 
-#: Modules each command must not load: a command loads only the layers it runs.
-_NOT_LOADED = {
-    "catalog": (
-        "vqebench.optimizers",
-        "vqebench.ensemble",
-        "vqebench.harness.runner",
-        "vqebench.harness.config",
-        "vqebench.stats",
-    ),
-    "analyze": (
-        "vqebench.qsim",
-        "vqebench.optimizers",
-        "vqebench.ensemble",
-        "vqebench.harness.runner",
-        "vqebench.harness.config",
-        "vqebench.harness.catalog",
-    ),
-    "run": ("vqebench.stats", "vqebench.harness.reports", "concurrent.futures"),
-}
-_NOT_LOADED["rank"] = _NOT_LOADED["analyze"]
-
-
-@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
-def test_command_loads_only_its_layers(tmp_path, command):
+def _modules_loaded_by(tmp_path, command) -> list[str]:
+    """Every module loaded once `command` has run in a fresh process, so
+    that no other test's imports count."""
     runs = tmp_path / "runs.csv"
     write_records(synthetic_records(), runs)
     argv = {
@@ -461,7 +428,77 @@ def test_command_loads_only_its_layers(tmp_path, command):
     )
     env = {**os.environ, "PYTHONPATH": str(Path(vqebench.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code, str(loaded), *argv], check=True, env=env, capture_output=True)
-    modules = loaded.read_text().split()
+    return loaded.read_text().split()
+
+
+def _vqebench_modules(modules) -> list[str]:
+    return sorted(m for m in modules if m.split(".")[0] == "vqebench")
+
+
+def test_catalog_loads_only_the_catalog_and_the_simulator_it_names(tmp_path):
+    # the noise rules, not the simulator that applies them; on a host without
+    # bytecode caching every module a command loads is compiled at each
+    # start, so a change to this set edits the pin and says why
+    assert _vqebench_modules(_modules_loaded_by(tmp_path, "catalog")) == [
+        "vqebench",
+        "vqebench.errors",
+        "vqebench.harness",
+        "vqebench.harness.catalog",
+        "vqebench.harness.cli",
+        "vqebench.harness.records",
+        "vqebench.qsim",
+        "vqebench.qsim.circuits",
+        "vqebench.qsim.noise",
+        "vqebench.qsim.pauli",
+    ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "rank"])
+def test_report_commands_load_only_the_reports_and_the_stats_layer(tmp_path, command):
+    # the exact set, pinned as catalog's is
+    assert _vqebench_modules(_modules_loaded_by(tmp_path, command)) == [
+        "vqebench",
+        "vqebench.errors",
+        "vqebench.harness",
+        "vqebench.harness.cli",
+        "vqebench.harness.records",
+        "vqebench.harness.reports",
+        "vqebench.stats",
+        "vqebench.stats.ellipse",
+        "vqebench.stats.metrics",
+        "vqebench.stats.normality",
+        "vqebench.stats.permutation",
+        "vqebench.stats.ranks",
+        "vqebench.stats.types",
+    ]
+
+
+#: Modules each command must not load: a command loads only the layers it runs.
+_NOT_LOADED = {
+    "catalog": (
+        "vqebench.optimizers",
+        "vqebench.ensemble",
+        "vqebench.harness.runner",
+        "vqebench.harness.config",
+        "vqebench.qsim.simulate",
+        "vqebench.stats",
+    ),
+    "analyze": (
+        "vqebench.qsim",
+        "vqebench.optimizers",
+        "vqebench.ensemble",
+        "vqebench.harness.runner",
+        "vqebench.harness.config",
+        "vqebench.harness.catalog",
+    ),
+    "run": ("vqebench.stats", "vqebench.harness.reports", "concurrent.futures"),
+}
+_NOT_LOADED["rank"] = _NOT_LOADED["analyze"]
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_command_loads_only_its_layers(tmp_path, command):
+    modules = _modules_loaded_by(tmp_path, command)
     unwanted = [m for m in modules if any(m == u or m.startswith(u + ".") for u in _NOT_LOADED[command])]
     assert unwanted == []
 

@@ -2,9 +2,9 @@
 `src/vqebench` is loaded somewhere in `src` or in a `perfbench/*.py` script.
 
 A use is a load of the name (`name` or `something.name`), or an import of
-it whose binding is then loaded.  The strings of `__all__` and `_EXPORTS`
-are not uses: a name that is only exported has no production caller, and
-belongs in `tests/oracles.py` or needs a caller.
+it whose binding is then loaded.  The strings of `__all__` and of the
+export maps are not uses: a name that is only exported has no production
+caller, and belongs in `tests/oracles.py` or needs a caller.
 """
 import ast
 from pathlib import Path

@@ -92,6 +92,31 @@ def test_context_validation(toy_hamiltonian, toy_circuit):
         EnsembleContext(toy_hamiltonian, toy_circuit, 0, 7, EstimatorSpec())
 
 
+def test_indices_are_checked_where_they_are_built(toy_hamiltonian, toy_circuit):
+    """A qubit, qubit count, parameter index or basis index that is not an
+    integer is refused when built, not as a TypeError or IndexError on the
+    first compile or cost call.  A bool is not an integer here; a numpy
+    integer is."""
+    builds = [
+        lambda: Gate("x", (0.0,)),
+        lambda: Gate("cx", (0, 1.0)),
+        lambda: Gate("x", (True,)),
+        lambda: Gate("ry", (0,), param_index=1.5),
+        lambda: Gate("ry", (0,), param_index=True),
+        lambda: Circuit(1.0, (Gate("x", (0,)),)),
+        lambda: Circuit(True, (Gate("x", (0,)),)),
+        lambda: EnsembleContext(toy_hamiltonian, toy_circuit, 0.0, 1.0, EstimatorSpec()),
+        lambda: EnsembleContext(toy_hamiltonian, toy_circuit, 0, True, EstimatorSpec()),
+    ]
+    for build in builds:
+        with pytest.raises(ParameterDomainError, match="must be an integer|must be integers"):
+            build()
+    zero, one = np.int64(0), np.int64(1)
+    circuit = Circuit(np.int64(2), (Gate("ry", (zero,), param_index=zero), Gate("cx", (one, 0))))
+    ctx = EnsembleContext(toy_hamiltonian, circuit, zero, one, EstimatorSpec())
+    assert sa_cost(np.zeros((1, 1)), ctx).shape == (1,)
+
+
 def test_sa_cost_zero_gate_ansatz(toy_hamiltonian):
     circ = Circuit(n_qubits=2, gates=())
     ctx = EnsembleContext(toy_hamiltonian, circ, 0, 1, EstimatorSpec())
