@@ -4,8 +4,8 @@ print the family catalog.
 Each command loads only the layers it runs: `run` the simulator, the
 ensemble and the optimizers; `analyze` and `rank` the runs CSV
 (`records`), the reports and the statistics layer; `catalog` the catalog
-and its noise rules (`vqebench.qsim.noise`).  Every command needs numpy
-alone.
+and its noise rules (`vqebench.qsim.noise`).  `catalog` needs no numpy,
+and the other three commands need numpy alone.
 """
 from __future__ import annotations
 

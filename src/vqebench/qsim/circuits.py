@@ -1,10 +1,14 @@
-"""Gates, parametrized circuits, and the circuit text format."""
+"""Gates, parametrized circuits, and the circuit text format.
+
+The module imports no numpy, because the noise rules, and so `vqebench
+catalog`, import its gate kinds.  For the same reason `read_text`, which
+reads Hamiltonian files for `pauli.py` too, lives here.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from ..errors import DimensionError, ParameterDomainError, is_integer
-from .pauli import read_text
 
 #: Each gate kind as the rotations exp(-i theta/2 P) it applies, in order:
 #: (P on the gate's qubits, k) turns by theta = k pi/2, or by the gate's
@@ -57,7 +61,11 @@ class Gate:
         if self.param_index is not None and self.param_index < 0:
             raise ParameterDomainError(f"negative parameter index t{self.param_index}")
         if self.kind == "prot":
-            if not self.pauli_string or any(c not in "IXYZ" for c in self.pauli_string.upper()):
+            if not (
+                isinstance(self.pauli_string, str)
+                and self.pauli_string
+                and all(c in "IXYZ" for c in self.pauli_string.upper())
+            ):
                 raise ParameterDomainError("prot gate requires a Pauli string")
             if len(self.pauli_string) != len(self.qubits):
                 raise ParameterDomainError(
@@ -92,6 +100,8 @@ class Circuit:
     def __post_init__(self):
         if not is_integer(self.n_qubits):
             raise ParameterDomainError(f"qubit count must be an integer, got {self.n_qubits!r}")
+        if self.n_qubits < 0:
+            raise ParameterDomainError(f"negative qubit count {self.n_qubits}")
         if not (isinstance(self.gates, tuple) and all(isinstance(g, Gate) for g in self.gates)):
             raise ParameterDomainError(f"circuit gates must be a tuple of Gate, got {self.gates!r}")
         for gate in self.gates:
@@ -160,3 +170,13 @@ def _parse_param(token: str) -> int:
 
 def load_circuit(path, n_qubits: int | None = None) -> Circuit:
     return parse_circuit(read_text(path, "circuit"), n_qubits=n_qubits)
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a problem file; bytes that do not decode are a
+    ParameterDomainError that names the file, not a UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterDomainError(f"cannot read {what} {path}: {exc}") from exc

@@ -6,18 +6,23 @@ The channels are Pauli transfer matrices on Pauli vectors r_P = Tr(P rho).
 Every catalog channel is diagonal in the Pauli basis, except that amplitude
 damping also feeds the string with I at its qubit into the same string with
 Z there (Greenbaum, arXiv:1509.02921; Nielsen & Chuang 8.3).
+
+The rules load without numpy, so that `vqebench catalog` does not pay for
+it: only `damp` and `depolarize`, which build a channel's table, import
+numpy and `pauli.py`.  The gate kinds come from `circuits.py`, which holds
+`read_text` for the same reason.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import InvalidChannelError, ParameterDomainError, is_count
 from .circuits import GATE_KINDS, Gate
-from .pauli import pauli_digits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Channel(NamedTuple):
@@ -35,6 +40,10 @@ def damp(n_qubits: int, qubit: int, gamma: float, coherence: float) -> Channel:
     1 - gamma, and Z gains gamma times I, which the scaling leaves as it
     is.  Phase damping is gamma = 0, coherence = sqrt(1 - lam); thermal
     relaxation over t is gamma = 1 - e^(-t/T1), coherence = e^(-t/T2)."""
+    import numpy as np  # its import costs `catalog`, which builds no table
+
+    from .pauli import pauli_digits
+
     digits = pauli_digits(n_qubits, qubit)
     scale = np.array([1.0, coherence, coherence, 1.0 - gamma])[digits]
     if not gamma:
@@ -46,6 +55,10 @@ def damp(n_qubits: int, qubit: int, gamma: float, coherence: float) -> Channel:
 def depolarize(n_qubits: int, qubits, p: float) -> Channel:
     """(1 - p) rho + p Tr_Q(rho) (x) I / 2^k on the k qubits Q: every string
     that is not the identity on Q scales by 1 - p."""
+    import numpy as np  # its import costs `catalog`, which builds no table
+
+    from .pauli import pauli_digits
+
     touched = np.logical_or.reduce([pauli_digits(n_qubits, q) != 0 for q in qubits])
     return Channel(np.where(touched, 1.0 - p, 1.0), None, None)
 

@@ -4,6 +4,9 @@ Pauli vector of a state.
 Qubit 0 corresponds to the leftmost character of a Pauli string, to the
 most significant bit of a computational-basis index and to the most
 significant base-4 digit of a Pauli-vector index.
+
+`read_text`, which reads a problem file, lives in `circuits.py`, whose
+circuit format loads without numpy.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, ParameterDomainError
+from .circuits import read_text
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -118,16 +122,6 @@ def parse_hamiltonian(text: str) -> PauliSum:
 
 def load_hamiltonian(path) -> PauliSum:
     return parse_hamiltonian(read_text(path, "Hamiltonian"))
-
-
-def read_text(path, what: str) -> str:
-    """The UTF-8 text of a problem file; bytes that do not decode are a
-    ParameterDomainError that names the file, not a UnicodeDecodeError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParameterDomainError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def pauli_index(string: str) -> int:

@@ -94,6 +94,9 @@ def test_gate_tables_equal_the_embedded_local_operator_on_every_placement(n, rng
 def test_prot_requires_matching_string_length():
     with pytest.raises(ParameterDomainError):
         Gate("prot", (0,), param_index=0, pauli_string="XY")
+    for string in (5, b"X", ("X",), None, ""):
+        with pytest.raises(ParameterDomainError, match="prot gate requires a Pauli string"):
+            Gate("prot", (0,), param_index=0, pauli_string=string)
 
 
 def test_parametric_gate_requires_index():
@@ -170,6 +173,14 @@ def test_negative_parameter_index_rejected():
         Gate("rx", (0,), param_index=-1)
     with pytest.raises(ParameterDomainError, match="line 2"):
         parse_circuit("ry 0 t0\nrx 0 t-1\n")
+
+
+def test_circuit_rejects_a_negative_qubit_count():
+    with pytest.raises(ParameterDomainError, match="negative qubit count -1"):
+        Circuit(-1, ())
+    # the empty circuit text has no qubits
+    assert parse_circuit("").n_qubits == 0
+    assert Circuit(0, ()).n_params == 0
 
 
 def test_circuit_rejects_out_of_range_qubit():

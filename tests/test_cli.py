@@ -438,7 +438,9 @@ def _vqebench_modules(modules) -> list[str]:
 def test_catalog_loads_only_the_catalog_and_the_simulator_it_names(tmp_path):
     # the noise rules, not the simulator that applies them; on a host without
     # bytecode caching every module a command loads is compiled at each
-    # start, so a change to this set edits the pin and says why
+    # start, so a change to this set edits the pin and says why.  No
+    # vqebench.qsim.pauli: it and numpy are imported only to build a channel
+    # table, which catalog never does
     assert _vqebench_modules(_modules_loaded_by(tmp_path, "catalog")) == [
         "vqebench",
         "vqebench.errors",
@@ -449,7 +451,32 @@ def test_catalog_loads_only_the_catalog_and_the_simulator_it_names(tmp_path):
         "vqebench.qsim",
         "vqebench.qsim.circuits",
         "vqebench.qsim.noise",
+    ]
+
+
+def test_run_loads_the_simulator_the_ensemble_and_the_optimizers(tmp_path):
+    # the exact set, pinned as catalog's is
+    assert _vqebench_modules(_modules_loaded_by(tmp_path, "run")) == [
+        "vqebench",
+        "vqebench.ensemble",
+        "vqebench.errors",
+        "vqebench.harness",
+        "vqebench.harness.catalog",
+        "vqebench.harness.cli",
+        "vqebench.harness.config",
+        "vqebench.harness.records",
+        "vqebench.harness.runner",
+        "vqebench.optimizers",
+        "vqebench.optimizers.direct",
+        "vqebench.optimizers.gradient",
+        "vqebench.optimizers.result",
+        "vqebench.optimizers.session",
+        "vqebench.optimizers.soma",
+        "vqebench.qsim",
+        "vqebench.qsim.circuits",
+        "vqebench.qsim.noise",
         "vqebench.qsim.pauli",
+        "vqebench.qsim.simulate",
     ]
 
 
@@ -481,7 +508,9 @@ _NOT_LOADED = {
         "vqebench.harness.runner",
         "vqebench.harness.config",
         "vqebench.qsim.simulate",
+        "vqebench.qsim.pauli",
         "vqebench.stats",
+        "numpy",
     ),
     "analyze": (
         "vqebench.qsim",
