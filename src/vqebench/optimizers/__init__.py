@@ -37,7 +37,8 @@ def minimize(cost, theta0, spec: OptimizerSpec, rng: np.random.Generator | None 
     if rng is None:
         rng = np.random.default_rng(0)
     session = CostSession(cost)
-    return session.result(session.run(_DISPATCH[spec.kind](theta0, spec, rng)))
+    converged = session.run(_DISPATCH[spec.kind](theta0, spec, rng))
+    return OptResult(session.best_theta, session.n_evals, converged, session.trace)
 
 
 __all__ = [

@@ -76,7 +76,6 @@ class OptimizerSpec:
 @dataclass
 class OptResult:
     theta_best: np.ndarray
-    f_best: float
     n_evals: int
     converged: bool
     trace: list[tuple[int, float]]

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from ..errors import CostEvaluationError, DimensionError
-from .result import OptResult
 
 
 class CostSession:
@@ -56,13 +55,3 @@ class CostSession:
                 self.best_f = value
                 self.best_theta = theta.copy()
         return values
-
-    def result(self, converged: bool) -> OptResult:
-        """The best point seen so far, as the minimizer's result."""
-        return OptResult(
-            theta_best=self.best_theta,
-            f_best=self.best_f,
-            n_evals=self.n_evals,
-            converged=converged,
-            trace=self.trace,
-        )

@@ -212,6 +212,4 @@ def pairwise_posthoc(
         return adjusted
 
     p_raw, p_adjusted = pair_matrices(len(uniq), p_of_pair, bh_on_valid)
-    return PairwiseMatrix(
-        labels=[str(u) for u in uniq], p_raw=p_raw, p_adjusted=p_adjusted, method=f"{test}+bh"
-    )
+    return PairwiseMatrix(labels=[str(u) for u in uniq], p_raw=p_raw, p_adjusted=p_adjusted)

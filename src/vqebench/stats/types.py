@@ -51,13 +51,6 @@ class PairwiseMatrix:
     labels: list[str]
     p_raw: np.ndarray
     p_adjusted: np.ndarray
-    method: str
-
-    def __post_init__(self):
-        k = len(self.labels)
-        for mat in (self.p_raw, self.p_adjusted):
-            if mat.shape != (k, k):
-                raise ValueError(f"matrix shape {mat.shape} does not match {k} labels")
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,8 @@ def test_toy_ansatz_reaches_reference(toy_ctx, toy_reference):
         OptimizerSpec(kind="bfgs"),
         np.random.default_rng(0),
     )
-    assert result.f_best == pytest.approx(toy_reference.e_sa, abs=1e-6)
+    e_sa = sa_cost(result.theta_best[None], toy_ctx)[0]
+    assert e_sa == pytest.approx(toy_reference.e_sa, abs=1e-6)
     e0, e1 = resolve_states(result.theta_best, toy_ctx)
     assert e0 == pytest.approx(toy_reference.e0, abs=1e-6)
     assert e1 == pytest.approx(toy_reference.e1, abs=1e-6)

@@ -39,6 +39,11 @@ def rastrigin(x):
     return 10.0 * x.shape[1] + np.sum(x**2 - 10.0 * np.cos(2.0 * np.pi * x), axis=1)
 
 
+def value_at(cost, theta) -> float:
+    """A cost's value at one point."""
+    return float(cost(np.asarray(theta, dtype=float)[None])[0])
+
+
 # --- spec and gradient -----------------------------------------------------
 
 def gradient(cost, theta, h):
@@ -114,9 +119,9 @@ def test_gradient_matches_analytic_polynomial():
 def test_local_methods_on_sphere(kind):
     spec = OptimizerSpec(kind=kind)
     result = minimize(sphere, np.ones(3), spec, np.random.default_rng(0))
-    assert result.f_best < 1e-6
+    assert value_at(sphere, result.theta_best) < 1e-6
     if kind == "bfgs":
-        assert result.f_best < 1e-12
+        assert value_at(sphere, result.theta_best) < 1e-12
         assert result.n_evals < 100
 
 
@@ -125,7 +130,7 @@ def test_local_methods_on_rosenbrock(kind):
     spec = OptimizerSpec(kind=kind)
     result = minimize(rosenbrock, np.array([-1.2, 1.0]), spec, np.random.default_rng(0))
     target = 1e-4 if kind == "cobyla" else 1e-6
-    assert result.f_best < target
+    assert value_at(rosenbrock, result.theta_best) < target
     assert np.allclose(result.theta_best, [1.0, 1.0], atol=0.05)
 
 
@@ -139,14 +144,14 @@ def test_isoma_on_rastrigin():
     baseline = min(
         rastrigin(sample_rng.uniform(-2 * np.pi, 2 * np.pi, (1, 3)))[0] for _ in range(25)
     )
-    assert result.f_best < baseline
+    assert value_at(rastrigin, result.theta_best) < baseline
 
 
 def test_isoma_on_sphere_loose():
     result = minimize(
         sphere, np.zeros(3), OptimizerSpec(kind="isoma"), np.random.default_rng(1)
     )
-    assert result.f_best < 1e-2
+    assert value_at(sphere, result.theta_best) < 1e-2
 
 
 # --- shared contracts ------------------------------------------------------
@@ -156,7 +161,6 @@ def test_determinism(kind):
     spec = OptimizerSpec(kind=kind, maxiter=40)
     a = minimize(rosenbrock, np.array([-1.2, 1.0]), spec, np.random.default_rng(5))
     b = minimize(rosenbrock, np.array([-1.2, 1.0]), spec, np.random.default_rng(5))
-    assert a.f_best == b.f_best
     assert np.array_equal(a.theta_best, b.theta_best)
     assert a.trace == b.trace
 
@@ -201,7 +205,7 @@ def test_monotone_incumbent(kind):
         best = min(best, f)
         mins.append(best)
     assert all(a >= b for a, b in zip(mins, mins[1:]))
-    assert result.f_best == pytest.approx(mins[-1])
+    assert value_at(rosenbrock, result.theta_best) == pytest.approx(mins[-1])
 
 
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
@@ -219,7 +223,7 @@ def test_bfgs_stationary_start():
         sphere, np.zeros(3), OptimizerSpec(kind="bfgs"), np.random.default_rng(0)
     )
     assert result.converged
-    assert result.f_best == 0.0
+    assert value_at(sphere, result.theta_best) == 0.0
     assert result.n_evals < 10
 
 
@@ -232,7 +236,7 @@ def test_bfgs_inverse_hessian_secant_property():
     result = minimize(
         quad, np.array([2.0, -1.0, 1.0]), OptimizerSpec(kind="bfgs"), np.random.default_rng(0)
     )
-    assert result.f_best < 1e-12
+    assert value_at(quad, result.theta_best) < 1e-12
     assert np.linalg.norm(a @ result.theta_best) < 1e-4
 
 
@@ -246,7 +250,8 @@ def test_bfgs_noisy_quadratic():
         noisy, np.ones(2), OptimizerSpec(kind="bfgs", gradient_step=5e-2),
         np.random.default_rng(0),
     )
-    assert result.f_best < 1e-2
+    # the noise-free value at the reported point
+    assert value_at(sphere, result.theta_best) < 1e-2
 
 
 def test_powell_axis_permutation_invariance():
@@ -262,13 +267,11 @@ def test_powell_axis_permutation_invariance():
 
 
 def test_powell_separable_quadratic_one_cycle():
-    result = minimize(
-        lambda x: np.sum((x - np.array([1.0, -2.0])) ** 2, axis=1),
-        np.zeros(2),
-        OptimizerSpec(kind="powell"),
-        np.random.default_rng(0),
-    )
-    assert result.f_best < 1e-10
+    def quad(x):
+        return np.sum((x - np.array([1.0, -2.0])) ** 2, axis=1)
+
+    result = minimize(quad, np.zeros(2), OptimizerSpec(kind="powell"), np.random.default_rng(0))
+    assert value_at(quad, result.theta_best) < 1e-10
 
 
 def test_nelder_mead_1d_convex_no_stagnation():
@@ -285,13 +288,13 @@ def test_nelder_mead_1d_convex_no_stagnation():
 
 
 def test_cobyla_linear_descends_gradient():
+    def linear(x):
+        return x[:, 0] + 2.0 * x[:, 1]
+
     result = minimize(
-        lambda x: x[:, 0] + 2.0 * x[:, 1],
-        np.zeros(2),
-        OptimizerSpec(kind="cobyla", maxiter=5),
-        np.random.default_rng(0),
+        linear, np.zeros(2), OptimizerSpec(kind="cobyla", maxiter=5), np.random.default_rng(0)
     )
-    assert result.f_best < 0.0
+    assert value_at(linear, result.theta_best) < 0.0
     d = result.theta_best / np.linalg.norm(result.theta_best)
     g_hat = np.array([1.0, 2.0]) / np.sqrt(5.0)
     assert float(d @ -g_hat) > 0.99
