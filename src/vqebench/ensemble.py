@@ -60,40 +60,36 @@ class EnsembleContext:
 
     @functools.cached_property
     def schedule(self) -> Schedule:
-        """The ansatz compiled under the estimator's noise rules, looked up
-        once per context."""
+        """The ansatz compiled under the estimator's noise rules, built once
+        per context."""
         return compile_circuit(self.ansatz, self.estimator.noise)
 
     @functools.cached_property
     def readout(self) -> Readout:
-        """The Hamiltonian's readout, looked up once per context."""
+        """The Hamiltonian's readout, built once per context."""
         return compile_readout(self.hamiltonian)
+
+    @functools.cached_property
+    def preparations(self) -> np.ndarray:
+        """The ensemble's initial operators as one read-only (4, 4^n) stack
+        of Pauli vectors, built once per context: |a><a| and |b><b|, then the
+        Hermitian parts of |a><b|, (|a><b| + |b><a|)/2 and (|a><b| - |b><a|)/(2i)."""
+        dim, a, b = self.hamiltonian.dim, self.phi_a, self.phi_b
+        stack = np.zeros((4, dim, dim), dtype=complex)
+        stack[0, a, a] = stack[1, b, b] = 1.0
+        stack[2, a, b] = stack[2, b, a] = 0.5
+        stack[3, a, b], stack[3, b, a] = -0.5j, 0.5j
+        paulis = to_pauli(stack)
+        paulis.flags.writeable = False
+        return paulis
 
 
 @dataclass(frozen=True)
 class ReferencePair:
-    """Two lowest exact eigenvalues and their sum."""
+    """The two lowest exact eigenvalues."""
 
     e0: float
     e1: float
-
-    @property
-    def e_sa(self) -> float:
-        return self.e0 + self.e1
-
-
-@functools.lru_cache(maxsize=16)
-def _preparations(dim: int, a: int, b: int) -> np.ndarray:
-    """The ensemble's initial operators as one read-only (4, 4^n) stack of
-    Pauli vectors, built once per (d, a, b): |a><a| and |b><b|, then the
-    Hermitian parts of |a><b|, (|a><b| + |b><a|)/2 and (|a><b| - |b><a|)/(2i)."""
-    stack = np.zeros((4, dim, dim), dtype=complex)
-    stack[0, a, a] = stack[1, b, b] = 1.0
-    stack[2, a, b] = stack[2, b, a] = 0.5
-    stack[3, a, b], stack[3, b, a] = -0.5j, 0.5j
-    paulis = to_pauli(stack)
-    paulis.flags.writeable = False
-    return paulis
 
 
 def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -101,7 +97,7 @@ def sa_cost(theta, ctx: EnsembleContext, rng: np.random.Generator | None = None)
     cost per row of an (m, p) parameter stack.  The 2m states are evolved
     and measured as one stack ordered [theta_0 a, theta_0 b, theta_1 a, ...],
     so the shots drawn are those of m calls on stacks of one."""
-    initial = _preparations(ctx.hamiltonian.dim, ctx.phi_a, ctx.phi_b)[:2]
+    initial = ctx.preparations[:2]
     states = evolve_circuit(initial, ctx.schedule, theta)
     pairs = expectation(states.reshape(-1, initial.shape[1]), ctx.readout, ctx.estimator, rng)
     pairs = pairs.reshape(-1, 2)
@@ -116,7 +112,7 @@ def resolve_states(theta, ctx: EnsembleContext) -> tuple[float, float]:
     to state preparation.  The cross term z = Tr(H E(|a><b|)) is read from
     the last two preparations, which give Re z and Im z.
     """
-    initial = _preparations(ctx.hamiltonian.dim, ctx.phi_a, ctx.phi_b)
+    initial = ctx.preparations
     states = evolve_circuit(initial, ctx.schedule, np.asarray(theta)[None])
     m_aa, m_bb, re_z, im_z = expectation_exact(states[0], ctx.readout)
     block = np.array([[m_aa, re_z - 1j * im_z], [re_z + 1j * im_z, m_bb]])

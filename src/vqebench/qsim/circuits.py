@@ -90,8 +90,8 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A circuit is a cache key of its compiled schedule, so its gates and
-    each gate's qubits must be tuples."""
+    """A context keeps the schedule compiled from a circuit, so its gates
+    and each gate's qubits must be tuples, which cannot change under it."""
 
     n_qubits: int
     gates: tuple[Gate, ...]

@@ -82,8 +82,8 @@ class NoiseRule:
     kind is one of "phase_damping" (param lam in [0, 1]), "depolarizing"
     (param p in [0, 1]), "thermal_relaxation" (params t1_ns, t2_ns > 0 with
     T2 <= 2 T1; the channel acts over the gate's time).  Every check is
-    written so that NaN fails it.  A rule is part of a cache key of the
-    compiled circuit, so gates must be a frozenset.
+    written so that NaN fails it.  A context keeps the schedule compiled
+    from a rule, so gates must be a frozenset, which cannot change under it.
     """
 
     gates: frozenset[str]
@@ -145,8 +145,8 @@ class NoiseRule:
 class EstimatorSpec:
     """How expectations are measured: exactly when n_m is None, else with
     n_m shots per term; noise is the tuple of rules whose channels state
-    preparation applies, () for noiseless.  noise is a cache key of the
-    compiled circuit, so anything but a tuple of NoiseRule is rejected
+    preparation applies, () for noiseless.  A context keeps the schedule
+    compiled from noise, so anything but a tuple of NoiseRule is rejected
     here."""
 
     n_m: int | None = None

@@ -8,11 +8,11 @@ turns by quarter turns, each a signed permutation of r, so the gate is one
 signed permutation, their composition (a Clifford gate: Aaronson &
 Gottesman, Phys. Rev. A 70, 052328, 2004).  The channels scale r, damping
 adding one Z <- I term.  A circuit under a tuple of noise rules and a
-Hamiltonian are each compiled once into index tables.
+Hamiltonian are each compiled into index tables, anew on every call;
+`EnsembleContext` keeps its own.
 """
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -93,17 +93,9 @@ def _commutes_with_feed(scale: np.ndarray, channel: Channel) -> bool:
 
 
 def compile_circuit(circuit: Circuit, noise: tuple[NoiseRule, ...] = ()) -> Schedule:
-    """The circuit's schedule under the noise rules, built once per
-    (circuit, noise) however noise is passed.  After each gate come the
-    channels of every rule whose gates hold the gate's kind, rule by rule:
-    the one place where rules are matched to gates."""
-    return _compile(circuit, noise)
-
-
-@functools.lru_cache(maxsize=64)
-def _compile(circuit: Circuit, noise: tuple[NoiseRule, ...]) -> Schedule:
-    """compile_circuit, cached; maxsize covers the catalog's noise for a
-    circuit."""
+    """The circuit's schedule under the noise rules.  After each gate come
+    the channels of every rule whose gates hold the gate's kind, rule by
+    rule: the one place where rules are matched to gates."""
     n = circuit.n_qubits
     steps = []
     for gate in circuit.gates:
@@ -171,9 +163,8 @@ class Readout(NamedTuple):
     weights: np.ndarray  # (4^n,) constant at 0, each coefficient at its index
 
 
-@functools.lru_cache(maxsize=16)
 def compile_readout(hamiltonian: PauliSum) -> Readout:
-    """The Hamiltonian's readout, built once."""
+    """The Hamiltonian's readout."""
     constant, coeffs, index = 0.0, [], []
     for coeff, string in hamiltonian:
         if set(string) == {"I"}:

@@ -11,7 +11,10 @@ or needs a caller.
 A read of a field (an annotated name in a class body) or of a property is
 an attribute load of its name, or a `getattr` with its name as a constant.
 Names are matched without types, so a read of `x.n` counts for every field
-named `n`.  Loads in the field's own class's `__post_init__` do not count:
+named `n`: an unread field that shares its name with a read one goes
+unflagged (a property `e_sa` on any class would pass on the reads of
+`RunRecord.e_sa`).  The rule finds names nothing reads, not every unread
+field.  Loads in the field's own class's `__post_init__` do not count:
 a check of a field that nothing else reads keeps nothing alive.  A class
 named in a `fields(...)` call in `src` is read whole.
 """

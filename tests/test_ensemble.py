@@ -5,7 +5,6 @@ import pytest
 
 from vqebench.ensemble import (
     EnsembleContext,
-    ReferencePair,
     reference_energies,
     resolve_states,
     sa_cost,
@@ -39,7 +38,7 @@ def test_reference_energies_single_z():
     ref = reference_energies(PauliSum.from_terms([(1.0, "Z")]))
     assert ref.e0 == pytest.approx(-1.0)
     assert ref.e1 == pytest.approx(1.0)
-    assert ref.e_sa == pytest.approx(0.0)
+    assert ref.e0 + ref.e1 == pytest.approx(0.0)
 
 
 def test_reference_energies_toy(toy_reference):
@@ -79,10 +78,6 @@ def test_context_capacity():
     message = "the Pauli-vector simulator supports at most 8 qubits, got 9"
     with pytest.raises(CapacityError, match=message):
         EnsembleContext(big, parse_circuit("ry 8 t0", n_qubits=9), 0, 1, EstimatorSpec())
-
-
-def test_reference_pair_sum():
-    assert ReferencePair(-2.0, -0.5).e_sa == pytest.approx(-2.5)
 
 
 def test_context_validation(toy_hamiltonian, toy_circuit):
@@ -174,7 +169,7 @@ def test_sa_cost_param_mismatch(toy_ctx):
 
 def test_sa_cost_variational_bound(toy_ctx, toy_reference, rng):
     thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(200, 3))
-    assert np.all(sa_cost(thetas, toy_ctx) >= toy_reference.e_sa - 1e-9)
+    assert np.all(sa_cost(thetas, toy_ctx) >= toy_reference.e0 + toy_reference.e1 - 1e-9)
 
 
 def test_resolve_identity_ansatz_diagonal(toy_hamiltonian):
@@ -223,7 +218,7 @@ def test_toy_ansatz_reaches_reference(toy_ctx, toy_reference):
         np.random.default_rng(0),
     )
     e_sa = sa_cost(result.theta_best[None], toy_ctx)[0]
-    assert e_sa == pytest.approx(toy_reference.e_sa, abs=1e-6)
+    assert e_sa == pytest.approx(toy_reference.e0 + toy_reference.e1, abs=1e-6)
     e0, e1 = resolve_states(result.theta_best, toy_ctx)
     assert e0 == pytest.approx(toy_reference.e0, abs=1e-6)
     assert e1 == pytest.approx(toy_reference.e1, abs=1e-6)
@@ -321,10 +316,8 @@ def test_shared_preparations_equal_the_per_call_construction(phis, rng):
             assert resolve_states(theta, ctx) == _resolve_built_per_call(theta, ctx)
 
 
-def test_preparations_are_read_only():
-    from vqebench.ensemble import _preparations
-
-    stack = _preparations(4, 0, 1)
+def test_preparations_are_read_only(toy_hamiltonian, toy_circuit):
+    stack = EnsembleContext(toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec()).preparations
     assert stack.shape == (4, 16)
     for view in (stack, stack[:2]):
         with pytest.raises(ValueError, match="read-only"):
@@ -332,28 +325,43 @@ def test_preparations_are_read_only():
     assert stack[0, 0] == 1.0
 
 
-def test_preparations_built_once_for_all_contexts_and_calls(monkeypatch, rng):
+def test_preparations_built_once_per_context(monkeypatch, rng):
     from vqebench import ensemble
 
-    evolved = []
+    evolved, built = [], []
 
     def recording(rho0, *args):
         evolved.append(rho0)
         return evolve_circuit(rho0, *args)
 
+    def counting(rho):
+        built.append(len(rho))
+        return to_pauli(rho)
+
     monkeypatch.setattr(ensemble, "evolve_circuit", recording)
-    ensemble._preparations.cache_clear()
+    monkeypatch.setattr(ensemble, "to_pauli", counting)
     contexts = _exact_catalog_contexts((2, 1))
     for ctx in contexts:
         theta = rng.uniform(-np.pi, np.pi, size=ctx.ansatz.n_params)
         sa_cost(theta[None], ctx)
         resolve_states(theta, ctx)
         sa_cost(np.stack([theta, -theta]), ctx)
-    stack = ensemble._preparations(4, 2, 1)
-    assert ensemble._preparations.cache_info().misses == 1
+    assert built == [4] * len(contexts)
     assert len(evolved) == 3 * len(contexts)
-    assert all(np.shares_memory(rho0, stack) for rho0 in evolved)
+    for i, ctx in enumerate(contexts):
+        assert all(np.shares_memory(rho0, ctx.preparations) for rho0 in evolved[3 * i : 3 * i + 3])
     assert [len(rho0) for rho0 in evolved[:3]] == [2, 4, 2]
+
+
+def test_run_path_holds_no_module_cache():
+    """The context owns every table an evaluation reads: neither module
+    keeps a functools cache that would share tables across contexts."""
+    from vqebench import ensemble
+    from vqebench.qsim import simulate
+
+    for module in (ensemble, simulate):
+        cached = [name for name, value in vars(module).items() if hasattr(value, "cache_info")]
+        assert cached == [], module.__name__
 
 
 @pytest.mark.parametrize("phis", [(0, 1), (2, 1)])
@@ -378,18 +386,18 @@ def test_exact_sa_cost_matches_the_dense_kraus_oracle_on_every_family(phis, rng)
 
 
 def test_context_holds_its_compiled_plan(monkeypatch, toy_ctx, rng):
-    """A context looks its schedule and readout up once: later costs do not
-    hash the circuit, the noise rules or the Hamiltonian again."""
+    """A context builds its schedule and readout once: later costs do not
+    compile the circuit or the Hamiltonian again."""
     from vqebench import ensemble
 
-    assert toy_ctx.schedule is compile_circuit(toy_ctx.ansatz, toy_ctx.estimator.noise)
-    assert toy_ctx.readout is compile_readout(toy_ctx.hamiltonian)
+    schedule, readout = toy_ctx.schedule, toy_ctx.readout
 
     def refuse(*args):
-        raise AssertionError("looked up again")
+        raise AssertionError("built again")
 
     monkeypatch.setattr(ensemble, "compile_circuit", refuse)
     monkeypatch.setattr(ensemble, "compile_readout", refuse)
     thetas = rng.uniform(-np.pi, np.pi, size=(2, 3))
     sa_cost(thetas, toy_ctx)
     resolve_states(thetas[0], toy_ctx)
+    assert toy_ctx.schedule is schedule and toy_ctx.readout is readout

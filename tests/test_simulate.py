@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vqebench.ensemble import EnsembleContext, resolve_states, sa_cost
 from vqebench.errors import DimensionError, ParameterDomainError
 from vqebench.qsim import (
     Circuit,
@@ -171,9 +172,9 @@ def test_fixed_gate_rotations_multiply_to_the_reference_unitary(kind):
 
 
 def test_compiling_builds_no_dense_matrix():
-    # a fresh process, so that no table an earlier test cached hides a call:
-    # with every dense builder raising, every placement on up to 3 qubits
-    # compiles under each catalog family's noise
+    # a fresh process, so that making every dense builder raise touches no
+    # other test: every placement on up to 3 qubits compiles under each
+    # catalog family's noise
     code = (
         "from vqebench.harness.catalog import family_catalog\n"
         "from vqebench.qsim import Circuit, PauliSum, compile_circuit, pauli\n"
@@ -330,18 +331,18 @@ def test_estimator_spec_validation():
     for n_m in (0, 2.5, 256.0, True, "256"):
         with pytest.raises(ParameterDomainError):
             EstimatorSpec(n_m=n_m)
-    # noise keys the compiled-circuit cache, so a list is refused here, not
-    # as an unhashable type inside a run
+    # a context keeps the schedule compiled from noise, so a list, which
+    # could change under it, is refused here, not inside a run
     rule = NoiseRule(frozenset({"rz"}), "phase_damping", lam=0.1)
     for noise in ([rule], rule, ("x",), None):
         with pytest.raises(ParameterDomainError, match="noise must be a tuple of NoiseRule"):
             EstimatorSpec(256, noise)
 
 
-def test_cache_keys_are_checked_where_they_are_built():
-    """A circuit and its noise rules key the compiled-circuit cache, so
-    unhashable parts are refused when built, not as a TypeError on the first
-    compile."""
+def test_mutable_parts_are_refused_where_they_are_built():
+    """A context keeps the schedule compiled from a circuit and its noise
+    rules, so parts that could change under it are refused when built, not
+    left to drift from the compiled schedule."""
     builds = [
         lambda: Gate("x", [0]),
         lambda: Circuit(1, [Gate("x", (0,))]),
@@ -439,7 +440,7 @@ def test_schedules_pinned(name, toy_circuit):
     assert digest.hexdigest() == SCHEDULE_SHA256[name]
 
 
-def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circuit):
+def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_hamiltonian, toy_circuit):
     calls = []
     channels = NoiseRule.channels
 
@@ -447,11 +448,12 @@ def test_channels_built_once_per_circuit_and_noise_model(monkeypatch, toy_circui
         calls.append(len(gate.qubits))
         return channels(rule, gate, n_qubits)
 
-    # a model no other test builds, so the simulator has not seen it yet
     noise = (NoiseRule(frozenset({"ry", "cx"}), "depolarizing", p=0.0123),)
     monkeypatch.setattr(NoiseRule, "channels", counting)
+    ctx = EnsembleContext(toy_hamiltonian, toy_circuit, 0, 1, EstimatorSpec(noise=noise))
     for theta in np.linspace(-1.0, 1.0, 15).reshape(5, 3):
-        _evolve_one(basis_state(0, 2), toy_circuit, theta, noise)
+        sa_cost(theta[None], ctx)
+        resolve_states(theta, ctx)
     matched = [len(g.qubits) for g in toy_circuit.gates if g.kind in {"ry", "cx"}]
     assert calls == matched == [1, 1, 2]
 
@@ -630,15 +632,16 @@ def test_readout_table_built_once(monkeypatch, rng):
         return table(*args, **kwargs)
 
     monkeypatch.setattr("vqebench.qsim.simulate.Readout", counting)
-    simulate.compile_readout.cache_clear()
     h = PauliSum.from_terms(
         [(0.3, "XYX"), (0.2, "YXY"), (0.1, "XXZ"), (0.4, "YYI"), (0.5, "ZXY"), (-0.2, "III")]
     )
-    stack = _paulis(*(_random_density(rng, 8) for _ in range(2)))
+    circuit = parse_circuit("ry 0 t0\ncx 0 1\nprot XY t1 1 2", n_qubits=3)
+    ctx = EnsembleContext(h, circuit, 0, 5, EstimatorSpec(n_m=64))
     for _ in range(20):
-        _shots(stack, h, 64, rng)
-        _shots(stack[:1], h, 64, rng)
-        _read(stack, h)
+        thetas = rng.uniform(-math.pi, math.pi, size=(2, circuit.n_params))
+        sa_cost(thetas, ctx, rng)
+        sa_cost(thetas[:1], ctx, rng)
+        resolve_states(thetas[0], ctx)
     assert len(built) == 1
 
 
