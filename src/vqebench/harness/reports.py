@@ -203,11 +203,13 @@ def rank_runs(records, reference, out_dir, alpha: float = 0.05) -> dict:
         values = np.array(
             [[cell_metrics[(opt, fam)].mean_distance for opt in optimizers] for fam in families]
         )
-        summary["friedman"] = friedman_test(values).to_dict()
+        gate, holm = friedman_test(values), holm_wilcoxon_matrix(values)
+        summary["friedman"] = gate.to_dict()
+        _write_matrix_csv(out_dir / "wilcoxon_pairs.csv", optimizers, holm)
 
-        _write_matrix_csv(out_dir / "wilcoxon_pairs.csv", optimizers, holm_wilcoxon_matrix(values))
-
-        places = tied_rank_groups(values, alpha=alpha)
+        # a pair differs once the Friedman gate rejects and its Holm p is
+        # below alpha, so every place is 1 when the gate does not reject
+        places = tied_rank_groups(values.mean(axis=0), (holm < alpha) & (gate.p < alpha))
         summary["tied_places"] = {opt: int(p) for opt, p in zip(optimizers, places)}
         heatmap = [[fam, *rankdata(row)] for fam, row in zip(families, values)]
         heatmap.append(["overall", *(int(p) for p in places)])

@@ -13,16 +13,17 @@ def isoma_minimize(theta0, spec: OptimizerSpec, rng: np.random.Generator):
 
     theta0 only fixes the dimensionality; the initial population is uniform
     in [var_min, var_max]^dim.  The run stops after max_fes evaluations, even
-    inside the initial population, or after max_migration migrations.  Either
-    is the planned stop, so the run reports converged.
+    inside the initial population, or after max_migration migrations, and
+    draws nothing after its last evaluation.  Either is the planned stop, so
+    the run reports converged.
     """
     params = spec.isoma
     dim = theta0.size
     population = rng.uniform(params.var_min, params.var_max, size=(params.pop_size, dim))
     fitness = np.array((yield population[: params.max_fes]))
-    if fitness.size < params.pop_size:
-        return True
     left = params.max_fes - fitness.size
+    if not left:
+        return True
     for _ in range(params.max_migration):
         chosen = rng.choice(params.pop_size, size=params.m, replace=False)
         migrants = chosen[np.argsort(fitness[chosen], kind="stable")[: params.n]]
@@ -33,24 +34,20 @@ def isoma_minimize(theta0, spec: OptimizerSpec, rng: np.random.Generator):
                 continue
             start = population[j].copy()
             target = population[leader]
-            # masks for the jumps max_fes allows and for the first one past
-            # it, which draws its mask before the run stops
-            n_jumps = min(params.n_jump, left + 1)
+            n_jumps = min(params.n_jump, left)
             masks = np.array([_jump_mask(rng, dim, params.prt) for _ in range(n_jumps)])
             jumps = np.arange(1, n_jumps + 1)[:, None]
             candidates = start + jumps * params.step * (target - start) * masks
             candidates = np.clip(candidates, params.var_min, params.var_max)
-            if n_jumps > left:
-                if left:
-                    yield candidates[:left]
-                return True
-            left -= n_jumps
             best_x, best_f = start, fitness[j]
             for candidate, f_cand in zip(candidates, (yield candidates)):
                 if f_cand < best_f:
                     best_x, best_f = candidate, f_cand
             population[j] = best_x
             fitness[j] = best_f
+            left -= n_jumps
+            if not left:
+                return True
     return True
 
 

@@ -157,25 +157,17 @@ def evolve_circuit(r0: np.ndarray, schedule: Schedule, theta: np.ndarray) -> np.
 class Readout(NamedTuple):
     """What measuring a Hamiltonian needs that does not depend on the state."""
 
-    constant: float  # the identity terms' coefficients, summed
-    coeffs: np.ndarray  # (T,) coefficients of the measured (non-identity) terms
-    index: np.ndarray  # (T,) their Pauli-vector indices
-    weights: np.ndarray  # (4^n,) constant at 0, each coefficient at its index
+    index: np.ndarray  # (T,) Pauli-vector indices of the measured (non-identity) terms
+    weights: np.ndarray  # (4^n,) each string's coefficient, the identity's at 0
 
 
 def compile_readout(hamiltonian: PauliSum) -> Readout:
-    """The Hamiltonian's readout."""
-    constant, coeffs, index = 0.0, [], []
-    for coeff, string in hamiltonian:
-        if set(string) == {"I"}:
-            constant += coeff
-            continue
-        coeffs.append(coeff)
-        index.append(pauli_index(string))
+    """The Hamiltonian's readout.  `PauliSum` merges repeated strings, so
+    each index holds one coefficient."""
+    index = np.array([pauli_index(string) for _, string in hamiltonian], dtype=np.intp)
     weights = np.zeros(4**hamiltonian.n_qubits)
-    weights[0] = constant
-    weights[index] = coeffs
-    return Readout(constant, np.array(coeffs, dtype=float), np.array(index, dtype=np.intp), weights)
+    weights[index] = [coeff for coeff, _ in hamiltonian]
+    return Readout(index[index != 0], weights)
 
 
 def _check_states(r: np.ndarray, readout: Readout) -> None:
@@ -214,7 +206,7 @@ def expectation_shots(
     lost = ~np.isfinite(p_plus)
     counts = rng.binomial(n_m, np.where(lost, 0.0, p_plus).clip(0.0, 1.0))
     estimates = np.where(lost, np.nan, 2.0 * counts / n_m - 1.0)
-    return readout.constant + (estimates * readout.coeffs).sum(axis=-1)
+    return readout.weights[0] + (estimates * readout.weights[readout.index]).sum(axis=-1)
 
 
 def expectation(

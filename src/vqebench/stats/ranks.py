@@ -165,26 +165,16 @@ def holm_wilcoxon_matrix(values: np.ndarray) -> np.ndarray:
     return adjusted
 
 
-def tied_rank_groups(per_category_values: np.ndarray, alpha: float = 0.05) -> np.ndarray:
-    """Assign each method a place (1 = best); methods that do not differ
-    significantly share a place.
-
-    Gate with the Friedman test; if significant, pairwise Wilcoxon with Holm
-    correction decides which methods differ.  Groups are ordered by mean
-    value; the place after a shared group skips the group's size.
-    """
-    values = np.asarray(per_category_values, dtype=float)
-    n, k = values.shape
-    places = np.ones(k, dtype=int)
-    gate = friedman_test(values)
-    if gate.p >= alpha:
-        return places
-    differs = holm_wilcoxon_matrix(values) < alpha
-    order = np.argsort(values.mean(axis=0), kind="stable")
+def tied_rank_groups(means: np.ndarray, differs: np.ndarray) -> np.ndarray:
+    """Assign each method a place (1 = best) from its mean and a k x k mask of
+    the pairs that differ significantly.  In order of mean, a method joins
+    the current group unless it differs from any member, and then opens the
+    next one; the place after a shared group skips the group's size."""
+    places = np.ones(len(means), dtype=int)
     group: list[int] = []
     next_place = 1
-    for idx in order:
-        if group and any(differs[idx, member] for member in group):
+    for idx in np.argsort(means, kind="stable"):
+        if any(differs[idx, member] for member in group):
             next_place += len(group)
             group = []
         group.append(idx)

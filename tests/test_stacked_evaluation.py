@@ -20,7 +20,8 @@ from vqebench.harness.runner import _effective_optimizer
 from vqebench.optimizers import IsomaParams, OptimizerSpec, OptResult, gradient, minimize
 from vqebench.optimizers.session import CostSession
 
-#: The benchmark's and the golden grid's capped budgets.
+#: The benchmark's and the golden grid's capped budgets, and two iSOMA
+#: budgets that end with the initial population (25) and inside it.
 CAPPED = [
     OptimizerSpec("bfgs", maxiter=6),
     OptimizerSpec("slsqp", maxiter=6),
@@ -28,6 +29,8 @@ CAPPED = [
     OptimizerSpec("powell", maxiter=1),
     OptimizerSpec("cobyla", maxiter=20),
     OptimizerSpec("isoma", isoma=IsomaParams(max_fes=75)),
+    OptimizerSpec("isoma", isoma=IsomaParams(max_fes=25)),
+    OptimizerSpec("isoma", isoma=IsomaParams(max_fes=10)),
 ]
 FAMILIES = ["ideal", "SN-256", "DEPOL-5%", "TR-T1=50ns"]
 
@@ -46,16 +49,17 @@ def _gradient_one_at_a_time(theta, h=1e-6):
 
 def _isoma_one_at_a_time(theta0, spec, rng):
     """iSOMA asking for one point at a time, each jump's mask drawn just
-    before its candidate is asked for, stopped at the ask past max_fes."""
+    before its candidate is asked for, stopped once max_fes evaluations are
+    spent."""
     params = spec.isoma
     dim = theta0.size
     population = rng.uniform(params.var_min, params.var_max, size=(params.pop_size, dim))
     fitness = []
     for x in population:
-        if len(fitness) == params.max_fes:
-            return True
         [f] = yield x[None]
         fitness.append(f)
+        if len(fitness) == params.max_fes:
+            return True
     fitness = np.array(fitness)
     spent = params.pop_size
     for _ in range(params.max_migration):
@@ -75,12 +79,12 @@ def _isoma_one_at_a_time(theta0, spec, rng):
                     mask[rng.integers(dim)] = 1.0
                 candidate = start + jump * params.step * (target - start) * mask
                 candidate = np.clip(candidate, params.var_min, params.var_max)
-                if spent == params.max_fes:
-                    return True
                 [f_cand] = yield candidate[None]
                 spent += 1
                 if f_cand < best_f:
                     best_x, best_f = candidate, f_cand
+                if spent == params.max_fes:
+                    return True
             population[j] = best_x
             fitness[j] = best_f
     return True
@@ -126,8 +130,15 @@ def _compare(monkeypatch, ctx, spec, seed):
     return sizes
 
 
+def _spec_id(spec):
+    """The kind, and an iSOMA budget that ends within the population."""
+    if spec.kind == "isoma" and spec.isoma.max_fes <= spec.isoma.pop_size:
+        return f"isoma-{spec.isoma.max_fes}"
+    return spec.kind
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("spec", CAPPED, ids=lambda s: s.kind)
+@pytest.mark.parametrize("spec", CAPPED, ids=_spec_id)
 def test_stacked_run_equals_one_point_at_a_time(
     monkeypatch, toy_hamiltonian, toy_circuit, family, spec
 ):

@@ -1,3 +1,4 @@
+import csv
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from scipy import stats as sps
 
 from vqebench.errors import ParameterDomainError
+from vqebench.harness import RunRecord
+from vqebench.harness.reports import rank_runs
 from vqebench.stats import (
     friedman_test,
     p_adjust,
@@ -12,6 +15,7 @@ from vqebench.stats import (
     tied_rank_groups,
     wilcoxon_signed_rank,
 )
+from vqebench.stats import ranks
 from vqebench.stats.ranks import pair_matrices
 
 
@@ -252,32 +256,72 @@ def test_adjust_rejects_bad_input():
 
 # --- tied rank groups ------------------------------------------------------
 
+def _differs(k, pairs):
+    """A k x k mask in which exactly the given pairs differ."""
+    differs = np.zeros((k, k), dtype=bool)
+    for i, j in pairs:
+        differs[i, j] = differs[j, i] = True
+    return differs
+
+
 def test_tied_ranks_no_significance():
-    rng = np.random.default_rng(0)
-    values = rng.normal(size=(6, 4))  # pure noise, Friedman gate fails
-    places = tied_rank_groups(values)
+    places = tied_rank_groups(np.array([3.0, 1.0, 2.0, 0.5]), _differs(4, []))
     assert np.all(places == 1)
 
 
 def test_tied_ranks_all_distinct():
-    n, k = 12, 3
-    base = np.arange(k, dtype=float) * 10.0
-    rng = np.random.default_rng(1)
-    values = base + rng.normal(scale=0.01, size=(n, k))
-    places = tied_rank_groups(values)
-    assert list(places) == [1, 2, 3]
+    places = tied_rank_groups(np.array([20.0, 0.0, 10.0]), _differs(3, [(0, 1), (0, 2), (1, 2)]))
+    assert list(places) == [3, 1, 2]
 
 
 def test_tied_ranks_grouped_pair():
-    # A and B statistically indistinguishable, C clearly worse
-    rng = np.random.default_rng(2)
-    n = 15
-    a = rng.normal(scale=1.0, size=n)
-    b = a + rng.normal(scale=1e-6, size=n)
-    c = a + 50.0
-    places = tied_rank_groups(np.column_stack([a, b, c]))
-    assert places[0] == places[1] == 1
-    assert places[2] == 3  # place after a shared group skips its size
+    # A and B indistinguishable, C worse than both
+    places = tied_rank_groups(np.array([0.0, 0.1, 5.0]), _differs(3, [(0, 2), (1, 2)]))
+    assert list(places) == [1, 1, 3]  # the place after a shared group skips its size
+
+
+def test_tied_ranks_join_only_when_no_member_differs():
+    # a ~ b and b ~ c but a != c: c differs from a member of {a, b}
+    places = tied_rank_groups(np.array([0.0, 1.0, 2.0]), _differs(3, [(0, 2)]))
+    assert list(places) == [1, 1, 3]
+
+
+def _rank_records(distances):
+    """One run per (family, optimizer) cell, its distance to the reference
+    (-2.0, -0.5) given by distances[family, optimizer]."""
+    return [
+        RunRecord(f"F{i}", f"opt{j}", 0, -2.0 + d, -0.5, -2.5 + d, 10, True, 1.0)
+        for i, row in enumerate(distances)
+        for j, d in enumerate(row)
+    ]
+
+
+def test_rank_runs_each_wilcoxon_pair_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return wilcoxon_signed_rank(a, b)
+
+    monkeypatch.setattr(ranks, "wilcoxon_signed_rank", counted)
+    distances = np.arange(3) * 0.1 + np.arange(5)[:, None] * 0.01  # 5 families, same order
+    summary = rank_runs(_rank_records(distances), (-2.0, -0.5), tmp_path)
+    assert summary["friedman"]["p"] < 0.05
+    assert len(calls) == 3
+
+
+def test_rank_runs_gate_fails_every_place_is_one(tmp_path):
+    # noise across 10 optimizers, except that opt0 is below opt1 in every
+    # family: their Holm p passes alpha, but the Friedman gate does not
+    rng = np.random.default_rng(3)
+    distances = rng.uniform(0.0, 1.0, size=(20, 10))
+    distances[:, 1] = distances[:, 0] + 1e-3
+    summary = rank_runs(_rank_records(distances), (-2.0, -0.5), tmp_path)
+    assert summary["friedman"]["p"] >= 0.05
+    with open(tmp_path / "wilcoxon_pairs.csv", newline="") as handle:
+        holm = list(csv.reader(handle))
+    assert float(holm[1][2]) < 0.05
+    assert set(summary["tied_places"].values()) == {1}
 
 
 def test_pair_matrices_call_pairs_in_row_major_order_and_mirror():
